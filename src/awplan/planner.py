@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import _schema
-from .errors import PlanningError, SchemaError, SpectrumError
+from .errors import PlanningError, SchemaError
 from .perfmodel import (
     DEFAULT_THRESHOLDS,
     Feasibility,
@@ -38,10 +38,10 @@ from .spectrum import (
     SuperChannel,
     candidate_starts,
     carve_dedicated_partition,
-    guard_clearance_ok,
-    neighbor_context,
     place_superchannel,
+    slot_span,
     unique_occupant_id,
+    window_neighbors,
 )
 from .topology import NetworkTopology, PathMetrics, Violation, aggregate_path
 
@@ -274,49 +274,32 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     """Probe the grid for the lowest feasible mixed placement and the lowest
     dedicated placement a new super-channel could use."""
     width = grid.band.superchannel_width_slots
+    occupied = grid.occupied_mask
+    taken = occupied | grid.partition_mask
 
     mixed_start: int | None = None
     mixed_neighbors: NeighborConfig | None = None
-    native_intervals = [(n.start_slot, n.end_slot) for n in grid.natives]
     for start in candidate_starts(grid.band, OccupantKind.SUPERCHANNEL):
         end = start + width
-        if any(p.overlaps(start, end) for p in grid.partitions):
-            continue
-        if not guard_clearance_ok(start, end, native_intervals, guard_band_slots):
-            continue
-        trial_id = unique_occupant_id(grid, "probe")
-        try:
-            placed = place_superchannel(grid, SuperChannel(id=trial_id, start_slot=start, width_slots=width))
-        except SpectrumError:
-            continue
-        mixed_start = start
-        mixed_neighbors = neighbor_context(placed, trial_id, guard_band_slots)
-        break
-
-    owners = grid.occupant_map()
-
-    def window_free(start: int, end: int) -> bool:
-        return all(slot not in owners for slot in range(start, end))
-
-    dedicated_start: int | None = None
-    needs_carve = False
-    for partition in sorted(grid.partitions, key=lambda p: p.start_slot):
-        for start in range(partition.start_slot, partition.end_slot - width + 1):
-            if window_free(start, start + width):
-                dedicated_start = start
-                break
-        if dedicated_start is not None:
+        guarded = slot_span(max(start - guard_band_slots, 0), end + guard_band_slots)
+        if not (taken & slot_span(start, end) or grid.native_mask & guarded):
+            mixed_start = start
+            mixed_neighbors = window_neighbors(grid, start, end, guard_band_slots, occupied & ~grid.native_mask)
             break
+
+    in_partition = (
+        start
+        for partition in sorted(grid.partitions, key=lambda p: p.start_slot)
+        for start in range(partition.start_slot, partition.end_slot - width + 1)
+        if not occupied & slot_span(start, start + width)
+    )
+    dedicated_start = next(in_partition, None)
+    needs_carve = False
     if dedicated_start is None:
         carve = _carve_width(width)
-        for start in range(0, grid.band.slot_count - carve + 1, 2):
-            end = start + carve
-            if any(p.overlaps(start, end) for p in grid.partitions):
-                continue
-            if window_free(start, end):
-                dedicated_start = start
-                needs_carve = True
-                break
+        carvable = range(0, grid.band.slot_count - carve + 1, 2)
+        dedicated_start = next((s for s in carvable if not taken & slot_span(s, s + carve)), None)
+        needs_carve = dedicated_start is not None
 
     return GridContext(
         mixed_start_slot=mixed_start,

@@ -5,6 +5,12 @@ occupy 2 slots and start on even slots (the 50 GHz host grid); super-channel
 blocks occupy 8 contiguous slots (200 GHz) at any offset. Dedicated
 partitions reserve a region for coherent carriers and exclude natives.
 
+Occupancy is held as ``int`` bitmasks on the grid (bit i is slot i) of
+native, occupied and partition slots, and each occupancy question is an AND
+of a slot window with them. ``place_native`` and ``place_superchannel`` are
+the single validators: first fit searches the masks for a start, then places
+once there.
+
 All operations are pure: they take a grid and return an updated copy.
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from . import _schema
 from .errors import SchemaError, SpectrumError
@@ -307,12 +314,44 @@ class NeighborConfig:
             raise SchemaError(f"{path}: {err}") from None
 
 
+def slot_span(start: int, end: int) -> int:
+    """Bitmask of the slots [start, end)."""
+    return ((1 << (end - start)) - 1) << start
+
+
+def _spans(blocks) -> int:
+    mask = 0
+    for block in blocks:
+        mask |= slot_span(block.start_slot, block.end_slot)
+    return mask
+
+
 @dataclass(frozen=True)
 class SpectrumGrid:
+    """The band and its occupants. The slot masks are cached on first use and
+    are not fields, so equality, repr and serialization ignore them."""
+
     band: BandConfig = field(default_factory=BandConfig)
     natives: tuple[NativeChannel, ...] = ()
     superchannels: tuple[SuperChannel, ...] = ()
     partitions: tuple[DedicatedPartition, ...] = ()
+
+    @cached_property
+    def native_mask(self) -> int:
+        return _spans(self.natives)
+
+    @cached_property
+    def occupied_mask(self) -> int:
+        """Slots held by any occupant; raises if two occupants share a slot."""
+        blocks = self.natives + self.superchannels
+        mask = _spans(blocks)
+        if mask.bit_count() < sum(block.end_slot - block.start_slot for block in blocks):
+            self.occupant_map()  # raises, naming both owners
+        return mask
+
+    @cached_property
+    def partition_mask(self) -> int:
+        return _spans(self.partitions)
 
     def occupant_map(self) -> dict[int, tuple[OccupantKind, str]]:
         """Slot -> owner map; raises if two occupants ever share a slot."""
@@ -385,12 +424,11 @@ def empty_grid(band: BandConfig | None = None) -> SpectrumGrid:
 def _check_occupancy(grid: SpectrumGrid, start: int, end: int, occupant_id: str) -> None:
     if occupant_id in grid.occupant_ids():
         raise SpectrumError(f"occupant id {occupant_id!r} already present in grid")
-    owners = grid.occupant_map()
-    for slot in range(start, end):
-        if slot in owners:
-            raise SpectrumError(
-                f"{occupant_id!r} would overlap {owners[slot][1]!r} at slot {slot}"
-            )
+    clash = grid.occupied_mask & slot_span(start, end)
+    if clash:
+        slot = (clash & -clash).bit_length() - 1
+        owner = grid.occupant_map()[slot][1]
+        raise SpectrumError(f"{occupant_id!r} would overlap {owner!r} at slot {slot}")
 
 
 def place_native(grid: SpectrumGrid, channel: NativeChannel) -> SpectrumGrid:
@@ -406,12 +444,12 @@ def place_native(grid: SpectrumGrid, channel: NativeChannel) -> SpectrumGrid:
             f"native {channel.id!r}: slots [{channel.start_slot}, {channel.end_slot}) "
             f"fall outside the {grid.band.slot_count}-slot band"
         )
-    for partition in grid.partitions:
-        if partition.overlaps(channel.start_slot, channel.end_slot):
-            raise SpectrumError(
-                f"native {channel.id!r}: placement inside dedicated partition "
-                f"[{partition.start_slot}, {partition.end_slot})"
-            )
+    if grid.partition_mask & slot_span(channel.start_slot, channel.end_slot):
+        partition = next(p for p in grid.partitions if p.overlaps(channel.start_slot, channel.end_slot))
+        raise SpectrumError(
+            f"native {channel.id!r}: placement inside dedicated partition "
+            f"[{partition.start_slot}, {partition.end_slot})"
+        )
     _check_occupancy(grid, channel.start_slot, channel.end_slot, channel.id)
     return replace(grid, natives=grid.natives + (channel,))
 
@@ -429,14 +467,14 @@ def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
             f"super-channel {sc.id!r}: slots [{sc.start_slot}, {sc.end_slot}) "
             f"fall outside the {grid.band.slot_count}-slot band"
         )
-    for partition in grid.partitions:
-        if partition.overlaps(sc.start_slot, sc.end_slot) and not partition.contains(
-            sc.start_slot, sc.end_slot
-        ):
-            raise SpectrumError(
-                f"super-channel {sc.id!r}: straddles the partition boundary at "
-                f"[{partition.start_slot}, {partition.end_slot})"
-            )
+    if grid.partition_mask & slot_span(sc.start_slot, sc.end_slot) and (
+        grid.partition_containing(sc.start_slot, sc.end_slot) is None
+    ):
+        partition = next(p for p in grid.partitions if p.overlaps(sc.start_slot, sc.end_slot))
+        raise SpectrumError(
+            f"super-channel {sc.id!r}: straddles the partition boundary at "
+            f"[{partition.start_slot}, {partition.end_slot})"
+        )
     _check_occupancy(grid, sc.start_slot, sc.end_slot, sc.id)
     return replace(grid, superchannels=grid.superchannels + (sc,))
 
@@ -474,72 +512,51 @@ def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: 
     return replace(grid, partitions=grid.partitions + (partition,))
 
 
-def _scan_side(
-    grid: SpectrumGrid,
-    sc: SuperChannel,
-    guard_band_slots: int,
-    right: bool,
-) -> tuple[int, int]:
-    """Count (guarded, unguarded) natives on one side of a super-channel.
+def _mirror(mask: int, width: int) -> int:
+    """The low *width* bits of *mask* in reverse order."""
+    return int(format(mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
 
-    The scan runs outward until the band edge or the first other
-    super-channel. The nearest native and every native directly abutting it
-    form a chain classified by the chain head's gap to the block edge; any
-    further native whose own gap is inside the guard window also counts as
-    unguarded.
+
+def _scan_outward(natives: int, blockers: int, guard_band_slots: int) -> tuple[int, int]:
+    """Count (guarded, unguarded) natives beyond one edge of a block.
+
+    Bit i of both masks is the i-th slot out from the edge. The scan stops
+    at the first blocker slot (another super-channel). The nearest native and
+    every native directly abutting it form a chain classified by the chain
+    head's gap to the block edge; any further native whose own gap is inside
+    the guard window also counts as unguarded. Natives are two slots wide,
+    so a run of set bits is a chain of half as many natives.
     """
-    if right:
-        natives = sorted(
-            (n for n in grid.natives if n.start_slot >= sc.end_slot),
-            key=lambda n: n.start_slot,
-        )
-        blockers = [
-            other.start_slot
-            for other in grid.superchannels
-            if other.id != sc.id and other.start_slot >= sc.end_slot
-        ]
-        boundary = min(blockers) if blockers else grid.band.slot_count
-        natives = [n for n in natives if n.end_slot <= boundary]
-        gaps = [n.start_slot - sc.end_slot for n in natives]
-    else:
-        natives = sorted(
-            (n for n in grid.natives if n.end_slot <= sc.start_slot),
-            key=lambda n: n.start_slot,
-            reverse=True,
-        )
-        blockers = [
-            other.end_slot
-            for other in grid.superchannels
-            if other.id != sc.id and other.end_slot <= sc.start_slot
-        ]
-        boundary = max(blockers) if blockers else 0
-        natives = [n for n in natives if n.start_slot >= boundary]
-        gaps = [sc.start_slot - n.end_slot for n in natives]
-
+    if blockers:
+        natives &= (blockers & -blockers) - 1
     if not natives:
         return 0, 0
-
-    # Maximal abutting chain anchored at the nearest native.
-    chain_len = 1
-    for prev, nxt in zip(natives, natives[1:]):
-        adjacent = (
-            nxt.start_slot == prev.end_slot if right else nxt.end_slot == prev.start_slot
-        )
-        if not adjacent:
-            break
-        chain_len += 1
-
-    head_gap = gaps[0]
-    guarded = 0
-    unguarded = 0
+    head_gap = (natives & -natives).bit_length() - 1
+    run = natives >> head_gap
+    run_slots = (run ^ (run + 1)).bit_length() - 1
+    chain_len = run_slots // NATIVE_WIDTH_SLOTS
+    beyond = natives & ~slot_span(head_gap, head_gap + run_slots)
+    # a native that starts inside the guard window has one or two slots in it
+    beyond_unguarded = ((beyond & ((1 << guard_band_slots) - 1)).bit_count() + 1) // 2
     if head_gap < guard_band_slots:
-        unguarded += chain_len
-    else:
-        guarded += chain_len
-    for gap in gaps[chain_len:]:
-        if gap < guard_band_slots:
-            unguarded += 1
-    return guarded, unguarded
+        return 0, chain_len + beyond_unguarded
+    return chain_len, beyond_unguarded
+
+
+def window_neighbors(
+    grid: SpectrumGrid, start: int, end: int, guard_band_slots: int, blockers: int
+) -> NeighborConfig:
+    """Classify the natives beside a block at [start, end) that lies outside
+    every partition; the scan on each side stops at a slot set in *blockers*."""
+    if guard_band_slots < 0:
+        raise SpectrumError(f"guard_band_slots must be >= 0, got {guard_band_slots}")
+    natives = grid.native_mask
+    left = _scan_outward(_mirror(natives, start), _mirror(blockers, start), guard_band_slots)
+    right = _scan_outward(natives >> end, blockers >> end, guard_band_slots)
+    return NeighborConfig(
+        guarded_native_count=left[0] + right[0],
+        unguarded_native_count=left[1] + right[1],
+    )
 
 
 def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> NeighborConfig:
@@ -551,12 +568,8 @@ def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> N
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
     if grid.partition_containing(sc.start_slot, sc.end_slot) is not None:
         return NeighborConfig(in_dedicated_partition=True)
-    left = _scan_side(grid, sc, guard_band_slots, right=False)
-    right = _scan_side(grid, sc, guard_band_slots, right=True)
-    return NeighborConfig(
-        guarded_native_count=left[0] + right[0],
-        unguarded_native_count=left[1] + right[1],
-    )
+    others = _spans(other for other in grid.superchannels if other.id != sc_id)
+    return window_neighbors(grid, sc.start_slot, sc.end_slot, guard_band_slots, others)
 
 
 @dataclass(frozen=True)
@@ -568,8 +581,14 @@ class PlacementRequest:
     bitrate_gbps: int = 10
 
     def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("request id must be non-empty")
         if self.guard_band_slots < 0:
             raise ValueError(f"guard_band_slots must be >= 0, got {self.guard_band_slots}")
+        if self.kind is OccupantKind.NATIVE and self.bitrate_gbps not in NATIVE_BITRATES_GBPS:
+            raise ValueError(
+                f"native bitrate must be one of {NATIVE_BITRATES_GBPS}, got {self.bitrate_gbps}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -665,31 +684,28 @@ def guard_clearance_ok(start: int, end: int, others: list[tuple[int, int]], guar
     return True
 
 
-def _try_place(grid: SpectrumGrid, request: PlacementRequest, start: int) -> SpectrumGrid | None:
-    if request.kind is OccupantKind.NATIVE:
-        occupant = NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps)
-        if request.partition_only:
-            return None  # natives are excluded from partitions by invariant
-        if request.guard_band_slots > 0:
-            intervals = [(sc.start_slot, sc.end_slot) for sc in grid.superchannels]
-            if not guard_clearance_ok(start, occupant.end_slot, intervals, request.guard_band_slots):
-                return None
-        try:
-            return place_native(grid, occupant)
-        except SpectrumError:
-            return None
-
-    sc = SuperChannel(id=request.id, start_slot=start, width_slots=grid.band.superchannel_width_slots)
-    if request.partition_only and grid.partition_containing(sc.start_slot, sc.end_slot) is None:
-        return None
-    if request.guard_band_slots > 0:
-        intervals = [(n.start_slot, n.end_slot) for n in grid.natives]
-        if not guard_clearance_ok(sc.start_slot, sc.end_slot, intervals, request.guard_band_slots):
-            return None
-    try:
-        return place_superchannel(grid, sc)
-    except SpectrumError:
-        return None
+def _first_fit_start(grid: SpectrumGrid, request: PlacementRequest) -> int | None:
+    """The lowest start the slot masks allow for *request*. The test is
+    exact, so placing the request there cannot fail."""
+    native = request.kind is OccupantKind.NATIVE
+    if request.id in grid.occupant_ids() or (native and request.partition_only):
+        return None  # an id is placed once; natives are kept out of partitions
+    width = NATIVE_WIDTH_SLOTS if native else grid.band.superchannel_width_slots
+    taken = grid.occupied_mask | (grid.partition_mask if native else 0)
+    # the guard band separates natives from super-channels
+    kept_apart = grid.occupied_mask & ~grid.native_mask if native else grid.native_mask
+    guard = request.guard_band_slots
+    for start in candidate_starts(grid.band, request.kind):
+        end = start + width
+        if taken & slot_span(start, end) or kept_apart & slot_span(max(start - guard, 0), end + guard):
+            continue
+        # a block that enters a partition, or must sit in one, lies wholly inside one
+        if not native and (request.partition_only or grid.partition_mask & slot_span(start, end)) and (
+            grid.partition_containing(start, end) is None
+        ):
+            continue
+        return start
+    return None
 
 
 def candidate_starts(band: BandConfig, kind: OccupantKind) -> range:
@@ -710,19 +726,17 @@ def first_fit_allocate(
     """
     assignments: list[Assignment] = []
     for request in requests:
-        placed_grid: SpectrumGrid | None = None
-        placed_start: int | None = None
-        for start in candidate_starts(grid.band, request.kind):
-            attempt = _try_place(grid, request, start)
-            if attempt is not None:
-                placed_grid = attempt
-                placed_start = start
-                break
-        if placed_grid is None:
+        start = _first_fit_start(grid, request)
+        if start is None:
             assignments.append(Assignment(request=request, start_slot=None, reason="no feasible window"))
+            continue
+        if request.kind is OccupantKind.NATIVE:
+            occupant = NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps)
+            grid = place_native(grid, occupant)
         else:
-            grid = placed_grid
-            assignments.append(Assignment(request=request, start_slot=placed_start))
+            width = grid.band.superchannel_width_slots
+            grid = place_superchannel(grid, SuperChannel(id=request.id, start_slot=start, width_slots=width))
+        assignments.append(Assignment(request=request, start_slot=start))
     return AllocationResult(assignments=tuple(assignments), grid=grid)
 
 

@@ -1,0 +1,185 @@
+"""Naive slot-array references for the neighbor scan and the grid probe.
+
+Every slot holds at most one owner and every question is answered by walking
+slots one at a time, so these functions share no code or representation with
+``awplan.spectrum``. ``random_grids`` draws grids built through the public
+placement calls: odd block widths, abutting partitions, and now and then a
+second block that reuses an existing block id, placed before the natives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hypothesis import strategies as st
+
+from awplan import (
+    BandConfig,
+    NativeChannel,
+    NeighborConfig,
+    SpectrumError,
+    SpectrumGrid,
+    SuperChannel,
+    carve_dedicated_partition,
+    place_native,
+    place_superchannel,
+)
+
+
+def slot_owners(grid: SpectrumGrid) -> list[tuple[str, object] | None]:
+    """One entry per slot: ("native", index), ("sc", id) or None."""
+    owners: list[tuple[str, object] | None] = [None] * grid.band.slot_count
+    for index, native in enumerate(grid.natives):
+        for slot in range(native.start_slot, native.end_slot):
+            owners[slot] = ("native", index)
+    for sc in grid.superchannels:
+        for slot in range(sc.start_slot, sc.end_slot):
+            owners[slot] = ("sc", sc.id)
+    return owners
+
+
+def partition_slots(grid: SpectrumGrid) -> list[bool]:
+    inside = [False] * grid.band.slot_count
+    for partition in grid.partitions:
+        for slot in range(partition.start_slot, partition.end_slot):
+            inside[slot] = True
+    return inside
+
+
+def _side(owners, first: int, step: int, guard: int, own_id) -> tuple[int, int]:
+    """Walk outward from *first* until the band edge or a slot of another
+    block; return (guarded, unguarded) natives met on the way."""
+    gaps: list[int] = []
+    chain = 0
+    in_chain = True
+    last_native_distance = None
+    seen = set()
+    slot, distance = first, 0
+    while 0 <= slot < len(owners):
+        owner = owners[slot]
+        if owner is not None and owner[0] == "sc" and owner[1] != own_id:
+            break
+        if owner is not None and owner[0] == "native":
+            if owner[1] not in seen:
+                seen.add(owner[1])
+                if gaps and distance != last_native_distance + 1:
+                    in_chain = False
+                gaps.append(distance)
+                chain += in_chain
+            last_native_distance = distance
+        slot += step
+        distance += 1
+    if not gaps:
+        return 0, 0
+    later_unguarded = sum(1 for gap in gaps[chain:] if gap < guard)
+    if gaps[0] < guard:
+        return 0, chain + later_unguarded
+    return chain, later_unguarded
+
+
+def window_neighbors(grid: SpectrumGrid, start: int, end: int, guard: int, own_id=None) -> NeighborConfig:
+    owners = slot_owners(grid)
+    if any(p.start_slot <= start and end <= p.end_slot for p in grid.partitions):
+        return NeighborConfig(in_dedicated_partition=True)
+    left = _side(owners, start - 1, -1, guard, own_id)
+    right = _side(owners, end, 1, guard, own_id)
+    return NeighborConfig(
+        guarded_native_count=left[0] + right[0],
+        unguarded_native_count=left[1] + right[1],
+    )
+
+
+def neighbor_context(grid: SpectrumGrid, sc_id: str, guard: int) -> NeighborConfig:
+    sc = next(sc for sc in grid.superchannels if sc.id == sc_id)
+    return window_neighbors(grid, sc.start_slot, sc.end_slot, guard, own_id=sc_id)
+
+
+def grid_context(grid: SpectrumGrid, guard: int) -> tuple:
+    """(mixed start, mixed neighbors, dedicated start, needs carve)."""
+    owners = slot_owners(grid)
+    reserved = partition_slots(grid)
+    count = grid.band.slot_count
+    width = grid.band.superchannel_width_slots
+
+    def free(start: int, end: int) -> bool:
+        return all(owners[slot] is None for slot in range(start, end))
+
+    def outside_partitions(start: int, end: int) -> bool:
+        return not any(reserved[slot] for slot in range(start, end))
+
+    mixed_start = mixed_neighbors = None
+    for start in range(0, count - width + 1):
+        end = start + width
+        guarded = range(max(start - guard, 0), min(end + guard, count))
+        if (
+            free(start, end)
+            and outside_partitions(start, end)
+            and not any(owners[slot] is not None and owners[slot][0] == "native" for slot in guarded)
+        ):
+            mixed_start = start
+            mixed_neighbors = window_neighbors(grid, start, end, guard)
+            break
+
+    dedicated_start, needs_carve = None, False
+    for partition in sorted(grid.partitions, key=lambda p: p.start_slot):
+        for start in range(partition.start_slot, partition.end_slot - width + 1):
+            if free(start, start + width):
+                dedicated_start = start
+                break
+        if dedicated_start is not None:
+            break
+    if dedicated_start is None:
+        carve = width + width % 2
+        for start in range(0, count - carve + 1, 2):
+            if free(start, start + carve) and outside_partitions(start, start + carve):
+                dedicated_start, needs_carve = start, True
+                break
+    return mixed_start, mixed_neighbors, dedicated_start, needs_carve
+
+
+@st.composite
+def random_grids(draw) -> SpectrumGrid:
+    slot_count = draw(st.integers(4, 24)) * 2
+    width = draw(st.integers(1, min(11, slot_count)))
+    grid = SpectrumGrid(band=BandConfig(slot_count=slot_count, superchannel_width_slots=width))
+
+    # cut points on the native grid; consecutive kept segments abut
+    cuts = sorted(draw(st.sets(st.integers(0, slot_count // 2), max_size=6)))
+    for lo, hi in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            grid = carve_dedicated_partition(grid, 2 * lo, 2 * (hi - lo))
+
+    placements = draw(
+        st.lists(st.tuples(st.booleans(), st.integers(0, slot_count - 1)), max_size=20)
+    )
+    for i, (is_native, start) in enumerate(placements):
+        if not is_native:
+            try:
+                grid = place_superchannel(grid, SuperChannel(id=f"s{i}", start_slot=start, width_slots=width))
+            except SpectrumError:
+                pass
+
+    # a second block under an existing id: the scan must not stop at it
+    if grid.superchannels and draw(st.booleans()):
+        owners = slot_owners(grid)
+        reserved = partition_slots(grid)
+        starts = [
+            s
+            for s in range(slot_count - width + 1)
+            if all(owners[t] is None and not reserved[t] for t in range(s, s + width))
+        ]
+        if starts:
+            twin = SuperChannel(
+                id=draw(st.sampled_from([sc.id for sc in grid.superchannels])),
+                start_slot=draw(st.sampled_from(starts)),
+                width_slots=width,
+            )
+            grid = replace(grid, superchannels=grid.superchannels + (twin,))
+
+    for i, (is_native, start) in enumerate(placements):
+        if is_native:
+            try:
+                grid = place_native(grid, NativeChannel(id=f"n{i}", start_slot=start - start % 2))
+            except SpectrumError:
+                pass
+    return grid

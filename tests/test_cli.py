@@ -164,6 +164,17 @@ class TestAllocate:
         reasons = {a["reason"] for a in result["assignments"] if a["start_slot"] is None}
         assert reasons == {"no feasible window"}
 
+    def test_bad_native_bitrate_exits_two_with_path(self, capsys, fx, tmp_path):
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([{"kind": "native", "id": "x", "bitrate_gbps": 25}]))
+        code, out, err = run(
+            capsys,
+            "allocate", "--grid", fx("busy.grid.json"), "--requests", str(requests),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{requests}[0]: native bitrate must be one of (10, 40), got 25" in err
+
 
 class TestPlan:
     def test_long_haul_plan_document(self, capsys, fx):

@@ -4,6 +4,9 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import slot_oracle
 
 from awplan import (
     AmplifierType,
@@ -161,6 +164,18 @@ class TestGridContext:
         before = busy_grid.occupant_ids()
         grid_context_for(busy_grid, guard_band_slots=2)
         assert busy_grid.occupant_ids() == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=slot_oracle.random_grids(), guard=st.integers(0, 5))
+    def test_matches_slot_array_probe(self, grid, guard):
+        context = grid_context_for(grid, guard)
+        got = (
+            context.mixed_start_slot,
+            context.mixed_neighbors,
+            context.dedicated_start_slot,
+            context.dedicated_needs_carve,
+        )
+        assert got == slot_oracle.grid_context(grid, guard)
 
 
 class TestEnumerateOptions:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import slot_oracle
 
 from awplan import (
     BandConfig,
@@ -22,6 +25,7 @@ from awplan import (
     default_pairs,
     empty_grid,
     first_fit_allocate,
+    grid_context_for,
     guard_clearance_ok,
     neighbor_context,
     place_native,
@@ -193,6 +197,13 @@ class TestPlacement:
         with pytest.raises(SpectrumError, match="straddle"):
             place_superchannel(grid, superchannel("aw", 6))
 
+    def test_superchannel_may_not_straddle_abutting_partitions(self):
+        # together the two partitions cover [4, 12), but neither holds it
+        grid = carve_dedicated_partition(empty_grid(), 0, 8)
+        grid = carve_dedicated_partition(grid, 8, 8)
+        with pytest.raises(SpectrumError, match="straddle"):
+            place_superchannel(grid, superchannel("aw", 4))
+
     def test_superchannel_fits_fully_inside_partition(self):
         grid = carve_dedicated_partition(empty_grid(), 10, 10)
         grid = place_superchannel(grid, superchannel("aw", 11))
@@ -233,6 +244,24 @@ class TestOccupantMap:
         )
         with pytest.raises(SpectrumError, match="owned by both"):
             grid.occupant_map()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda grid: place_native(grid, native("c", 40)),
+            lambda grid: place_superchannel(grid, superchannel("c", 40)),
+            lambda grid: first_fit_allocate(grid, [PlacementRequest(kind=OccupantKind.NATIVE, id="c")]),
+            lambda grid: grid_context_for(grid, guard_band_slots=2),
+        ],
+        ids=["place_native", "place_superchannel", "first_fit_allocate", "grid_context_for"],
+    )
+    def test_conflicting_grid_fails_occupancy_calls(self, call):
+        grid = SpectrumGrid(
+            natives=(native("a", 0),),
+            superchannels=(SuperChannel(id="b", start_slot=1),),
+        )
+        with pytest.raises(SpectrumError, match="slot 1 owned by both 'a' and 'b'"):
+            call(grid)
 
     def test_map_covers_all_occupied_slots(self, busy_grid):
         owners = busy_grid.occupant_map()
@@ -279,6 +308,13 @@ class TestNeighborContext:
         ctx = neighbor_context(grid, "aw", guard_band_slots=2)
         assert ctx == NeighborConfig()
 
+    def test_scan_passes_a_block_that_shares_the_id(self):
+        # blocks are told apart by id, so a second "aw" does not end the scan
+        grid = place_superchannel(empty_grid(BandConfig(slot_count=32)), superchannel("aw", 0))
+        grid = replace(grid, superchannels=grid.superchannels + (superchannel("aw", 10),))
+        grid = place_native(grid, native("n", 20))
+        assert neighbor_context(grid, "aw", guard_band_slots=2) == NeighborConfig(guarded_native_count=1)
+
     def test_beyond_chain_native_inside_guard_window_counts(self):
         # "far" does not abut "near", but its own gap still sits inside a
         # wide guard window, so it is counted as unguarded too
@@ -310,6 +346,13 @@ class TestNeighborContext:
         ctx = neighbor_context(result.grid, "probe", guard_band_slots=2)
         assert ctx == NeighborConfig(guarded_native_count=6, unguarded_native_count=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=slot_oracle.random_grids(), guard=st.integers(0, 5))
+    def test_matches_slot_array_walk(self, grid, guard):
+        for sc in grid.superchannels:
+            expected = slot_oracle.neighbor_context(grid, sc.id, guard)
+            assert neighbor_context(grid, sc.id, guard) == expected
+
 
 class TestGuardClearance:
     def test_gap_measured_in_free_slots(self):
@@ -338,6 +381,16 @@ class TestFirstFit:
         starts = {a.request.id: a.start_slot for a in result.assignments}
         assert starts == {"n-100": 0, "aw-1": 20, "aw-2": 28}
         result.grid.occupant_map()  # no conflicts
+
+    def test_straddling_starts_are_skipped(self):
+        # [8, 16) is free and inside the partition mask, but crosses the
+        # boundary between two abutting partitions
+        grid = carve_dedicated_partition(empty_grid(), 0, 12)
+        grid = carve_dedicated_partition(grid, 12, 12)
+        grid = place_superchannel(grid, superchannel("a", 0))
+        for partition_only in (False, True):
+            request = PlacementRequest(kind=OccupantKind.SUPERCHANNEL, id="b", partition_only=partition_only)
+            assert first_fit_allocate(grid, [request]).assignments[0].start_slot == 12
 
     def test_native_starts_stay_even(self):
         grid = place_native(empty_grid(), native("a", 0))
@@ -404,6 +457,16 @@ class TestFirstFit:
         assert len(owners) == sum(
             2 if a.request.kind is OccupantKind.NATIVE else 8 for a in placed
         )
+
+
+class TestPlacementRequest:
+    def test_native_bitrate_checked_on_construction(self):
+        with pytest.raises(ValueError, match=r"native bitrate must be one of \(10, 40\), got 25"):
+            PlacementRequest(kind=OccupantKind.NATIVE, id="n", bitrate_gbps=25)
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            PlacementRequest(kind=OccupantKind.SUPERCHANNEL, id="")
 
 
 class TestUniqueOccupantId:
