@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 from . import _schema
-from .errors import AdaptationError, SchemaError
+from .errors import AdaptationError
 from .spectrum import SpectrumGrid
 
 
+@_schema.document("reading")
 @dataclass(frozen=True)
 class PowerReading:
     """Measured per-channel power at one tap point."""
@@ -29,20 +30,8 @@ class PowerReading:
         if not math.isfinite(self.power_dbm):
             raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
 
-    def to_dict(self) -> dict:
-        return {"channel_ref": self.channel_ref, "power_dbm": self.power_dbm}
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "reading") -> "PowerReading":
-        try:
-            return cls(
-                channel_ref=_schema.require_str(data, "channel_ref", path),
-                power_dbm=_schema.require_real(data, "power_dbm", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("setting")
 @dataclass(frozen=True)
 class VoaSetting:
     """Per-channel attenuation; an attenuator cannot amplify."""
@@ -56,20 +45,8 @@ class VoaSetting:
         if self.attenuation_db < 0:
             raise ValueError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
 
-    def to_dict(self) -> dict:
-        return {"channel_ref": self.channel_ref, "attenuation_db": self.attenuation_db}
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "setting") -> "VoaSetting":
-        try:
-            return cls(
-                channel_ref=_schema.require_str(data, "channel_ref", path),
-                attenuation_db=_schema.require_real(data, "attenuation_db", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("equalization")
 @dataclass(frozen=True)
 class EqualizationResult:
     settings: tuple[VoaSetting, ...]
@@ -79,36 +56,6 @@ class EqualizationResult:
     def __post_init__(self) -> None:
         if self.max_residual_db < 0:
             raise ValueError(f"max_residual_db must be >= 0, got {self.max_residual_db}")
-
-    def to_dict(self) -> dict:
-        return {
-            "settings": [setting.to_dict() for setting in self.settings],
-            "max_residual_db": self.max_residual_db,
-            "clipped_channels": list(self.clipped_channels),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "equalization") -> "EqualizationResult":
-        settings = tuple(
-            VoaSetting.from_dict(item, f"{path}.settings[{i}]")
-            for i, item in enumerate(
-                _schema.get_list(_schema.require(data, "settings", path), f"{path}.settings")
-            )
-        )
-        clipped_raw = _schema.get_list(
-            _schema.require(data, "clipped_channels", path), f"{path}.clipped_channels"
-        )
-        for i, item in enumerate(clipped_raw):
-            if not isinstance(item, str):
-                raise SchemaError(f"{path}.clipped_channels[{i}]: expected string")
-        try:
-            return cls(
-                settings=settings,
-                max_residual_db=_schema.require_real(data, "max_residual_db", path),
-                clipped_channels=tuple(clipped_raw),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
 
 
 def compute_voa_settings(
@@ -144,6 +91,7 @@ def compute_voa_settings(
     )
 
 
+@_schema.document("node_summary")
 @dataclass(frozen=True)
 class NodeEqualizationSummary:
     node_id: str
@@ -152,36 +100,8 @@ class NodeEqualizationSummary:
     clipped_channels: tuple[str, ...]
     unknown_channel_refs: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "passed": self.passed,
-            "max_residual_db": self.max_residual_db,
-            "clipped_channels": list(self.clipped_channels),
-            "unknown_channel_refs": list(self.unknown_channel_refs),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "node_summary") -> "NodeEqualizationSummary":
-        clipped = _schema.get_list(
-            _schema.require(data, "clipped_channels", path), f"{path}.clipped_channels"
-        )
-        unknown = _schema.get_list(
-            _schema.require(data, "unknown_channel_refs", path), f"{path}.unknown_channel_refs"
-        )
-        for label, items in (("clipped_channels", clipped), ("unknown_channel_refs", unknown)):
-            for i, item in enumerate(items):
-                if not isinstance(item, str):
-                    raise SchemaError(f"{path}.{label}[{i}]: expected string")
-        return cls(
-            node_id=_schema.require_str(data, "node_id", path),
-            passed=_schema.require_bool(data, "passed", path),
-            max_residual_db=_schema.require_real(data, "max_residual_db", path),
-            clipped_channels=tuple(clipped),
-            unknown_channel_refs=tuple(unknown),
-        )
-
-
+@_schema.document("equalization_report")
 @dataclass(frozen=True)
 class EqualizationReport:
     flatness_tolerance_db: float
@@ -194,25 +114,6 @@ class EqualizationReport:
     @property
     def all_passed(self) -> bool:
         return all(node.passed for node in self.nodes)
-
-    def to_dict(self) -> dict:
-        return {
-            "flatness_tolerance_db": self.flatness_tolerance_db,
-            "nodes": [node.to_dict() for node in self.nodes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "equalization_report") -> "EqualizationReport":
-        nodes = tuple(
-            NodeEqualizationSummary.from_dict(item, f"{path}.nodes[{i}]")
-            for i, item in enumerate(
-                _schema.get_list(_schema.require(data, "nodes", path), f"{path}.nodes")
-            )
-        )
-        return cls(
-            flatness_tolerance_db=_schema.require_real(data, "flatness_tolerance_db", path),
-            nodes=nodes,
-        )
 
 
 DEFAULT_FLATNESS_TOLERANCE_DB = 1.0

@@ -113,6 +113,7 @@ class PlotSeries:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("plot points must be strictly ascending in x")
 
+    # hand-written: points are [x, y] pairs, written after the names
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -121,6 +122,7 @@ class PlotSeries:
             "points": [[float(x), float(y)] for x, y in self.points],
         }
 
+    # hand-written: each point is checked as an [x, y] pair of numbers
     @classmethod
     def from_dict(cls, data: dict, path: str = "series") -> "PlotSeries":
         points_raw = _schema.get_list(_schema.require(data, "points", path), f"{path}.points")

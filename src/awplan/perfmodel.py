@@ -13,19 +13,22 @@ signal is unworkable, and a design minimum that good practice stays above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import _schema
-from .errors import CalibrationError, SchemaError
+from .errors import CalibrationError
 from .spectrum import Modulation, NeighborConfig
 from .topology import PathMetrics
 
 DEFAULT_L_REF_KM = 345.0
 HARD_MIN_DB = 6.5
 DESIGN_MIN_DB = 8.5
+# Modeled penalty a coherent block imposes on adjacent native IM-DD channels:
+# none, in any configuration. Field observations back this; reports carry it
+# so the claim is stated rather than natives omitted.
+NATIVE_IMPACT_DB = 0.0
 
 # residual ceiling for an exactly-determined calibration solve
 _SOLVE_TOLERANCE = 1e-9
@@ -37,6 +40,7 @@ class Feasibility(Enum):
     OK = "Ok"
 
 
+@_schema.document("thresholds")
 @dataclass(frozen=True)
 class Thresholds:
     """Q floors in dB: hard working minimum and design-practice minimum."""
@@ -50,19 +54,6 @@ class Thresholds:
                 f"hard_min_db must be below design_min_db, "
                 f"got {self.hard_min_db} >= {self.design_min_db}"
             )
-
-    def to_dict(self) -> dict:
-        return {"hard_min_db": self.hard_min_db, "design_min_db": self.design_min_db}
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "thresholds") -> "Thresholds":
-        try:
-            return cls(
-                hard_min_db=_schema.require_real(data, "hard_min_db", path),
-                design_min_db=_schema.require_real(data, "design_min_db", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -78,26 +69,14 @@ def classify_q(value_db: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> 
     return Feasibility.OK
 
 
+@_schema.document("q", keys={"feasibility": "class"})
 @dataclass(frozen=True)
 class QEstimate:
     value_db: float
     feasibility: Feasibility
 
-    def to_dict(self) -> dict:
-        return {"value_db": self.value_db, "class": self.feasibility.value}
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "q") -> "QEstimate":
-        raw = _schema.require_str(data, "class", path)
-        try:
-            feasibility = Feasibility(raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.class: expected one of 'Infeasible', 'Marginal', 'Ok', got {raw!r}"
-            ) from None
-        return cls(value_db=_schema.require_real(data, "value_db", path), feasibility=feasibility)
-
-
+@_schema.document("point")
 @dataclass(frozen=True)
 class CalibrationPoint:
     """One measured Q value at a known distance and neighbor configuration."""
@@ -113,45 +92,8 @@ class CalibrationPoint:
         if self.measured_q_db <= 0:
             raise ValueError(f"measured_q_db must be > 0, got {self.measured_q_db}")
 
-    def to_dict(self) -> dict:
-        return {
-            "distance_km": self.distance_km,
-            "modulation": self.modulation.value,
-            "neighbor_config": self.neighbor_config.to_dict(),
-            "measured_q_db": self.measured_q_db,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "point") -> "CalibrationPoint":
-        raw = _schema.require_str(data, "modulation", path)
-        try:
-            modulation = Modulation(raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.modulation: expected 'BPSK' or 'QPSK', got {raw!r}"
-            ) from None
-        neighbors = NeighborConfig.from_dict(
-            _schema.require(data, "neighbor_config", path), f"{path}.neighbor_config"
-        )
-        try:
-            return cls(
-                distance_km=_schema.require_real(data, "distance_km", path),
-                modulation=modulation,
-                neighbor_config=neighbors,
-                measured_q_db=_schema.require_real(data, "measured_q_db", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
-def _modulation_map(data: dict, key: str, path: str) -> dict[Modulation, float]:
-    raw = _schema.get_object(_schema.require(data, key, path), f"{path}.{key}")
-    result: dict[Modulation, float] = {}
-    for modulation in Modulation:
-        result[modulation] = _schema.require_real(raw, modulation.value, f"{path}.{key}")
-    return result
-
-
+@_schema.document("model")
 @dataclass(frozen=True)
 class QModel:
     """Empirical Q model: per-modulation baseline, distance slope, and
@@ -182,33 +124,6 @@ class QModel:
                 f"got {self.q_ref_db[Modulation.BPSK]} <= {self.q_ref_db[Modulation.QPSK]}"
             )
 
-    def to_dict(self) -> dict:
-        def by_name(mapping: dict[Modulation, float]) -> dict:
-            return {m.value: mapping[m] for m in sorted(Modulation, key=lambda m: m.value)}
-
-        return {
-            "l_ref_km": self.l_ref_km,
-            "q_ref_db": by_name(self.q_ref_db),
-            "slope_db_per_km": by_name(self.slope_db_per_km),
-            "p_guard_db": by_name(self.p_guard_db),
-            "p_unguard_db": by_name(self.p_unguard_db),
-            "roadm_penalty_db": self.roadm_penalty_db,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "model") -> "QModel":
-        try:
-            return cls(
-                l_ref_km=_schema.require_real(data, "l_ref_km", path),
-                q_ref_db=_modulation_map(data, "q_ref_db", path),
-                slope_db_per_km=_modulation_map(data, "slope_db_per_km", path),
-                p_guard_db=_modulation_map(data, "p_guard_db", path),
-                p_unguard_db=_modulation_map(data, "p_unguard_db", path),
-                roadm_penalty_db=_schema.require_real(data, "roadm_penalty_db", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
 
 def _at_reference(point: CalibrationPoint, l_ref_km: float) -> bool:
     return math.isclose(point.distance_km, l_ref_km, rel_tol=0.0, abs_tol=1e-6)
@@ -217,6 +132,43 @@ def _at_reference(point: CalibrationPoint, l_ref_km: float) -> bool:
 def _zero_neighbors(point: CalibrationPoint) -> bool:
     cfg = point.neighbor_config
     return cfg.guarded_native_count == 0 and cfg.unguarded_native_count == 0
+
+
+def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], int]:
+    """Least-squares solution of ``rows · x = rhs`` and the numerical rank of
+    ``rows``, by Householder QR with column pivoting. The solution is only
+    meaningful when the rank equals the column count."""
+    m, n = len(rows), len(rows[0])
+    a = [list(row) + [value] for row, value in zip(rows, rhs)]  # rhs rides as column n
+    order = list(range(n))
+    rank = 0
+    tolerance = 0.0
+    for k in range(min(m, n)):
+        # pivot on the remaining column with the largest norm below row k
+        norms = [math.fsum(a[i][j] ** 2 for i in range(k, m)) for j in range(k, n)]
+        p = k + max(range(n - k), key=norms.__getitem__)
+        for row in a:
+            row[k], row[p] = row[p], row[k]
+        order[k], order[p] = order[p], order[k]
+        norm = math.sqrt(norms[p - k])
+        if k == 0:
+            tolerance = max(m, n) * sys.float_info.epsilon * norm
+        if norm <= tolerance:
+            break
+        rank += 1
+        # the reflection that maps column k below row k onto a multiple of e_k
+        v = [a[i][k] for i in range(k, m)]
+        v[0] += norm if v[0] > 0 else -norm
+        scale = 2.0 / math.fsum(x * x for x in v)
+        for j in range(k, n + 1):
+            factor = scale * math.fsum(v[i - k] * a[i][j] for i in range(k, m))
+            for i in range(k, m):
+                a[i][j] -= factor * v[i - k]
+    solution = [0.0] * n
+    for k in reversed(range(rank)):
+        tail = math.fsum(a[k][j] * solution[order[j]] for j in range(k + 1, rank))
+        solution[order[k]] = (a[k][n] - tail) / a[k][k]
+    return solution, rank
 
 
 def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM) -> QModel:
@@ -280,25 +232,25 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
                 row.append(-(point.distance_km - l_ref_km))
             rows.append(row)
             rhs.append(point.measured_q_db)
-        matrix = np.array(rows, dtype=float)
-        vector = np.array(rhs, dtype=float)
-        solution, _, rank, _ = np.linalg.lstsq(matrix, vector, rcond=None)
-        if rank < matrix.shape[1]:
+        solution, rank = _least_squares(rows, rhs)
+        if rank < len(rows[0]):
             raise CalibrationError(
                 f"{modulation.value}: calibration points do not separate all model "
-                f"terms (rank {rank} of {matrix.shape[1]})"
+                f"terms (rank {rank} of {len(rows[0])})"
             )
-        residual = float(np.max(np.abs(matrix @ solution - vector)))
+        residual = max(
+            abs(math.fsum(a * x for a, x in zip(row, solution)) - b) for row, b in zip(rows, rhs)
+        )
         if residual > _SOLVE_TOLERANCE:
             raise CalibrationError(
                 f"{modulation.value}: inconsistent duplicate points, "
                 f"residual {residual:.3e} exceeds {_SOLVE_TOLERANCE:.0e}"
             )
-        q_ref[modulation] = float(solution[0])
-        p_guard[modulation] = float(solution[1])
-        p_unguard[modulation] = float(solution[2])
+        q_ref[modulation] = solution[0]
+        p_guard[modulation] = solution[1]
+        p_unguard[modulation] = solution[2]
         if with_slope:
-            slope[modulation] = float(solution[3])
+            slope[modulation] = solution[3]
 
     for modulation in Modulation:
         if modulation not in slope:
@@ -343,11 +295,3 @@ def estimate_q(
         - model.roadm_penalty_db * metrics.roadm_count
     )
     return QEstimate(value_db=value, feasibility=classify_q(value, thresholds))
-
-
-def assess_native_impact(neighbors_of_native: object = None) -> float:
-    """Modeled penalty a coherent block imposes on adjacent native IM-DD
-    channels: none, in any configuration. Field observations back this; the
-    function exists so reports state the claim explicitly rather than
-    omitting natives."""
-    return 0.0

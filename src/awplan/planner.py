@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import _schema
-from .errors import PlanningError, SchemaError
+from .errors import PlanningError
 from .perfmodel import (
     DEFAULT_THRESHOLDS,
+    NATIVE_IMPACT_DB,
     Feasibility,
     QEstimate,
     QModel,
     Thresholds,
-    assess_native_impact,
     classify_q,
     estimate_q,
 )
@@ -55,6 +55,7 @@ class Strategy(Enum):
     DEDICATED_PARTITION = "DedicatedPartition"
 
 
+@_schema.document("demand")
 @dataclass(frozen=True)
 class Demand:
     path: tuple[str, ...]
@@ -67,25 +68,6 @@ class Demand:
             raise ValueError(
                 f"required_capacity_gbps must be > 0, got {self.required_capacity_gbps}"
             )
-
-    def to_dict(self) -> dict:
-        return {"path": list(self.path), "required_capacity_gbps": self.required_capacity_gbps}
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "demand") -> "Demand":
-        nodes_raw = _schema.get_list(_schema.require(data, "path", path), f"{path}.path")
-        nodes = []
-        for i, item in enumerate(nodes_raw):
-            if not isinstance(item, str):
-                raise SchemaError(f"{path}.path[{i}]: expected string node id")
-            nodes.append(item)
-        try:
-            return cls(
-                path=tuple(nodes),
-                required_capacity_gbps=_schema.require_real(data, "required_capacity_gbps", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -135,6 +117,7 @@ def superchannel_capacity(
     return total
 
 
+@_schema.document("option")
 @dataclass(frozen=True)
 class PlanOption:
     """One candidate deployment. Construction is permissive so reports can be
@@ -157,51 +140,8 @@ class PlanOption:
                 f"active_carriers must be in 0..{MAX_CARRIERS}, got {self.active_carriers}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "pair_modulations": [m.value for m in self.pair_modulations],
-            "active_carriers": self.active_carriers,
-            "capacity_gbps": self.capacity_gbps,
-            "q": self.q.to_dict(),
-            "feasible": self.feasible,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "option") -> "PlanOption":
-        strategy_raw = _schema.require_str(data, "strategy", path)
-        try:
-            strategy = Strategy(strategy_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.strategy: expected 'MixedSpectrum' or 'DedicatedPartition', "
-                f"got {strategy_raw!r}"
-            ) from None
-        mods_raw = _schema.get_list(
-            _schema.require(data, "pair_modulations", path), f"{path}.pair_modulations"
-        )
-        mods = []
-        for i, item in enumerate(mods_raw):
-            try:
-                mods.append(Modulation(item))
-            except ValueError:
-                raise SchemaError(
-                    f"{path}.pair_modulations[{i}]: expected 'BPSK' or 'QPSK', got {item!r}"
-                ) from None
-        q = QEstimate.from_dict(_schema.require(data, "q", path), f"{path}.q")
-        try:
-            return cls(
-                strategy=strategy,
-                pair_modulations=tuple(mods),
-                active_carriers=_schema.require_int(data, "active_carriers", path),
-                capacity_gbps=_schema.require_real(data, "capacity_gbps", path),
-                q=q,
-                feasible=_schema.require_bool(data, "feasible", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("report")
 @dataclass(frozen=True)
 class PlanReport:
     demand: Demand
@@ -210,39 +150,6 @@ class PlanReport:
     warnings: tuple[str, ...]
     rationale: str
     native_impact_db: float
-
-    def to_dict(self) -> dict:
-        return {
-            "demand": self.demand.to_dict(),
-            "chosen": self.chosen.to_dict(),
-            "alternatives": [option.to_dict() for option in self.alternatives],
-            "warnings": list(self.warnings),
-            "rationale": self.rationale,
-            "native_impact_db": self.native_impact_db,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "report") -> "PlanReport":
-        demand = Demand.from_dict(_schema.require(data, "demand", path), f"{path}.demand")
-        chosen = PlanOption.from_dict(_schema.require(data, "chosen", path), f"{path}.chosen")
-        alternatives = tuple(
-            PlanOption.from_dict(item, f"{path}.alternatives[{i}]")
-            for i, item in enumerate(
-                _schema.get_list(_schema.require(data, "alternatives", path), f"{path}.alternatives")
-            )
-        )
-        warnings_raw = _schema.get_list(_schema.require(data, "warnings", path), f"{path}.warnings")
-        for i, item in enumerate(warnings_raw):
-            if not isinstance(item, str):
-                raise SchemaError(f"{path}.warnings[{i}]: expected string")
-        return cls(
-            demand=demand,
-            chosen=chosen,
-            alternatives=alternatives,
-            warnings=tuple(warnings_raw),
-            rationale=_schema.require_str(data, "rationale", path),
-            native_impact_db=_schema.require_real(data, "native_impact_db", path),
-        )
 
 
 @dataclass(frozen=True)
@@ -479,7 +386,7 @@ def plan_link(
         alternatives=alternatives,
         warnings=tuple(warnings),
         rationale=rationale,
-        native_impact_db=assess_native_impact(),
+        native_impact_db=NATIVE_IMPACT_DB,
     )
 
 

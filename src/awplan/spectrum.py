@@ -43,6 +43,7 @@ class OccupantKind(Enum):
     SUPERCHANNEL = "superchannel"
 
 
+@_schema.document("band")
 @dataclass(frozen=True)
 class BandConfig:
     """Fixed-grid C-band geometry. Slot width and native width are fixed by
@@ -66,27 +67,8 @@ class BandConfig:
                 f"got {self.superchannel_width_slots}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "slot_width_ghz": self.slot_width_ghz,
-            "slot_count": self.slot_count,
-            "native_channel_width_slots": self.native_channel_width_slots,
-            "superchannel_width_slots": self.superchannel_width_slots,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "band") -> "BandConfig":
-        try:
-            return cls(
-                slot_width_ghz=_schema.require_real(data, "slot_width_ghz", path),
-                slot_count=_schema.require_int(data, "slot_count", path),
-                native_channel_width_slots=_schema.require_int(data, "native_channel_width_slots", path),
-                superchannel_width_slots=_schema.require_int(data, "superchannel_width_slots", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("native", optional=("bitrate_gbps",), write_only=("format",))
 @dataclass(frozen=True)
 class NativeChannel:
     """A host-domain IM-DD channel on the 50 GHz grid."""
@@ -111,26 +93,8 @@ class NativeChannel:
         """First slot after the channel."""
         return self.start_slot + NATIVE_WIDTH_SLOTS
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "start_slot": self.start_slot,
-            "bitrate_gbps": self.bitrate_gbps,
-            "format": self.format,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "native") -> "NativeChannel":
-        try:
-            return cls(
-                id=_schema.require_str(data, "id", path),
-                start_slot=_schema.require_int(data, "start_slot", path),
-                bitrate_gbps=_schema.optional_int(data, "bitrate_gbps", path, 10),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("pair", optional=("enabled",))
 @dataclass(frozen=True)
 class CarrierPair:
     """Two carriers of a super-channel sharing one modulation setting."""
@@ -143,33 +107,13 @@ class CarrierPair:
         if not 0 <= self.index < PAIR_COUNT:
             raise ValueError(f"pair index must be in 0..{PAIR_COUNT - 1}, got {self.index}")
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "modulation": self.modulation.value, "enabled": self.enabled}
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "pair") -> "CarrierPair":
-        modulation_raw = _schema.require_str(data, "modulation", path)
-        try:
-            modulation = Modulation(modulation_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.modulation: expected one of 'BPSK', 'QPSK', got {modulation_raw!r}"
-            ) from None
-        try:
-            return cls(
-                index=_schema.require_int(data, "index", path),
-                modulation=modulation,
-                enabled=_schema.optional_bool(data, "enabled", path, True),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
 
 def default_pairs(modulation: Modulation = Modulation.QPSK) -> tuple[CarrierPair, ...]:
     """Five enabled pairs with a uniform modulation."""
     return tuple(CarrierPair(index=i, modulation=modulation) for i in range(PAIR_COUNT))
 
 
+@_schema.document("superchannel")
 @dataclass(frozen=True)
 class SuperChannel:
     """A coherent block of 10 carriers managed as one entity.
@@ -211,6 +155,7 @@ class SuperChannel:
                 return pair
         raise KeyError(index)
 
+    # hand-written: pairs are written sorted by index, whatever their tuple order
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -220,24 +165,8 @@ class SuperChannel:
             "active_carriers": self.active_carriers,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "superchannel") -> "SuperChannel":
-        pairs_raw = _schema.get_list(_schema.require(data, "pairs", path), f"{path}.pairs")
-        pairs = tuple(
-            CarrierPair.from_dict(item, f"{path}.pairs[{i}]") for i, item in enumerate(pairs_raw)
-        )
-        try:
-            return cls(
-                id=_schema.require_str(data, "id", path),
-                start_slot=_schema.require_int(data, "start_slot", path),
-                width_slots=_schema.require_int(data, "width_slots", path),
-                pairs=pairs,
-                active_carriers=_schema.require_int(data, "active_carriers", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
 
-
+@_schema.document("partition")
 @dataclass(frozen=True)
 class DedicatedPartition:
     """A contiguous region reserved for coherent carriers; natives are kept out.
@@ -265,20 +194,8 @@ class DedicatedPartition:
     def overlaps(self, start: int, end: int) -> bool:
         return start < self.end_slot and self.start_slot < end
 
-    def to_dict(self) -> dict:
-        return {"start_slot": self.start_slot, "width_slots": self.width_slots}
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "partition") -> "DedicatedPartition":
-        try:
-            return cls(
-                start_slot=_schema.require_int(data, "start_slot", path),
-                width_slots=_schema.require_int(data, "width_slots", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("neighbors")
 @dataclass(frozen=True)
 class NeighborConfig:
     """Native channels adjacent to a super-channel, split by guard-band status."""
@@ -295,37 +212,31 @@ class NeighborConfig:
         ):
             raise ValueError("a super-channel in a dedicated partition has no native neighbors")
 
-    def to_dict(self) -> dict:
-        return {
-            "guarded_native_count": self.guarded_native_count,
-            "unguarded_native_count": self.unguarded_native_count,
-            "in_dedicated_partition": self.in_dedicated_partition,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "neighbors") -> "NeighborConfig":
-        try:
-            return cls(
-                guarded_native_count=_schema.require_int(data, "guarded_native_count", path),
-                unguarded_native_count=_schema.require_int(data, "unguarded_native_count", path),
-                in_dedicated_partition=_schema.require_bool(data, "in_dedicated_partition", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
 
 def slot_span(start: int, end: int) -> int:
     """Bitmask of the slots [start, end)."""
     return ((1 << (end - start)) - 1) << start
 
 
-def _spans(blocks) -> int:
+def _outside_band(block, slot_count: int) -> SpectrumError:
+    name = "partition" if isinstance(block, DedicatedPartition) else f"occupant {block.id!r}"
+    return SpectrumError(
+        f"{name}: slots [{block.start_slot}, {block.end_slot}) fall outside the {slot_count}-slot band"
+    )
+
+
+def _spans(blocks, slot_count: int) -> int:
+    """Bitmask of the slots the blocks cover; each must lie inside the band."""
     mask = 0
     for block in blocks:
-        mask |= slot_span(block.start_slot, block.end_slot)
+        start, end = block.start_slot, block.end_slot
+        if start < 0 or end > slot_count:
+            raise _outside_band(block, slot_count)
+        mask |= slot_span(start, end)
     return mask
 
 
+@_schema.document("grid")
 @dataclass(frozen=True)
 class SpectrumGrid:
     """The band and its occupants. The slot masks are cached on first use and
@@ -338,20 +249,20 @@ class SpectrumGrid:
 
     @cached_property
     def native_mask(self) -> int:
-        return _spans(self.natives)
+        return _spans(self.natives, self.band.slot_count)
 
     @cached_property
     def occupied_mask(self) -> int:
         """Slots held by any occupant; raises if two occupants share a slot."""
         blocks = self.natives + self.superchannels
-        mask = _spans(blocks)
+        mask = _spans(blocks, self.band.slot_count)
         if mask.bit_count() < sum(block.end_slot - block.start_slot for block in blocks):
             self.occupant_map()  # raises, naming both owners
         return mask
 
     @cached_property
     def partition_mask(self) -> int:
-        return _spans(self.partitions)
+        return _spans(self.partitions, self.band.slot_count)
 
     def occupant_map(self) -> dict[int, tuple[OccupantKind, str]]:
         """Slot -> owner map; raises if two occupants ever share a slot."""
@@ -387,31 +298,20 @@ class SpectrumGrid:
                 return partition
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "band": self.band.to_dict(),
-            "natives": [n.to_dict() for n in self.natives],
-            "superchannels": [sc.to_dict() for sc in self.superchannels],
-            "partitions": [p.to_dict() for p in self.partitions],
-        }
-
+    # hand-written: a grid is rebuilt by replaying its placements, not field by field
     @classmethod
     def from_dict(cls, data: dict, path: str = "grid") -> "SpectrumGrid":
         """Rebuild a grid by replaying placements, so every grid invariant is
         re-checked on load."""
-        band = BandConfig.from_dict(_schema.require(data, "band", path), f"{path}.band")
-        grid = cls(band=band)
+        parsed = cls._read_fields(data, path)
+        grid = cls(band=parsed.band)
         try:
-            partitions_raw = _schema.get_list(_schema.require(data, "partitions", path), f"{path}.partitions")
-            for i, item in enumerate(partitions_raw):
-                part = DedicatedPartition.from_dict(item, f"{path}.partitions[{i}]")
+            for part in parsed.partitions:
                 grid = carve_dedicated_partition(grid, part.start_slot, part.width_slots)
-            natives_raw = _schema.get_list(_schema.require(data, "natives", path), f"{path}.natives")
-            for i, item in enumerate(natives_raw):
-                grid = place_native(grid, NativeChannel.from_dict(item, f"{path}.natives[{i}]"))
-            scs_raw = _schema.get_list(_schema.require(data, "superchannels", path), f"{path}.superchannels")
-            for i, item in enumerate(scs_raw):
-                grid = place_superchannel(grid, SuperChannel.from_dict(item, f"{path}.superchannels[{i}]"))
+            for native in parsed.natives:
+                grid = place_native(grid, native)
+            for sc in parsed.superchannels:
+                grid = place_superchannel(grid, sc)
         except SpectrumError as err:
             raise SchemaError(f"{path}: {err}") from None
         return grid
@@ -566,12 +466,19 @@ def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> N
     sc = grid.find_superchannel(sc_id)
     if sc is None:
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
+    if sc.start_slot < 0 or sc.end_slot > grid.band.slot_count:
+        raise _outside_band(sc, grid.band.slot_count)
     if grid.partition_containing(sc.start_slot, sc.end_slot) is not None:
         return NeighborConfig(in_dedicated_partition=True)
-    others = _spans(other for other in grid.superchannels if other.id != sc_id)
+    others = _spans(
+        (other for other in grid.superchannels if other.id != sc_id), grid.band.slot_count
+    )
     return window_neighbors(grid, sc.start_slot, sc.end_slot, guard_band_slots, others)
 
 
+@_schema.document(
+    "request", optional=("guard_band_slots", "partition_only", "bitrate_gbps")
+)
 @dataclass(frozen=True)
 class PlacementRequest:
     kind: OccupantKind
@@ -590,36 +497,8 @@ class PlacementRequest:
                 f"native bitrate must be one of {NATIVE_BITRATES_GBPS}, got {self.bitrate_gbps}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "id": self.id,
-            "guard_band_slots": self.guard_band_slots,
-            "partition_only": self.partition_only,
-            "bitrate_gbps": self.bitrate_gbps,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "request") -> "PlacementRequest":
-        kind_raw = _schema.require_str(data, "kind", path)
-        try:
-            kind = OccupantKind(kind_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.kind: expected 'native' or 'superchannel', got {kind_raw!r}"
-            ) from None
-        try:
-            return cls(
-                kind=kind,
-                id=_schema.require_str(data, "id", path),
-                guard_band_slots=_schema.optional_int(data, "guard_band_slots", path, 0),
-                partition_only=_schema.optional_bool(data, "partition_only", path, False),
-                bitrate_gbps=_schema.optional_int(data, "bitrate_gbps", path, 10),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
-
-
+@_schema.document("assignment", optional=("reason",))
 @dataclass(frozen=True)
 class Assignment:
     request: PlacementRequest
@@ -630,43 +509,12 @@ class Assignment:
     def placed(self) -> bool:
         return self.start_slot is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "request": self.request.to_dict(),
-            "start_slot": self.start_slot,
-            "reason": self.reason,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "assignment") -> "Assignment":
-        request = PlacementRequest.from_dict(_schema.require(data, "request", path), f"{path}.request")
-        start = _schema.require(data, "start_slot", path)
-        if start is not None and (isinstance(start, bool) or not isinstance(start, int)):
-            raise SchemaError(f"{path}.start_slot: expected integer or null")
-        return cls(request=request, start_slot=start, reason=_schema.optional_str(data, "reason", path, None))
-
-
+@_schema.document("allocation")
 @dataclass(frozen=True)
 class AllocationResult:
     assignments: tuple[Assignment, ...]
     grid: SpectrumGrid
-
-    def to_dict(self) -> dict:
-        return {
-            "assignments": [a.to_dict() for a in self.assignments],
-            "grid": self.grid.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "allocation") -> "AllocationResult":
-        assignments = tuple(
-            Assignment.from_dict(item, f"{path}.assignments[{i}]")
-            for i, item in enumerate(
-                _schema.get_list(_schema.require(data, "assignments", path), f"{path}.assignments")
-            )
-        )
-        grid = SpectrumGrid.from_dict(_schema.require(data, "grid", path), f"{path}.grid")
-        return cls(assignments=assignments, grid=grid)
 
 
 def guard_clearance_ok(start: int, end: int, others: list[tuple[int, int]], guard: int) -> bool:

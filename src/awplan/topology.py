@@ -29,6 +29,7 @@ class AmplifierType(Enum):
     RAMAN = "Raman"
 
 
+@_schema.document("violation")
 @dataclass(frozen=True)
 class Violation:
     """A single invariant violation with a stable machine code."""
@@ -36,28 +37,16 @@ class Violation:
     code: str
     message: str
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message}
 
-
+@_schema.document("node")
 @dataclass(frozen=True)
 class Node:
     id: str
     name: str
     has_roadm: bool
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "name": self.name, "has_roadm": self.has_roadm}
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "node") -> "Node":
-        return cls(
-            id=_schema.require_str(data, "id", path),
-            name=_schema.require_str(data, "name", path),
-            has_roadm=_schema.require_bool(data, "has_roadm", path),
-        )
-
-
+@_schema.document("span", keys={"from_node": "from", "to_node": "to"})
 @dataclass(frozen=True)
 class Span:
     """One fiber segment between two ROADM nodes, or between a ROADM node and
@@ -71,37 +60,8 @@ class Span:
     dcm_present: bool
     has_inline_ola: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "from": self.from_node,
-            "to": self.to_node,
-            "length_km": self.length_km,
-            "attenuation_db": self.attenuation_db,
-            "amplifier": self.amplifier.value,
-            "dcm_present": self.dcm_present,
-            "has_inline_ola": self.has_inline_ola,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "span") -> "Span":
-        amplifier_raw = _schema.require_str(data, "amplifier", path)
-        try:
-            amplifier = AmplifierType(amplifier_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.amplifier: expected one of 'EDFA', 'Raman', got {amplifier_raw!r}"
-            ) from None
-        return cls(
-            from_node=_schema.require_str(data, "from", path),
-            to_node=_schema.require_str(data, "to", path),
-            length_km=_schema.require_real(data, "length_km", path),
-            attenuation_db=_schema.require_real(data, "attenuation_db", path),
-            amplifier=amplifier,
-            dcm_present=_schema.require_bool(data, "dcm_present", path),
-            has_inline_ola=_schema.require_bool(data, "has_inline_ola", path),
-        )
-
-
+@_schema.document("topology")
 @dataclass(frozen=True)
 class NetworkTopology:
     """Immutable container of nodes and spans.
@@ -130,25 +90,8 @@ class NetworkTopology:
             s for s in self.spans if frozenset((s.from_node, s.to_node)) == key
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [node.to_dict() for node in self.nodes],
-            "spans": [span.to_dict() for span in self.spans],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "topology") -> "NetworkTopology":
-        nodes = tuple(
-            Node.from_dict(item, f"{path}.nodes[{i}]")
-            for i, item in enumerate(_schema.get_list(_schema.require(data, "nodes", path), f"{path}.nodes"))
-        )
-        spans = tuple(
-            Span.from_dict(item, f"{path}.spans[{i}]")
-            for i, item in enumerate(_schema.get_list(_schema.require(data, "spans", path), f"{path}.spans"))
-        )
-        return cls(nodes=nodes, spans=spans)
-
-
+@_schema.document("metrics")
 @dataclass(frozen=True)
 class PathMetrics:
     """Aggregated link-table metrics for one path."""
@@ -168,25 +111,6 @@ class PathMetrics:
             value = getattr(self, field_name)
             if value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "distance_km": self.distance_km,
-            "attenuation_db": self.attenuation_db,
-            "ola_count": self.ola_count,
-            "roadm_count": self.roadm_count,
-            "raman_span_count": self.raman_span_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "metrics") -> "PathMetrics":
-        return cls(
-            distance_km=_schema.require_real(data, "distance_km", path),
-            attenuation_db=_schema.require_real(data, "attenuation_db", path),
-            ola_count=_schema.require_int(data, "ola_count", path),
-            roadm_count=_schema.require_int(data, "roadm_count", path),
-            raman_span_count=_schema.require_int(data, "raman_span_count", path),
-        )
 
 
 def validate_topology(topology: NetworkTopology) -> list[Violation]:
@@ -243,7 +167,7 @@ def parse_topology(document: str | dict, *, strict: bool = True) -> NetworkTopol
             raise SchemaError(f"topology: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
     else:
         data = document
-    topology = NetworkTopology.from_dict(_schema.get_object(data, "topology"))
+    topology = NetworkTopology.from_dict(data)
     if strict:
         violations = validate_topology(topology)
         if violations:

@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import awplan
+from awplan.perfmodel import _least_squares
 
 from awplan import (
+    NATIVE_IMPACT_DB,
     CalibrationError,
     CalibrationPoint,
     Feasibility,
@@ -14,7 +24,6 @@ from awplan import (
     QModel,
     SchemaError,
     Thresholds,
-    assess_native_impact,
     calibrate,
     classify_q,
     estimate_q,
@@ -125,6 +134,41 @@ class TestCalibrate:
         assert model.slope_db_per_km[q] == pytest.approx(2.33 / 786, abs=1e-12)
         assert model.roadm_penalty_db == 0.0
 
+    def test_import_leaves_numpy_unloaded(self):
+        src = str(Path(awplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, awplan, awplan.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout == "False\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+                    st.integers(-500, 800),
+                    st.integers(0, 3000),
+                ),
+                min_size=n - 1,
+                max_size=8,
+            ).map(lambda rows: (n, rows))
+        )
+    )
+    def test_least_squares_matches_exact_normal_equations(self, case):
+        # calibration-shaped systems: q_ref, neighbor counts, distance offset
+        n, raw = case
+        rows = [[1.0, -float(g), -float(u), -float(d)][:n] for (g, u), d, _ in raw]
+        rhs = [q / 100 for _, _, q in raw]
+        expected, expected_rank = _exact_least_squares(rows, rhs)
+        solution, rank = _least_squares(rows, rhs)
+        assert rank == expected_rank
+        if expected is not None:
+            for got, want in zip(solution, expected):
+                assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9)
+
     def test_slope_inherited_by_modulation_without_distance_diversity(self, model):
         assert (
             model.slope_db_per_km[Modulation.BPSK]
@@ -176,6 +220,10 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="inconsistent"):
             calibrate(conflicting)
 
+    def test_duplicate_off_by_a_microdecibel_rejected(self, calib_points):
+        with pytest.raises(CalibrationError, match="inconsistent"):
+            calibrate(calib_points + [point(13.77 + 1e-6)])
+
     def test_consistent_duplicates_tolerated(self, calib_points, model):
         duplicated = calib_points + [point(13.77)]
         refit = calibrate(duplicated)
@@ -219,6 +267,32 @@ class TestCalibrate:
         start = time.perf_counter()
         calibrate(calib_points)
         assert time.perf_counter() - start < 1.0
+
+
+def _exact_least_squares(rows, rhs):
+    """Oracle: the normal equations in exact rational arithmetic. Returns the
+    rank and, when it is full, the unique least-squares solution."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    n = len(a[0])
+    m = [
+        [sum(r[i] * r[j] for r in a) for j in range(n)] + [sum(r[i] * y for r, y in zip(a, b))]
+        for i in range(n)
+    ]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(n):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    if rank < n:
+        return None, rank
+    return [m[i][n] / m[i][i] for i in range(n)], rank
 
 
 class TestEstimateQ:
@@ -351,5 +425,4 @@ class TestQModelSerialization:
 
 class TestNativeImpact:
     def test_coherent_block_leaves_natives_untouched(self):
-        assert assess_native_impact() == 0.0
-        assert assess_native_impact(NeighborConfig(unguarded_native_count=5)) == 0.0
+        assert NATIVE_IMPACT_DB == 0.0

@@ -84,8 +84,15 @@ class TestNativeChannel:
         with pytest.raises(ValueError, match="id"):
             native("", 0)
 
+    def test_document_may_omit_bitrate_and_format(self):
+        assert NativeChannel.from_dict({"id": "n", "start_slot": 4}) == native("n", 4)
+
 
 class TestSuperChannel:
+    def test_pairs_written_in_index_order(self):
+        sc = SuperChannel(id="aw", start_slot=0, pairs=tuple(reversed(default_pairs())))
+        assert [pair["index"] for pair in sc.to_dict()["pairs"]] == [0, 1, 2, 3, 4]
+
     def test_default_block(self):
         sc = superchannel("aw", 0)
         assert sc.width_slots == 8
@@ -262,6 +269,33 @@ class TestOccupantMap:
         )
         with pytest.raises(SpectrumError, match="slot 1 owned by both 'a' and 'b'"):
             call(grid)
+
+    def test_out_of_band_occupant_named(self):
+        grid = SpectrumGrid(natives=(NativeChannel("a", -2),))
+        with pytest.raises(SpectrumError, match=r"occupant 'a': slots \[-2, 0\) fall outside the 160-slot band"):
+            place_native(grid, NativeChannel("b", 4))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SpectrumGrid(superchannels=(SuperChannel(id="s", start_slot=156),)),
+            SpectrumGrid(natives=(native("a", 4),), superchannels=(SuperChannel(id="s", start_slot=-1),)),
+        ],
+        ids=["past_band_end", "negative_start"],
+    )
+    def test_out_of_band_superchannel_fails_occupancy_calls(self, grid):
+        for call in (
+            lambda: grid_context_for(grid, guard_band_slots=2),
+            lambda: first_fit_allocate(grid, [PlacementRequest(kind=OccupantKind.NATIVE, id="c")]),
+            lambda: neighbor_context(grid, "s", 2),
+        ):
+            with pytest.raises(SpectrumError, match="occupant 's': slots .* fall outside the 160-slot band"):
+                call()
+
+    def test_out_of_band_partition_rejected(self):
+        grid = SpectrumGrid(partitions=(DedicatedPartition(start_slot=-2, width_slots=4),))
+        with pytest.raises(SpectrumError, match=r"partition: slots \[-2, 2\) fall outside"):
+            place_native(grid, native("b", 4))
 
     def test_map_covers_all_occupied_slots(self, busy_grid):
         owners = busy_grid.occupant_map()
