@@ -115,17 +115,21 @@ def _nullable(kind: Kind) -> Kind:
     return Kind(decode, name=name)
 
 
-def _enum(enum_cls: type[Enum]) -> Kind:
-    members = {member.value: member for member in enum_cls}
+def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None) -> Kind:
+    """A string that must be one of the keys of *members*; reads its value."""
     allowed = ", ".join(repr(value) for value in members)
 
-    def decode(value: Any, path: str, key: str) -> Enum:
+    def decode(value: Any, path: str, key: str) -> Any:
         member = members.get(STR.decode(value, path, key))
         if member is None:
             raise SchemaError(f"{path}.{key}: expected one of {allowed}, got {value!r}")
         return member
 
-    return Kind(decode, attrgetter("value"))
+    return Kind(decode, encode)
+
+
+def _enum(enum_cls: type[Enum]) -> Kind:
+    return _one_of({member.value: member for member in enum_cls}, attrgetter("value"))
 
 
 def _nested(doc_cls: type) -> Kind:
@@ -179,6 +183,8 @@ def _kind_of(annotation: Any) -> Kind:
         return _nullable(_kind_of(next(arg for arg in args if arg is not type(None))))
     if origin is dict and isinstance(args[0], type) and issubclass(args[0], Enum):
         return _enum_map(args[0], _kind_of(args[1]))
+    if origin is typing.Literal and all(isinstance(arg, str) for arg in args):
+        return _one_of({arg: arg for arg in args})
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         return _enum(annotation)
     if hasattr(annotation, "from_dict"):
@@ -191,15 +197,13 @@ def document(
     *,
     keys: dict[str, str] | None = None,
     optional: tuple[str, ...] = (),
-    write_only: tuple[str, ...] = (),
 ):
     """Class decorator giving a frozen dataclass ``to_dict()`` and
     ``from_dict(data, path=<path>)`` from its field annotations.
 
     ``keys`` renames fields in the document. A field in ``optional`` may be
-    absent and then takes its dataclass default. A field in ``write_only``
-    is written but never read, so a read document keeps its default. A
-    ``ValueError`` from the constructor becomes ``SchemaError("<path>: ...")``.
+    absent and then takes its dataclass default. A ``ValueError`` from the
+    constructor becomes ``SchemaError("<path>: ...")``.
     The field-by-field reader stays available as ``_read_fields`` to a class
     that writes its own ``from_dict``.
     """
@@ -213,8 +217,6 @@ def document(
             key = keys.get(field.name, field.name)
             kind = _kind_of(hints[field.name])
             writes.append((field.name, key, kind))
-            if field.name in write_only:
-                continue
             default = _REQUIRED
             if field.name in optional:
                 if field.default is dataclasses.MISSING:

@@ -29,41 +29,67 @@ def format_real(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
-def _emit(value, indent: int) -> str:
-    pad = " " * indent
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_real(value)
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the canonical text of *value* to *out*. *pad* is a newline and
+    the indentation of the line the value ends on."""
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        rows = []
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {type(key).__name__}")
-            rows.append(f"{pad}  {json.dumps(key)}: {_emit(item, indent + 2)}")
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
+            head = lead + _quote(key) + ": "
+            # most values are plain strings and ints: write them without a call
+            kind = type(item)
+            if kind is str:
+                out.append(head + _quote(item))
+            elif kind is int:
+                out.append(head + str(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            lead = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        rows = [f"{pad}  {_emit(item, indent + 2)}" for item in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a document")
+            out.append("[]")
+            return
+        inner = pad + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(format_real(value))
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a document")
 
 
 def canonical_json(data) -> str:
     """Render plain JSON data (dicts, lists, scalars) canonically, with a
     trailing newline for file output."""
-    return _emit(data, 0) + "\n"
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def serialize(obj) -> str:

@@ -33,13 +33,14 @@ from .spectrum import (
     CarrierPair,
     Modulation,
     NeighborConfig,
-    OccupantKind,
     SpectrumGrid,
     SuperChannel,
-    candidate_starts,
+    blocked_starts,
     carve_dedicated_partition,
+    fitting_starts,
+    lowest_start,
+    partition_starts,
     place_superchannel,
-    slot_span,
     unique_occupant_id,
     window_neighbors,
 )
@@ -181,31 +182,27 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     """Probe the grid for the lowest feasible mixed placement and the lowest
     dedicated placement a new super-channel could use."""
     width = grid.band.superchannel_width_slots
+    count = grid.band.slot_count
     occupied = grid.occupied_mask
     taken = occupied | grid.partition_mask
 
-    mixed_start: int | None = None
-    mixed_neighbors: NeighborConfig | None = None
-    for start in candidate_starts(grid.band, OccupantKind.SUPERCHANNEL):
-        end = start + width
-        guarded = slot_span(max(start - guard_band_slots, 0), end + guard_band_slots)
-        if not (taken & slot_span(start, end) or grid.native_mask & guarded):
-            mixed_start = start
-            mixed_neighbors = window_neighbors(grid, start, end, guard_band_slots, occupied & ~grid.native_mask)
-            break
-
-    in_partition = (
-        start
-        for partition in sorted(grid.partitions, key=lambda p: p.start_slot)
-        for start in range(partition.start_slot, partition.end_slot - width + 1)
-        if not occupied & slot_span(start, start + width)
+    mixed_start = lowest_start(
+        fitting_starts(count, width)
+        & ~blocked_starts(grid.native_mask, width, guard_band_slots)
+        & ~blocked_starts(taken, width)
     )
-    dedicated_start = next(in_partition, None)
+    mixed_neighbors: NeighborConfig | None = None
+    if mixed_start is not None:
+        mixed_neighbors = window_neighbors(
+            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~grid.native_mask
+        )
+
+    # partitions are disjoint, so the lowest free start is in the first one that has any
+    dedicated_start = lowest_start(partition_starts(grid, width) & ~blocked_starts(occupied, width))
     needs_carve = False
     if dedicated_start is None:
         carve = _carve_width(width)
-        carvable = range(0, grid.band.slot_count - carve + 1, 2)
-        dedicated_start = next((s for s in carvable if not taken & slot_span(s, s + carve)), None)
+        dedicated_start = lowest_start(fitting_starts(count, carve, even=True) & ~blocked_starts(taken, carve))
         needs_carve = dedicated_start is not None
 
     return GridContext(

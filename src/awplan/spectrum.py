@@ -7,9 +7,12 @@ partitions reserve a region for coherent carriers and exclude natives.
 
 Occupancy is held as ``int`` bitmasks on the grid (bit i is slot i) of
 native, occupied and partition slots, and each occupancy question is an AND
-of a slot window with them. ``place_native`` and ``place_superchannel`` are
-the single validators: first fit searches the masks for a start, then places
-once there.
+of a slot window with them. ``place_native``, ``place_superchannel`` and
+``carve_dedicated_partition`` are the single validators; the grid each
+returns extends its parent's masks and id set by the one addition, so a
+replay of n placements builds no mask from every occupant. A window search
+(``blocked_starts``) tests every start of a block at once by ORing shifted
+masks: first fit takes the lowest start it leaves, then places once there.
 
 All operations are pure: they take a grid and return an updated copy.
 """
@@ -17,9 +20,10 @@ All operations are pure: they take a grid and return an updated copy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Literal
 
 from . import _schema
 from .errors import SchemaError, SpectrumError
@@ -68,7 +72,7 @@ class BandConfig:
             )
 
 
-@_schema.document("native", optional=("bitrate_gbps",), write_only=("format",))
+@_schema.document("native", optional=("bitrate_gbps", "format"))
 @dataclass(frozen=True)
 class NativeChannel:
     """A host-domain IM-DD channel on the 50 GHz grid."""
@@ -76,7 +80,7 @@ class NativeChannel:
     id: str
     start_slot: int
     bitrate_gbps: int = 10
-    format: str = NATIVE_FORMAT
+    format: Literal["IM-DD"] = NATIVE_FORMAT
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -239,8 +243,9 @@ def _spans(blocks, slot_count: int) -> int:
 @_schema.document("grid")
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """The band and its occupants. The slot masks are cached on first use and
-    are not fields, so equality, repr and serialization ignore them."""
+    """The band and its occupants. The slot masks and the id set are cached
+    on first use, or seeded by the placement that made the grid; they are not
+    fields, so equality, repr and serialization ignore them."""
 
     band: BandConfig = field(default_factory=BandConfig)
     natives: tuple[NativeChannel, ...] = ()
@@ -264,6 +269,10 @@ class SpectrumGrid:
     def partition_mask(self) -> int:
         return _spans(self.partitions, self.band.slot_count)
 
+    @cached_property
+    def _occupant_ids(self) -> frozenset[str]:
+        return frozenset(n.id for n in self.natives) | {sc.id for sc in self.superchannels}
+
     def occupant_map(self) -> dict[int, tuple[OccupantKind, str]]:
         """Slot -> owner map; raises if two occupants ever share a slot."""
         owners: dict[int, tuple[OccupantKind, str]] = {}
@@ -283,8 +292,8 @@ class SpectrumGrid:
                 owners[slot] = (OccupantKind.SUPERCHANNEL, sc.id)
         return owners
 
-    def occupant_ids(self) -> set[str]:
-        return {n.id for n in self.natives} | {sc.id for sc in self.superchannels}
+    def occupant_ids(self) -> frozenset[str]:
+        return self._occupant_ids
 
     def find_superchannel(self, sc_id: str) -> SuperChannel | None:
         for sc in self.superchannels:
@@ -315,6 +324,23 @@ class SpectrumGrid:
         except SpectrumError as err:
             raise SchemaError(f"{path}: {err}") from None
         return grid
+
+
+def _seeded(
+    child: SpectrumGrid, parent: SpectrumGrid, *, native: int = 0, occupied: int = 0,
+    partition: int = 0, new_id: str | None = None,
+) -> SpectrumGrid:
+    """*child* is *parent* plus one validated addition. Seed its masks and id
+    set with *parent*'s plus the added slots and id, instead of a rebuild
+    from every occupant."""
+    ids = parent.occupant_ids()
+    child.__dict__.update(
+        native_mask=parent.native_mask | native,
+        occupied_mask=parent.occupied_mask | occupied,
+        partition_mask=parent.partition_mask | partition,
+        _occupant_ids=ids if new_id is None else ids | {new_id},
+    )
+    return child
 
 
 def empty_grid(band: BandConfig | None = None) -> SpectrumGrid:
@@ -351,7 +377,9 @@ def place_native(grid: SpectrumGrid, channel: NativeChannel) -> SpectrumGrid:
             f"[{partition.start_slot}, {partition.end_slot})"
         )
     _check_occupancy(grid, channel.start_slot, channel.end_slot, channel.id)
-    return replace(grid, natives=grid.natives + (channel,))
+    span = slot_span(channel.start_slot, channel.end_slot)
+    child = SpectrumGrid(grid.band, grid.natives + (channel,), grid.superchannels, grid.partitions)
+    return _seeded(child, grid, native=span, occupied=span, new_id=channel.id)
 
 
 def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
@@ -376,14 +404,16 @@ def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
             f"[{partition.start_slot}, {partition.end_slot})"
         )
     _check_occupancy(grid, sc.start_slot, sc.end_slot, sc.id)
-    return replace(grid, superchannels=grid.superchannels + (sc,))
+    child = SpectrumGrid(grid.band, grid.natives, grid.superchannels + (sc,), grid.partitions)
+    return _seeded(child, grid, occupied=slot_span(sc.start_slot, sc.end_slot), new_id=sc.id)
 
 
 def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: int) -> SpectrumGrid:
     """Reserve [start_slot, start_slot + width_slots) for coherent carriers.
 
-    The region must be free of native channels; existing super-channels are
-    allowed and become in-partition occupants.
+    The region must be free of native channels; existing super-channels
+    wholly inside it are allowed and become in-partition occupants, but none
+    may cross its boundary.
     """
     if width_slots <= 0:
         raise SpectrumError(f"partition width must be > 0, got {width_slots}")
@@ -397,19 +427,27 @@ def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: 
             f"partition [{start_slot}, {end_slot}) falls outside the "
             f"{grid.band.slot_count}-slot band"
         )
-    for existing in grid.partitions:
-        if existing.overlaps(start_slot, end_slot):
+    span = slot_span(start_slot, end_slot)
+    if grid.partition_mask & span:
+        existing = next(p for p in grid.partitions if p.overlaps(start_slot, end_slot))
+        raise SpectrumError(
+            f"partition [{start_slot}, {end_slot}) overlaps existing partition "
+            f"[{existing.start_slot}, {existing.end_slot})"
+        )
+    if grid.native_mask & span:
+        native = next(n for n in grid.natives if start_slot < n.end_slot and n.start_slot < end_slot)
+        raise SpectrumError(
+            f"partition [{start_slot}, {end_slot}) region contains native {native.id!r}"
+        )
+    for sc in grid.superchannels:
+        if sc.start_slot < start_slot < sc.end_slot or sc.start_slot < end_slot < sc.end_slot:
             raise SpectrumError(
-                f"partition [{start_slot}, {end_slot}) overlaps existing partition "
-                f"[{existing.start_slot}, {existing.end_slot})"
-            )
-    for native in grid.natives:
-        if start_slot < native.end_slot and native.start_slot < end_slot:
-            raise SpectrumError(
-                f"partition [{start_slot}, {end_slot}) region contains native {native.id!r}"
+                f"partition [{start_slot}, {end_slot}) would cut super-channel {sc.id!r} "
+                f"at [{sc.start_slot}, {sc.end_slot})"
             )
     partition = DedicatedPartition(start_slot=start_slot, width_slots=width_slots)
-    return replace(grid, partitions=grid.partitions + (partition,))
+    child = SpectrumGrid(grid.band, grid.natives, grid.superchannels, grid.partitions + (partition,))
+    return _seeded(child, grid, partition=span)
 
 
 def _mirror(mask: int, width: int) -> int:
@@ -532,35 +570,66 @@ def guard_clearance_ok(start: int, end: int, others: list[tuple[int, int]], guar
     return True
 
 
+def blocked_starts(mask: int, width: int, guard: int = 0) -> int:
+    """Bitmask of the starts s whose window [s - guard, s + width + guard)
+    meets *mask*. It ORs *mask* shifted by each offset of the window, so every
+    start is tested at once; slots below 0 and past the band hold no bits."""
+    if guard < 0:
+        raise SpectrumError(f"guard_band_slots must be >= 0, got {guard}")
+    # bit s of blocked covers mask bits [s - guard, s - guard + reach)
+    blocked, reach, covered = mask << guard, width + 2 * guard, 1
+    while covered < reach:
+        step = min(covered, reach - covered)
+        blocked |= blocked >> step
+        covered += step
+    return blocked
+
+
+def fitting_starts(slot_count: int, width: int, even: bool = False) -> int:
+    """Bitmask of the starts at which a *width*-slot block lies in the band;
+    *even* keeps only the starts on the 50 GHz native grid."""
+    starts = slot_span(0, slot_count - width + 1)
+    # slot_count is even, so (2**slot_count - 1) // 3 is every even bit below it
+    return starts & (((1 << slot_count) - 1) // 3) if even else starts
+
+
+def partition_starts(grid: SpectrumGrid, width: int) -> int:
+    """Bitmask of the starts at which a *width*-slot block lies wholly inside
+    one partition."""
+    starts = 0
+    for partition in grid.partitions:
+        if partition.width_slots >= width:
+            starts |= slot_span(partition.start_slot, partition.end_slot - width + 1)
+    return starts
+
+
+def lowest_start(starts: int) -> int | None:
+    """The lowest start set in *starts*, or None when it is empty."""
+    return (starts & -starts).bit_length() - 1 if starts else None
+
+
 def _first_fit_start(grid: SpectrumGrid, request: PlacementRequest) -> int | None:
     """The lowest start the slot masks allow for *request*. The test is
     exact, so placing the request there cannot fail."""
     native = request.kind is OccupantKind.NATIVE
     if request.id in grid.occupant_ids() or (native and request.partition_only):
         return None  # an id is placed once; natives are kept out of partitions
-    width = NATIVE_WIDTH_SLOTS if native else grid.band.superchannel_width_slots
-    taken = grid.occupied_mask | (grid.partition_mask if native else 0)
-    # the guard band separates natives from super-channels
-    kept_apart = grid.occupied_mask & ~grid.native_mask if native else grid.native_mask
     guard = request.guard_band_slots
-    for start in candidate_starts(grid.band, request.kind):
-        end = start + width
-        if taken & slot_span(start, end) or kept_apart & slot_span(max(start - guard, 0), end + guard):
-            continue
-        # a block that enters a partition, or must sit in one, lies wholly inside one
-        if not native and (request.partition_only or grid.partition_mask & slot_span(start, end)) and (
-            grid.partition_containing(start, end) is None
-        ):
-            continue
-        return start
-    return None
-
-
-def candidate_starts(band: BandConfig, kind: OccupantKind) -> range:
-    """Ascending start slots a request of *kind* may legally occupy."""
-    if kind is OccupantKind.NATIVE:
-        return range(0, band.slot_count - NATIVE_WIDTH_SLOTS + 1, 2)
-    return range(0, band.slot_count - band.superchannel_width_slots + 1)
+    # the guard band separates natives from super-channels
+    if native:
+        starts = fitting_starts(grid.band.slot_count, NATIVE_WIDTH_SLOTS, even=True)
+        starts &= ~blocked_starts(grid.occupied_mask | grid.partition_mask, NATIVE_WIDTH_SLOTS)
+        starts &= ~blocked_starts(grid.occupied_mask & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard)
+        return lowest_start(starts)
+    width = grid.band.superchannel_width_slots
+    starts = fitting_starts(grid.band.slot_count, width)
+    starts &= ~blocked_starts(grid.occupied_mask, width)
+    starts &= ~blocked_starts(grid.native_mask, width, guard)
+    # a block lies wholly inside one partition, or (unless it must sit in one)
+    # wholly outside every partition
+    outside = ~blocked_starts(grid.partition_mask, width)
+    inside = partition_starts(grid, width)
+    return lowest_start(starts & (inside if request.partition_only else inside | outside))
 
 
 def first_fit_allocate(

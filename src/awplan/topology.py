@@ -10,6 +10,7 @@ endpoint pair. Spans are bidirectional.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,10 +104,12 @@ class PathMetrics:
     raman_span_count: int
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
-        if self.attenuation_db < 0:
-            raise ValueError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
+        for field_name in ("distance_km", "attenuation_db"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{field_name} must be >= 0, got {value}")
         for field_name in ("ola_count", "roadm_count", "raman_span_count"):
             value = getattr(self, field_name)
             if value < 0:

@@ -2,7 +2,8 @@
 
 Every slot holds at most one owner and every question is answered by walking
 slots one at a time, so these functions share no code or representation with
-``awplan.spectrum``. ``random_grids`` draws grids built through the public
+``awplan.spectrum``. ``first_fit`` is the slot-by-slot allocator that first
+fit's mask search must match. ``random_grids`` draws grids built through the public
 placement calls: odd block widths, abutting partitions, and now and then a
 second block that reuses an existing block id, placed before the natives.
 """
@@ -135,6 +136,49 @@ def grid_context(grid: SpectrumGrid, guard: int) -> tuple:
                 dedicated_start, needs_carve = start, True
                 break
     return mixed_start, mixed_neighbors, dedicated_start, needs_carve
+
+
+def first_fit(grid: SpectrumGrid, requests) -> list[int | None]:
+    """Start slot of each request, in order, trying every start slot by slot."""
+    owners = slot_owners(grid)
+    region: list[int | None] = [None] * grid.band.slot_count  # partition index per slot
+    for index, partition in enumerate(grid.partitions):
+        for slot in range(partition.start_slot, partition.end_slot):
+            region[slot] = index
+    ids = {n.id for n in grid.natives} | {sc.id for sc in grid.superchannels}
+    count = grid.band.slot_count
+    starts: list[int | None] = []
+    for request in requests:
+        native = request.kind.value == "native"
+        width = 2 if native else grid.band.superchannel_width_slots
+        guard = request.guard_band_slots
+        found = None
+        if request.id not in ids and not (native and request.partition_only):
+            for start in range(0, count - width + 1, 2 if native else 1):
+                slots = range(start, start + width)
+                near = range(max(start - guard, 0), min(start + width + guard, count))
+                if any(owners[slot] is not None for slot in slots):
+                    continue
+                # the guard band keeps natives and super-channels apart
+                other = "sc" if native else "native"
+                if any(owners[slot] is not None and owners[slot][0] == other for slot in near):
+                    continue
+                regions = {region[slot] for slot in slots}
+                if native:
+                    fits = regions == {None}
+                elif request.partition_only:
+                    fits = len(regions) == 1 and None not in regions
+                else:
+                    fits = len(regions) == 1
+                if fits:
+                    found = start
+                    break
+        if found is not None:
+            ids.add(request.id)
+            for slot in range(found, found + width):
+                owners[slot] = ("native", request.id) if native else ("sc", request.id)
+        starts.append(found)
+    return starts
 
 
 @st.composite

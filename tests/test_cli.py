@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,17 @@ class TestEstimate:
         assert err.startswith("error: ")
         assert "8psk" in err
 
+    @pytest.mark.parametrize("distance", ["nan", "inf"])
+    def test_non_finite_distance_exits_two(self, capsys, fx, distance):
+        code, out, err = run(
+            capsys,
+            "estimate", "--calib", fx(CALIB),
+            "--distance", distance, "--modulation", "qpsk", "--neighbors", "dedicated",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: distance_km must be finite")
+
     def test_json_errors_flag(self, capsys, fx):
         code, _, err = run(
             capsys,
@@ -174,6 +186,20 @@ class TestAllocate:
         assert code == 2
         assert out == ""
         assert f"{requests}[0]: native bitrate must be one of (10, 40), got 25" in err
+
+
+    def test_bad_native_format_exits_two_with_path(self, capsys, fx, tmp_path):
+        grid = tmp_path / "grid.json"
+        document = json.loads(Path(fx("busy.grid.json")).read_text())
+        document["natives"][0]["format"] = "OOK"
+        grid.write_text(json.dumps(document))
+        code, out, err = run(
+            capsys,
+            "allocate", "--grid", str(grid), "--requests", fx("trial.requests.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {grid}.natives[0].format: expected one of 'IM-DD', got 'OOK'")
 
 
 class TestPlan:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from awplan import (
     Modulation,
@@ -20,6 +20,51 @@ from awplan import (
     round_trip,
     serialize,
 )
+
+
+def _emit(value, indent: int) -> str:
+    """The recursive emitter canonical_json once was, kept as a naive
+    reference: it builds each level's text as a nested string."""
+    pad = " " * indent
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_real(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be strings, got {type(key).__name__}")
+            rows.append(f"{pad}  {json.dumps(key)}: {_emit(item, indent + 2)}")
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = [f"{pad}  {_emit(item, indent + 2)}" for item in value]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__} into a document")
+
+
+def _outcome(render, data):
+    try:
+        return render(data)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+# strings with escapes, control characters and non-ASCII (including astral) code points
+_TEXT = st.text(st.characters(), max_size=8) | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€", "\U0001f600"])
+_FAULTS = st.sampled_from([float("nan"), float("inf"), float("-inf"), {1, 2}, b"x", object()])
 
 
 class TestFormatReal:
@@ -100,6 +145,36 @@ class TestCanonicalJson:
         first = canonical_json(data)
         second = canonical_json(json.loads(first))
         assert first == second
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.just(-0.0)
+            | _TEXT,
+            lambda children: st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(_TEXT, children, max_size=4),
+            max_leaves=16,
+        )
+    )
+    def test_matches_the_recursive_emitter(self, data):
+        assert canonical_json(data) == _emit(data, 0) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.integers() | st.floats() | _TEXT | _FAULTS,
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.one_of(_TEXT, st.integers(), st.none()), children, max_size=4),
+            max_leaves=12,
+        )
+    )
+    def test_raises_what_the_recursive_emitter_raises(self, data):
+        assert _outcome(canonical_json, data) == _outcome(lambda d: _emit(d, 0) + "\n", data)
 
 
 class TestParseJson:

@@ -21,6 +21,7 @@ from awplan import (
     PlanningError,
     QEstimate,
     Span,
+    SpectrumError,
     Strategy,
     SuperChannel,
     apply_plan,
@@ -159,6 +160,14 @@ class TestGridContext:
         context = grid_context_for(grid, guard_band_slots=2)
         assert not context.mixed_available
         assert not context.dedicated_available
+
+    def test_negative_guard_rejected_before_the_search(self):
+        # no mixed window exists, so only the window search itself can object
+        grid = empty_grid()
+        for i in range(80):
+            grid = place_native(grid, NativeChannel(id=f"n{i}", start_slot=2 * i))
+        with pytest.raises(SpectrumError, match=r"guard_band_slots must be >= 0, got -1"):
+            grid_context_for(grid, -1)
 
     def test_probe_leaves_no_trace(self, busy_grid):
         before = busy_grid.occupant_ids()

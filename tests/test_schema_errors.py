@@ -10,6 +10,7 @@ pin the codec's reading of reals and its enum wording.
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -100,6 +101,8 @@ TABLE = [
         ("missing", ("distance_km",), DROP, "doc.distance_km: missing required field"),
         ("wrong type", ("ola_count",), 1.5, "doc.ola_count: expected integer"),
         ("invariant", ("distance_km",), -1, "doc: distance_km must be >= 0"),
+        ("not a number", ("distance_km",), float("nan"), "doc: distance_km must be finite"),
+        ("infinite", ("attenuation_db",), float("inf"), "doc: attenuation_db must be finite"),
     ]),
     (BandConfig, BandConfig(), [
         ("missing", ("slot_count",), DROP, "doc.slot_count: missing required field"),
@@ -110,6 +113,7 @@ TABLE = [
         ("missing", ("start_slot",), DROP, "doc.start_slot: missing required field"),
         ("wrong type", ("start_slot",), 1.5, "doc.start_slot: expected integer"),
         ("invariant", ("bitrate_gbps",), 25, "doc: native bitrate must be one of (10, 40)"),
+        ("bad enum", ("format",), "OOK", "doc.format: expected one of 'IM-DD', got 'OOK'"),
     ]),
     (CarrierPair, CarrierPair(index=1, modulation=Modulation.QPSK), [
         ("missing", ("index",), DROP, "doc.index: missing required field"),
@@ -264,6 +268,12 @@ def test_error_names_dotted_path(cls, valid, keys, value, prefix):
 def test_non_object_document_rejected(cls):
     with pytest.raises(SchemaError, match=r"^doc: expected object, got list"):
         cls.from_dict([], "doc")
+
+
+def test_json_nan_metrics_rejected():
+    text = '{"distance_km": NaN, "attenuation_db": 20, "ola_count": 1, "roadm_count": 2, "raman_span_count": 0}'
+    with pytest.raises(SchemaError, match=r"^metrics: distance_km must be finite"):
+        PathMetrics.from_dict(json.loads(text))
 
 
 def test_integer_reals_read_as_float():

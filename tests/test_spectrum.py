@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import slot_oracle
 
+from awplan import spectrum
 from awplan import (
     BandConfig,
     CarrierPair,
@@ -233,6 +234,12 @@ class TestCarvePartition:
         grid = carve_dedicated_partition(grid, 10, 10)
         assert grid.partition_containing(11, 19) is not None
 
+    def test_region_may_not_cut_a_superchannel(self):
+        grid = place_superchannel(empty_grid(), superchannel("aw", 3))
+        for start, width in ((0, 8), (4, 10)):
+            with pytest.raises(SpectrumError, match=r"would cut super-channel 'aw' at \[3, 11\)"):
+                carve_dedicated_partition(grid, start, width)
+
     def test_partitions_may_not_overlap(self):
         grid = carve_dedicated_partition(empty_grid(), 10, 10)
         with pytest.raises(SpectrumError, match="overlaps"):
@@ -259,8 +266,9 @@ class TestOccupantMap:
             lambda grid: place_superchannel(grid, superchannel("c", 40)),
             lambda grid: first_fit_allocate(grid, [PlacementRequest(kind=OccupantKind.NATIVE, id="c")]),
             lambda grid: grid_context_for(grid, guard_band_slots=2),
+            lambda grid: carve_dedicated_partition(grid, 40, 8),
         ],
-        ids=["place_native", "place_superchannel", "first_fit_allocate", "grid_context_for"],
+        ids=["place_native", "place_superchannel", "first_fit_allocate", "grid_context_for", "carve"],
     )
     def test_conflicting_grid_fails_occupancy_calls(self, call):
         grid = SpectrumGrid(
@@ -491,6 +499,115 @@ class TestFirstFit:
         assert len(owners) == sum(
             2 if a.request.kind is OccupantKind.NATIVE else 8 for a in placed
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=slot_oracle.random_grids(),
+        shapes=st.lists(
+            # ids that random_grids may already hold, and fresh ones
+            st.tuples(st.booleans(), st.integers(0, 4), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1"])),
+            max_size=8,
+        ),
+    )
+    def test_matches_slot_by_slot_first_fit(self, grid, shapes):
+        requests = _requests(shapes)
+        result = first_fit_allocate(grid, requests)
+        assert [a.start_slot for a in result.assignments] == slot_oracle.first_fit(grid, requests)
+
+
+def _requests(shapes) -> list[PlacementRequest]:
+    """One request per (is_native, guard, partition_only, id) tuple."""
+    return [
+        PlacementRequest(
+            kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
+            id=request_id,
+            guard_band_slots=guard,
+            partition_only=partition_only,
+        )
+        for is_native, guard, partition_only, request_id in shapes
+    ]
+
+
+def _rebuilt(grid: SpectrumGrid) -> SpectrumGrid:
+    """The same grid built directly, so its masks and id set are computed afresh."""
+    return SpectrumGrid(grid.band, grid.natives, grid.superchannels, grid.partitions)
+
+
+def _state(grid: SpectrumGrid) -> tuple:
+    return grid.native_mask, grid.occupied_mask, grid.partition_mask, grid.occupant_ids()
+
+
+_IDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])  # few ids, so some repeat
+_STEPS = st.one_of(
+    st.tuples(st.just("carve"), st.integers(-1, 24), st.integers(0, 6)),
+    st.tuples(st.just("native"), st.integers(-1, 24), _IDS),
+    st.tuples(st.just("superchannel"), st.integers(-1, 48), _IDS),
+    st.tuples(
+        st.just("first_fit"),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), _IDS), max_size=6),
+    ),
+    st.tuples(st.just("replay")),
+)
+
+
+def _step(grid: SpectrumGrid, step: tuple) -> SpectrumGrid:
+    kind = step[0]
+    if kind == "carve":
+        return carve_dedicated_partition(grid, 2 * step[1], 2 * step[2])
+    if kind == "native":
+        return place_native(grid, native(step[2], 2 * step[1]))
+    width = grid.band.superchannel_width_slots
+    if kind == "superchannel":
+        return place_superchannel(grid, SuperChannel(id=step[2], start_slot=step[1], width_slots=width))
+    if kind == "first_fit":
+        return first_fit_allocate(grid, _requests(step[1])).grid
+    return SpectrumGrid.from_dict(grid.to_dict())
+
+
+class TestSeededState:
+    """A placement's grid takes its masks and id set from its parent's plus
+    the one addition; they must equal a rebuild from the occupant tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 11), steps=st.lists(_STEPS, max_size=20))
+    def test_seeded_state_matches_a_rebuild(self, width, steps):
+        grid = empty_grid(BandConfig(slot_count=48, superchannel_width_slots=width))
+        for step in steps:
+            try:
+                grid = _step(grid, step)
+            except SpectrumError:
+                pass  # a rejected step leaves the grid as it was
+            assert _state(grid) == _state(_rebuilt(grid))
+
+    def test_replay_builds_a_constant_number_of_masks(self, monkeypatch):
+        builds = []
+        full_band_mask = spectrum._spans
+
+        def counted(blocks, slot_count):
+            builds.append(slot_count)
+            return full_band_mask(blocks, slot_count)
+
+        monkeypatch.setattr(spectrum, "_spans", counted)
+
+        def document(natives: int) -> dict:
+            return SpectrumGrid(natives=tuple(native(f"n{i}", 2 * i) for i in range(natives))).to_dict()
+
+        counts = {}
+        for natives in (1, 10, 40, 80):
+            doc = document(natives)
+            builds.clear()
+            SpectrumGrid.from_dict(doc)
+            counts[natives] = len(builds)
+        assert len(set(counts.values())) == 1, counts
+        assert counts[80] <= 3
+
+        # first fit on a loaded grid places every request without a rebuild
+        grid = SpectrumGrid.from_dict(document(40))
+        builds.clear()
+        requests = [PlacementRequest(kind=OccupantKind.NATIVE, id=f"r{i}") for i in range(30)]
+        result = first_fit_allocate(grid, requests)
+        assert all(a.placed for a in result.assignments)
+        assert builds == []
 
 
 class TestPlacementRequest:
