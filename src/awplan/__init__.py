@@ -47,7 +47,6 @@ from .spectrum import (
     default_pairs,
     empty_grid,
     first_fit_allocate,
-    guard_clearance_ok,
     neighbor_context,
     place_native,
     place_superchannel,
@@ -142,7 +141,6 @@ __all__ = [
     "empty_grid",
     "default_pairs",
     "first_fit_allocate",
-    "guard_clearance_ok",
     "unique_occupant_id",
     "neighbor_context",
     "place_native",

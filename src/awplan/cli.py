@@ -261,11 +261,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             findings.append(("CALIBRATION", str(err)))
     elif isinstance(data, dict) and "reports" in data:
         grid = _load_grid(args.grid)
-        thresholds = _thresholds_from(args)
+        policy = PlannerPolicy(thresholds=_thresholds_from(args))
         reports_raw = _schema.get_list(data["reports"], f"{args.file}.reports")
         for i, item in enumerate(reports_raw):
             report = PlanReport.from_dict(item, f"{args.file}.reports[{i}]")
-            for violation in validate_plan(report, grid, thresholds):
+            for violation in validate_plan(report, grid, policy):
                 findings.append((violation.code, f"reports[{i}]: {violation.message}"))
     elif isinstance(data, dict) and "nodes" in data and "spans" in data:
         topology = parse_topology(data, strict=False)

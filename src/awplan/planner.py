@@ -17,7 +17,6 @@ from enum import Enum
 from . import _schema
 from .errors import PlanningError
 from .perfmodel import (
-    DEFAULT_THRESHOLDS,
     NATIVE_IMPACT_DB,
     Feasibility,
     QEstimate,
@@ -390,13 +389,13 @@ def plan_link(
 def validate_plan(
     report: PlanReport,
     grid: SpectrumGrid,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    policy: PlannerPolicy | None = None,
+    policy: PlannerPolicy = DEFAULT_POLICY,
 ) -> list[Violation]:
     """Integrity checks on a plan against a grid. Violations are data, not
     exceptions; an empty list means the plan is deployable as claimed."""
     violations: list[Violation] = []
     chosen = report.chosen
+    thresholds = policy.thresholds
 
     if chosen.q.value_db <= thresholds.hard_min_db:
         violations.append(
@@ -429,8 +428,7 @@ def validate_plan(
                 )
             )
 
-    guard = (policy or DEFAULT_POLICY).guard_band_slots
-    context = grid_context_for(grid, guard)
+    context = grid_context_for(grid, policy.guard_band_slots)
     if chosen.strategy is Strategy.MIXED_SPECTRUM and not context.mixed_available:
         violations.append(
             Violation("PLACEMENT_INFEASIBLE", "no mixed-spectrum window on this grid")

@@ -555,21 +555,6 @@ class AllocationResult:
     grid: SpectrumGrid
 
 
-def guard_clearance_ok(start: int, end: int, others: list[tuple[int, int]], guard: int) -> bool:
-    """True when every interval in *others* keeps at least *guard* free slots
-    of separation from [start, end)."""
-    for other_start, other_end in others:
-        if other_end <= start:
-            gap = start - other_end
-        elif other_start >= end:
-            gap = other_start - end
-        else:
-            return False
-        if gap < guard:
-            return False
-    return True
-
-
 def blocked_starts(mask: int, width: int, guard: int = 0) -> int:
     """Bitmask of the starts s whose window [s - guard, s + width + guard)
     meets *mask*. It ORs *mask* shifted by each offset of the window, so every

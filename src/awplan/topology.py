@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import _schema
 from .errors import SchemaError, TopologyError
@@ -61,6 +62,12 @@ class Span:
     dcm_present: bool
     has_inline_ola: bool
 
+    def __post_init__(self) -> None:
+        for field_name in ("length_km", "attenuation_db"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
+
 
 @_schema.document("topology")
 @dataclass(frozen=True)
@@ -75,21 +82,22 @@ class NetworkTopology:
     nodes: tuple[Node, ...]
     spans: tuple[Span, ...]
 
-    def node_ids(self) -> set[str]:
-        return {node.id for node in self.nodes}
+    @cached_property
+    def _node_by_id(self) -> dict[str, Node]:
+        """Node by id; of duplicate ids the first in list order wins."""
+        return {node.id: node for node in reversed(self.nodes)}
 
-    def find_node(self, node_id: str) -> Node | None:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        return None
+    @cached_property
+    def _spans_by_pair(self) -> dict[frozenset[str], tuple[Span, ...]]:
+        by_pair: dict[frozenset[str], tuple[Span, ...]] = {}
+        for span in self.spans:
+            key = frozenset((span.from_node, span.to_node))
+            by_pair[key] = by_pair.get(key, ()) + (span,)
+        return by_pair
 
     def spans_between(self, a: str, b: str) -> tuple[Span, ...]:
         """All spans joining *a* and *b* in either orientation, in list order."""
-        key = frozenset((a, b))
-        return tuple(
-            s for s in self.spans if frozenset((s.from_node, s.to_node)) == key
-        )
+        return self._spans_by_pair.get(frozenset((a, b)), ())
 
 
 @_schema.document("metrics")
@@ -129,7 +137,6 @@ def validate_topology(topology: NetworkTopology) -> list[Violation]:
             )
         else:
             seen.add(node.id)
-    node_ids = topology.node_ids()
     for index, span in enumerate(topology.spans):
         label = f"span[{index}] {span.from_node}-{span.to_node}"
         if span.length_km <= 0:
@@ -146,7 +153,7 @@ def validate_topology(topology: NetworkTopology) -> list[Violation]:
         if span.from_node == span.to_node:
             violations.append(Violation(VIOLATION_SELF_LOOP, f"{label}: span endpoints are identical"))
         for endpoint in (span.from_node, span.to_node):
-            if endpoint not in node_ids:
+            if endpoint not in topology._node_by_id:
                 violations.append(
                     Violation(
                         VIOLATION_DANGLING_ENDPOINT,
@@ -188,13 +195,14 @@ def aggregate_path(topology: NetworkTopology, node_sequence: list[str] | tuple[s
     """
     if not node_sequence:
         raise TopologyError("empty node sequence")
+    roadm_count = 0
     for node_id in node_sequence:
-        if topology.find_node(node_id) is None:
+        node = topology._node_by_id.get(node_id)
+        if node is None:
             raise TopologyError(f"unknown node {node_id!r} in path")
+        if node.has_roadm:
+            roadm_count += 1
 
-    roadm_count = sum(
-        1 for node_id in node_sequence if topology.find_node(node_id).has_roadm
-    )
     distance = 0.0
     attenuation = 0.0
     ola_count = 0

@@ -30,6 +30,24 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def garr_with_bo1_mi1_span(tmp_path: Path, fixture_dir: Path, field: str, value: float) -> Path:
+    """A copy of the bundled topology with one field of the first BO1-MI1 span replaced."""
+    document = json.loads((fixture_dir / TOPO).read_text())
+    assert (document["spans"][0]["from"], document["spans"][0]["to"]) == ("BO1", "MI1")
+    document["spans"][0][field] = value
+    path = tmp_path / "garr.topo.json"
+    path.write_text(json.dumps(document))
+    return path
+
+
+NON_FINITE_SPANS = [
+    pytest.param("length_km", float("nan"), "length_km must be finite, got nan", id="length-NaN"),
+    pytest.param("length_km", float("inf"), "length_km must be finite, got inf", id="length-Infinity"),
+    pytest.param("attenuation_db", float("-inf"), "attenuation_db must be finite, got -inf",
+                 id="attenuation-minus-Infinity"),
+]
+
+
 class TestCalibrate:
     def test_writes_canonical_model(self, capsys, fx):
         code, out, err = run(capsys, "calibrate", "--points", fx(CALIB))
@@ -261,6 +279,20 @@ class TestPlan:
         assert report["chosen"]["feasible"] is False
         assert any("no feasible option" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("field, value, message", NON_FINITE_SPANS)
+    def test_non_finite_span_exits_two_naming_the_span(
+        self, capsys, fx, fixture_dir, tmp_path, field, value, message
+    ):
+        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, value)
+        code, out, err = run(
+            capsys,
+            "plan", "--topology", str(topology), "--demands", fx("bo1-mi1.demands.json"),
+            "--calib", fx(CALIB),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: topology.spans[0]: {message}\n"
+
 
 class TestExportPlot:
     def test_csv_is_sorted_with_reference_values(self, capsys, fx):
@@ -344,6 +376,16 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(bad))
         assert code == 1
         assert "DANGLING_ENDPOINT" in out
+
+    @pytest.mark.parametrize("field, value, message", NON_FINITE_SPANS)
+    def test_non_finite_span_exits_two_naming_the_span(
+        self, capsys, fixture_dir, tmp_path, field, value, message
+    ):
+        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, value)
+        code, out, err = run(capsys, "validate", str(topology))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: topology.spans[0]: {message}\n"
 
     def test_unrecognized_document_exits_two(self, capsys, tmp_path):
         stray = tmp_path / "stray.json"

@@ -1,9 +1,9 @@
 """Pinned stdout bytes of the CLI on the bundled fixtures.
 
 The hashes were taken from the canonical output before the serialization
-codec replaced the hand-written methods and before the calibration solve
-moved off numpy; any drift in bytes, key order or number formatting fails
-here.
+codec replaced the hand-written methods, before the calibration solve
+moved off numpy and before the topology was indexed; any drift in bytes,
+key order or number formatting fails here.
 """
 
 from __future__ import annotations
@@ -31,6 +31,23 @@ GOLDEN = {
         ("plan", "--calib", CALIB, "--topology", "garr.topo.json", "--demands", "rm-mi2.demands.json"),
         "47fccac4eb2624a89b98ff292b62f5ccf1ed023ccdf4efcd99791a59af713b01",
     ),
+    **{
+        f"plan-busy-{demands}": (
+            ("plan", "--calib", CALIB, "--topology", "garr.topo.json",
+             "--demands", f"{demands}.demands.json", "--grid", "busy.grid.json"),
+            digest,
+        )
+        for demands, digest in (
+            ("ba1-bo1", "fb10e47ac6af39dbd1bff10f9863c2d5b24e89d0302058d660414fadb84dab39"),
+            ("bo1-mi1", "a737f5cb6caf5cd3a712c56c9ed827682da5eec6f2f5c44fec3897237839b661"),
+            ("rm2-bo1", "979b4db89390d46c7abda8a504d45ab873936fffc28700e9d87073037cc64652"),
+            ("rm-mi2", "75ad4434e461d8f0ceffd615ed9147bf3c8df0fb81cc4d26a58807c61d1516b9"),
+        )
+    },
+    "validate-topology": (
+        ("validate", "garr.topo.json"),
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+    ),
     "allocate": (
         ("allocate", "--grid", "busy.grid.json", "--requests", "trial.requests.json"),
         "950d4f53642f407ea3fc97fd639fbf16485cee4e2fca3a432fb176830c48da6d",
@@ -47,17 +64,12 @@ GOLDEN = {
     ),
 }
 
-_FIXTURE_FLAGS = {"--points", "--calib", "--topology", "--demands", "--grid", "--requests"}
-
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_bytes_are_pinned(name, capsys, monkeypatch, fixture_dir):
     monkeypatch.setenv("AWPLAN_NO_COLOR", "1")
     argv, digest = GOLDEN[name]
-    argv = [
-        str(fixture_dir / arg) if prev in _FIXTURE_FLAGS else arg
-        for prev, arg in zip(("",) + argv, argv)
-    ]
+    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -91,11 +91,14 @@ TABLE = [
         ("missing", ("from",), DROP, "doc.from: missing required field"),
         ("wrong type", ("length_km",), "80", "doc.length_km: expected number"),
         ("bad enum", ("amplifier",), "SOA", "doc.amplifier: expected one of 'EDFA', 'Raman', got 'SOA'"),
+        ("not a number", ("length_km",), float("nan"), "doc: length_km must be finite, got nan"),
+        ("infinite", ("attenuation_db",), float("inf"), "doc: attenuation_db must be finite, got inf"),
     ]),
     (NetworkTopology, NetworkTopology(nodes=(_node,), spans=(_span,)), [
         ("missing", ("spans",), DROP, "doc.spans: missing required field"),
         ("wrong type", ("nodes", 0, "id"), 7, "doc.nodes[0].id: expected string"),
         ("bad enum", ("spans", 0, "amplifier"), "x", "doc.spans[0].amplifier: expected one of"),
+        ("invariant", ("spans", 0, "length_km"), float("-inf"), "doc.spans[0]: length_km must be finite, got -inf"),
     ]),
     (PathMetrics, PathMetrics(100.0, 20.0, 1, 2, 0), [
         ("missing", ("distance_km",), DROP, "doc.distance_km: missing required field"),

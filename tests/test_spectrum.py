@@ -27,7 +27,6 @@ from awplan import (
     empty_grid,
     first_fit_allocate,
     grid_context_for,
-    guard_clearance_ok,
     neighbor_context,
     place_native,
     place_superchannel,
@@ -394,25 +393,6 @@ class TestNeighborContext:
         for sc in grid.superchannels:
             expected = slot_oracle.neighbor_context(grid, sc.id, guard)
             assert neighbor_context(grid, sc.id, guard) == expected
-
-
-class TestGuardClearance:
-    def test_gap_measured_in_free_slots(self):
-        assert guard_clearance_ok(10, 18, [(6, 8)], guard=2)
-        assert not guard_clearance_ok(10, 18, [(7, 9)], guard=2)
-        assert not guard_clearance_ok(10, 18, [(12, 14)], guard=2)
-
-    @given(
-        start=st.integers(0, 40),
-        other=st.integers(0, 40),
-        guard=st.integers(0, 6),
-    )
-    def test_matches_slotwise_definition(self, start, other, guard):
-        end, other_end = start + 8, other + 2
-        ok = guard_clearance_ok(start, end, [(other, other_end)], guard)
-        overlap = start < other_end and other < end
-        gap = (start - other_end) if other_end <= start else (other - end)
-        assert ok == (not overlap and gap >= guard)
 
 
 class TestFirstFit:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import topology_oracle
 from awplan import (
     AmplifierType,
     NetworkTopology,
@@ -14,6 +16,7 @@ from awplan import (
     TopologyError,
     aggregate_path,
     parse_topology,
+    serialize,
     validate_topology,
 )
 from awplan.topology import (
@@ -164,6 +167,16 @@ class TestAggregatePath:
         m = aggregate_path(t, ["A", "B", "A"])
         assert m.roadm_count == 3
 
+    def test_first_node_with_a_duplicate_id_wins(self):
+        hut = Node(id="A", name="hut", has_roadm=False)
+        t = topo([hut, node("A"), node("B")], [span("A", "B")])
+        assert aggregate_path(t, ["A", "B"]).roadm_count == 1
+
+    def test_unknown_node_reported_before_missing_link(self):
+        t = topo([node("A"), node("B"), node("C")], [span("A", "B")])
+        with pytest.raises(TopologyError, match=r"^unknown node 'Z' in path$"):
+            aggregate_path(t, ["A", "C", "Z"])
+
     def test_non_roadm_node_not_counted(self):
         hut = Node(id="X", name="X", has_roadm=False)
         t = topo([node("A"), hut], [span("A", "X")])
@@ -233,3 +246,44 @@ class TestPathMetrics:
             raman_span_count=1,
         )
         assert PathMetrics.from_dict(m.to_dict()) == m
+
+
+def _outcome(aggregate, topology, path):
+    try:
+        return aggregate(topology, path)
+    except TopologyError as err:
+        return type(err), str(err)
+
+
+class TestIndexAgainstScans:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_scan_oracle(self, data):
+        t = data.draw(topology_oracle.random_topologies())
+        path = data.draw(topology_oracle.random_paths(t))
+        # PathMetrics compares its floats exactly, so the summing order must match.
+        assert _outcome(aggregate_path, t, path) == _outcome(topology_oracle.aggregate_path, t, path)
+        ids = topology_oracle.NODE_IDS + topology_oracle.UNKNOWN_IDS
+        for a in ids:
+            for b in ids:
+                assert t.spans_between(a, b) == topology_oracle.spans_between(t, a, b)
+        declared = {n.id for n in t.nodes}
+        dangling = [v.message for v in validate_topology(t) if v.code == VIOLATION_DANGLING_ENDPOINT]
+        assert dangling == [
+            f"span[{i}] {s.from_node}-{s.to_node}: endpoint {endpoint!r} is not a declared node"
+            for i, s in enumerate(t.spans)
+            for endpoint in (s.from_node, s.to_node)
+            if endpoint not in declared
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=topology_oracle.random_topologies())
+    def test_built_maps_leave_equality_and_bytes_alone(self, t):
+        fresh = NetworkTopology(nodes=t.nodes, spans=t.spans)
+        _outcome(aggregate_path, t, ["A", "B"])
+        t.spans_between("A", "B")
+        assert {"_node_by_id", "_spans_by_pair"} <= vars(t).keys()
+        assert t == fresh and hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        assert t.to_dict() == fresh.to_dict()
+        assert serialize(t) == serialize(fresh)
