@@ -1,28 +1,55 @@
-"""Path-aware decoding of JSON-shaped documents, and the codec every
-document type shares.
+"""The document codec: JSON text to domain objects and back.
 
 Every reader reports the full dotted path of the offending field so that
-parse failures on hand-edited files point at the exact location.
+parse failures on hand-edited files point at the exact location. Every
+writer emits canonical text: stable key order, two-space indentation, and
+reals fixed at four decimal places.
 
 A document type is a frozen dataclass decorated with :func:`document`. Its
-field annotations are the schema: each one maps to a :class:`Kind` once,
-when the class is defined, and the decorator adds ``to_dict()`` and
-``from_dict(data, path)``. Keys follow the field order. A method the class
-defines itself is kept.
+field annotations are the schema: each one maps to a :class:`Kind`, and the
+codec compiles four functions per class from them with ``exec``:
+``to_dict()``, ``from_dict(data, path)``, the straight-line field reader
+``_read_fields(data, where)`` and the canonical text writer
+``_to_text(self, pad)``. Each is compiled the first time it is used, not
+when the class is defined, so importing the package compiles nothing. Keys
+follow the field order. A method the class defines itself is kept.
+
+The compiled code inlines only the common case, a value of exactly the
+declared type. Any other value goes to its kind's generic ``decode``, or to
+the generic emitter ``_write`` of its encoded value, so every message, the
+order of messages and the canonical bytes are those of the generic code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 import types
 import typing
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter, methodcaller
 from typing import Any, Callable
 
 from .errors import SchemaError
 
 _REQUIRED = object()
+REAL_DECIMALS = 4
+
+
+# -- reading ------------------------------------------------------------------
+
+
+def parse_json(text: str, label: str = "document"):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SchemaError(
+            f"{label}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
+        ) from None
+    except RecursionError:
+        raise SchemaError(f"{label}: invalid JSON: nested too deeply") from None
 
 
 def _type_name(value: Any) -> str:
@@ -60,6 +87,95 @@ def require(mapping: Any, key: str, path: str) -> Any:
     return obj[key]
 
 
+# -- writing ------------------------------------------------------------------
+
+
+def format_real(value: float) -> str:
+    """Fixed 4-decimal rendering; negative zero normalizes to zero."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite real {value!r}")
+    text = f"{value:.{REAL_DECIMALS}f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
+
+
+def _array(texts: list[str], pad: str) -> str:
+    """An array from the texts of its items, each written at ``pad + "  "``."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the canonical text of plain data *value* to *out*. *pad* is a
+    newline and the indentation of the line the value ends on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be strings, got {type(key).__name__}")
+            head = lead + _quote(key) + ": "
+            # most values are scalars: write them without a call
+            kind = type(item)
+            if kind is str:
+                out.append(head + _quote(item))
+            elif kind is int:
+                out.append(head + str(item))
+            elif kind is float:
+                out.append(head + format_real(item))
+            elif kind is bool:
+                out.append(head + ("true" if item else "false"))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            lead = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        if type(value[0]) is str and all([type(item) is str for item in value]):
+            out.append(_array(list(map(_quote, value)), pad))
+            return
+        inner = pad + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(format_real(value))
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} into a document")
+
+
+def _text(value, pad: str) -> str:
+    out: list[str] = []
+    _write(value, pad, out)
+    return "".join(out)
+
+
+# -- kinds --------------------------------------------------------------------
+
+
 @dataclasses.dataclass(frozen=True)
 class Kind:
     """How one field value is read from a document and written back.
@@ -67,32 +183,37 @@ class Kind:
     ``decode(value, path, key)`` reports errors at ``<path>.<key>``; the
     path string is built only on failure or for a nested document.
     ``encode`` is None for values written as they are. Scalar kinds also
-    keep their type test, so a nullable variant can be derived."""
+    keep their type test, so a nullable variant can be derived. ``form``
+    and ``arg`` tell the compiler what to inline: ``"scalar"`` (the exact
+    type), ``"member"`` (the value -> member map), ``"nested"`` (the class),
+    ``"tuple"`` and ``"nullable"`` (the inner kind); ``""`` inlines nothing."""
 
     decode: Callable[[Any, str, str], Any]
     encode: Callable[[Any], Any] | None = None
     name: str = ""
     accepts: Callable[[Any], bool] | None = None
+    form: str = ""
+    arg: Any = None
 
 
 def _expected(name: str, value: Any, path: str, key: str) -> SchemaError:
     return SchemaError(f"{path}.{key}: expected {name}, got {_type_name(value)}")
 
 
-def _scalar(name: str, accepts: Callable[[Any], bool], convert: Callable | None = None) -> Kind:
+def _scalar(name: str, exact: type, accepts: Callable[[Any], bool], convert: Callable | None = None) -> Kind:
     def decode(value: Any, path: str, key: str) -> Any:
         if accepts(value):
             return value if convert is None else convert(value)
         raise _expected(name, value, path, key)
 
-    return Kind(decode, name=name, accepts=accepts)
+    return Kind(decode, name=name, accepts=accepts, form="scalar", arg=exact)
 
 
-STR = _scalar("string", lambda v: isinstance(v, str))
-BOOL = _scalar("boolean", lambda v: isinstance(v, bool))
-INT = _scalar("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+STR = _scalar("string", str, lambda v: isinstance(v, str))
+BOOL = _scalar("boolean", bool, lambda v: isinstance(v, bool))
+INT = _scalar("integer", int, lambda v: isinstance(v, int) and not isinstance(v, bool))
 # an integer is a valid real; reals are read as float
-REAL = _scalar("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+REAL = _scalar("number", float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
 _SCALARS = {str: STR, bool: BOOL, int: INT, float: REAL}
 
 
@@ -112,7 +233,7 @@ def _nullable(kind: Kind) -> Kind:
             return inner(value, path, key)
         raise _expected(name, value, path, key)
 
-    return Kind(decode, name=name)
+    return Kind(decode, name=name, form="nullable", arg=kind)
 
 
 def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None) -> Kind:
@@ -125,7 +246,7 @@ def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None)
             raise SchemaError(f"{path}.{key}: expected one of {allowed}, got {value!r}")
         return member
 
-    return Kind(decode, encode)
+    return Kind(decode, encode, form="member", arg=members)
 
 
 def _enum(enum_cls: type[Enum]) -> Kind:
@@ -136,7 +257,7 @@ def _nested(doc_cls: type) -> Kind:
     def decode(value: Any, path: str, key: str) -> Any:
         return doc_cls.from_dict(value, f"{path}.{key}")
 
-    return Kind(decode, methodcaller("to_dict"))
+    return Kind(decode, methodcaller("to_dict"), form="nested", arg=doc_cls)
 
 
 def _tuple_of(item: Kind) -> Kind:
@@ -149,8 +270,8 @@ def _tuple_of(item: Kind) -> Kind:
         return tuple([item_decode(v, path, f"{key}[{i}]") for i, v in enumerate(value)])
 
     if item_encode is None:
-        return Kind(decode, list)
-    return Kind(decode, lambda items: list(map(item_encode, items)))
+        return Kind(decode, list, form="tuple", arg=item)
+    return Kind(decode, lambda items: list(map(item_encode, items)), form="tuple", arg=item)
 
 
 def _enum_map(enum_cls: type[Enum], value: Kind) -> Kind:
@@ -187,9 +308,50 @@ def _kind_of(annotation: Any) -> Kind:
         return _one_of({arg: arg for arg in args})
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         return _enum(annotation)
-    if hasattr(annotation, "from_dict"):
+    # a document type is known by its _codec, which unlike from_dict is no stand-in to build
+    if hasattr(annotation, "_codec") or hasattr(annotation, "from_dict"):
         return _nested(annotation)
     raise TypeError(f"no document kind for {annotation!r}")
+
+
+# -- document types -----------------------------------------------------------
+
+
+class _Codec:
+    """What :func:`document` records of a class. Its fields and their kinds
+    are resolved when the first codec function is built."""
+
+    def __init__(self, cls: type, path: str, keys: dict[str, str], optional: tuple[str, ...]) -> None:
+        self.cls, self.path, self.keys, self.optional = cls, path, keys, optional
+        # codec methods the class writes itself
+        self.own = frozenset(name for name in ("to_dict", "from_dict") if name in cls.__dict__)
+
+    @cached_property
+    def fields(self) -> list[tuple[str, str, Kind, Any]]:
+        """(name, key, kind, default) of each field, in order."""
+        cls = self.cls
+        hints = typing.get_type_hints(cls)
+        fields = []
+        for field in dataclasses.fields(cls):
+            default = _REQUIRED
+            if field.name in self.optional:
+                if field.default is dataclasses.MISSING:
+                    raise TypeError(f"optional field {cls.__name__}.{field.name} has no default")
+                default = field.default
+            fields.append((field.name, self.keys.get(field.name, field.name), _kind_of(hints[field.name]), default))
+        return fields
+
+
+class _Unbuilt:
+    """A class attribute standing in for one codec function until its first
+    use, which compiles the function and puts it in the stand-in's place."""
+
+    def __init__(self, cls: type, name: str) -> None:
+        self.cls, self.name = cls, name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        setattr(self.cls, self.name, _BUILDERS[self.name](self.cls))
+        return getattr(owner if obj is None else obj, self.name)
 
 
 def document(
@@ -205,64 +367,192 @@ def document(
     absent and then takes its dataclass default. A ``ValueError`` from the
     constructor becomes ``SchemaError("<path>: ...")``.
     The field-by-field reader stays available as ``_read_fields`` to a class
-    that writes its own ``from_dict``.
+    that writes its own ``from_dict``. Nothing is compiled until first use.
     """
-    keys = keys or {}
 
     def wrap(cls: type) -> type:
-        hints = typing.get_type_hints(cls)
-        writes: list[tuple[str, str, Kind]] = []
-        reads: list[tuple[str, str, Callable, Any]] = []
-        for field in dataclasses.fields(cls):
-            key = keys.get(field.name, field.name)
-            kind = _kind_of(hints[field.name])
-            writes.append((field.name, key, kind))
-            default = _REQUIRED
-            if field.name in optional:
-                if field.default is dataclasses.MISSING:
-                    raise TypeError(f"optional field {cls.__name__}.{field.name} has no default")
-                default = field.default
-            reads.append((field.name, key, kind.decode, default))
-
-        def read_fields(data: Any, where: str) -> Any:
-            obj = get_object(data, where)
-            values = {}
-            for name, key, decode, default in reads:
-                if key in obj:
-                    values[name] = decode(obj[key], where, key)
-                elif default is _REQUIRED:
-                    raise _missing(where, key)
-                else:
-                    values[name] = default
-            try:
-                return cls(**values)
-            except ValueError as err:
-                raise SchemaError(f"{where}: {err}") from None
-
-        def from_dict(cls_: type, data: dict, path: str = path) -> Any:
-            return read_fields(data, path)
-
-        cls._read_fields = staticmethod(read_fields)
-        if "to_dict" not in cls.__dict__:
-            cls.to_dict = _writer(cls, writes)
-        if "from_dict" not in cls.__dict__:
-            cls.from_dict = classmethod(from_dict)
+        cls._codec = _Codec(cls, path, keys or {}, optional)
+        for name in _BUILDERS:
+            if name not in cls._codec.own:
+                setattr(cls, name, _Unbuilt(cls, name))
         return cls
 
     return wrap
 
 
-def _writer(cls: type, writes: list[tuple[str, str, Kind]]) -> Callable[[Any], dict]:
+def _from_dict(cls: type) -> classmethod:
+    read_fields, default_path = cls._read_fields, cls._codec.path
+
+    def from_dict(cls_: type, data: dict, path: str = default_path) -> Any:
+        return read_fields(data, path)
+
+    from_dict.__qualname__ = f"{cls.__qualname__}.from_dict"
+    return classmethod(from_dict)
+
+
+def _text_of_dict(self: Any, pad: str) -> str:
+    # the generic writer: the emitter of to_dict(), for a class that writes
+    # its own to_dict and for the errors of a compiled writer
+    return _text(self.to_dict(), pad)
+
+
+def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:
+    qualname = f"{cls.__qualname__}.{name}"
+    exec(compile("\n".join(lines) + "\n", f"<codec {qualname}>", "exec"), namespace)
+    function = namespace[name]
+    function.__qualname__ = qualname
+    return function
+
+
+def _dict_writer(cls: type) -> Callable[[Any], dict]:
     """``to_dict`` compiled to one dict display, as fast as a hand-written one."""
     namespace: dict[str, Any] = {}
     items = []
-    for i, (name, key, kind) in enumerate(writes):
+    for i, (name, key, kind, _) in enumerate(cls._codec.fields):
         if kind.encode is None:
             items.append(f"{key!r}: self.{name}")
         else:
             namespace[f"_encode{i}"] = kind.encode
             items.append(f"{key!r}: _encode{i}(self.{name})")
-    exec(f"def to_dict(self):\n    return {{{', '.join(items)}}}\n", namespace)
-    to_dict = namespace["to_dict"]
-    to_dict.__qualname__ = f"{cls.__qualname__}.to_dict"
-    return to_dict
+    return _compile(cls, "to_dict", ["def to_dict(self):", f"    return {{{', '.join(items)}}}"], namespace)
+
+
+def _reader(cls: type) -> staticmethod:
+    """``_read_fields(data, where)`` compiled to straight-line code: one block
+    per field, in key order, so the first fault in key order is reported."""
+    namespace: dict[str, Any] = {
+        "_cls": cls, "_get_object": get_object, "_missing": _missing, "SchemaError": SchemaError,
+    }
+    lines = [
+        "def _read_fields(data, where):",
+        "    if type(data) is not dict:",
+        "        data = _get_object(data, where)",
+    ]
+    args = []
+    for i, (name, key, kind, default) in enumerate(cls._codec.fields):
+        lines += [
+            f"    if {key!r} in data:",
+            f"        v = data[{key!r}]",
+            f"        f{i} = {_read_expr(kind, f'_r{i}', key, namespace)}",
+            "    else:",
+        ]
+        if default is _REQUIRED:
+            lines.append(f"        raise _missing(where, {key!r})")
+        else:
+            namespace[f"_default{i}"] = default
+            lines.append(f"        f{i} = _default{i}")
+        args.append(f"{name}=f{i}")
+    lines += [
+        "    try:",
+        f"        return _cls({', '.join(args)})",
+        "    except ValueError as err:",
+        "        raise SchemaError(f'{where}: {err}') from None",
+    ]
+    return staticmethod(_compile(cls, "_read_fields", lines, namespace))
+
+
+def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str:
+    """An expression of the decoded field value from its raw value ``v``: the
+    inlined read where ``v`` has exactly the declared type, else the kind's
+    decode, which words the error."""
+    namespace[tag] = kind.decode
+    slow = f"{tag}(v, where, {key!r})"
+    form, arg = kind.form, kind.arg
+    if form == "scalar":
+        return f"v if type(v) is {arg.__name__} else {slow}"
+    if form == "nullable":
+        return f"v if v is None or type(v) is {arg.arg.__name__} else {slow}"
+    if form == "member":
+        namespace[tag + "m"] = arg
+        return f"{tag}m[v] if type(v) is str and v in {tag}m else {slow}"
+    if form == "nested" and hasattr(arg, "_codec"):
+        return f"{_nested_reader(arg, tag, namespace)}(v, where + {'.' + key!r})"
+    if form != "tuple":
+        return slow
+    item = arg
+    if item.form == "scalar":
+        return f"tuple(v) if type(v) is list and all([type(x) is {item.arg.__name__} for x in v]) else {slow}"
+    if item.form == "member":
+        namespace[tag + "m"] = item.arg
+        return (
+            f"tuple([{tag}m[x] for x in v]) "
+            f"if type(v) is list and all([type(x) is str and x in {tag}m for x in v]) else {slow}"
+        )
+    if item.form == "nested" and hasattr(item.arg, "_codec"):
+        where = "f" + repr("{where}." + key.replace("{", "{{").replace("}", "}}") + "[{i}]")
+        read = _nested_reader(item.arg, tag, namespace)
+        return f"tuple([{read}(x, {where}) for i, x in enumerate(v)]) if type(v) is list else {slow}"
+    return slow
+
+
+def _nested_reader(doc_cls: type, tag: str, namespace: dict[str, Any]) -> str:
+    """The name of what reads a nested document: its compiled reader, or its
+    own ``from_dict``, looked up on each call, where the class wrote one."""
+    if "from_dict" in doc_cls._codec.own:
+        namespace[tag + "c"] = doc_cls
+        return f"{tag}c.from_dict"
+    namespace[tag + "c"] = doc_cls._read_fields
+    return tag + "c"
+
+
+def _text_writer(cls: type) -> Callable[[Any, str], str]:
+    """``_to_text(self, pad)`` compiled to one f-string of the canonical text,
+    the same as the generic emitter writes for ``to_dict()``. On any error
+    the generic emitter runs instead, so that it raises, in its own order."""
+    if "to_dict" in cls._codec.own:
+        return _text_of_dict
+    fields = cls._codec.fields
+    namespace: dict[str, Any] = {
+        "_quote": _quote, "format_real": format_real, "_array": _array, "_text_of_dict": _text_of_dict,
+    }
+    lines = ["def _to_text(self, pad):", "    try:", "        inner = pad + '  '"]
+    template = ""
+    for i, (name, key, kind, _) in enumerate(fields):
+        lines += [f"        v = self.{name}", f"        t{i} = {_text_expr(kind, f'_w{i}', namespace)}"]
+        quoted = _quote(key).replace("{", "{{").replace("}", "}}")
+        template += ("," if i else "{{") + "{inner}" + quoted + ": {t" + str(i) + "}"
+    template += "{pad}}}" if fields else "{{}}"
+    lines += [f"        return f{template!r}", "    except Exception:", "        return _text_of_dict(self, pad)"]
+    return _compile(cls, "_to_text", lines, namespace)
+
+
+def _text_expr(kind: Kind, tag: str, namespace: dict[str, Any]) -> str:
+    """An expression of the canonical text of field value ``v`` written at
+    ``inner``: inlined where ``v`` has exactly the declared type, else the
+    generic emitter of the encoded value."""
+    encode = kind.encode
+    namespace[tag] = _text if encode is None else lambda value, pad: _text(encode(value), pad)
+    slow = f"{tag}(v, inner)"
+    if kind.form == "nullable":
+        fast = _fast_text(kind.arg, tag, namespace, "v", "inner")
+        return f"'null' if v is None else {fast[1]} if {fast[0]} else {slow}"
+    if kind.form == "tuple":
+        fast = _fast_text(kind.arg, tag, namespace, "x", "inner + '  '")
+        if fast is None:
+            return slow
+        return f"_array([{fast[1]} for x in v], inner) if type(v) is tuple and all([{fast[0]} for x in v]) else {slow}"
+    fast = _fast_text(kind, tag, namespace, "v", "inner")
+    return slow if fast is None else f"{fast[1]} if {fast[0]} else {slow}"
+
+
+_SCALAR_TEXT = {str: "_quote({})", int: "str({})", float: "format_real({})", bool: "('true' if {} else 'false')"}
+
+
+def _fast_text(kind: Kind, tag: str, namespace: dict[str, Any], v: str, pad: str) -> tuple[str, str] | None:
+    """(test, text): where the test holds, the text expression is what the
+    generic emitter writes for the encoded value *v* at indentation *pad*."""
+    form, arg = kind.form, kind.arg
+    if form == "scalar":
+        return f"type({v}) is {arg.__name__}", _SCALAR_TEXT[arg].format(v)
+    if form == "member" and kind.encode is None:  # a literal: the member is its string
+        return f"type({v}) is str", f"_quote({v})"
+    if form == "member":  # an enum member, written as its value (a value not a str falls back)
+        namespace[tag + "e"] = type(next(iter(arg.values())))
+        return f"type({v}) is {tag}e", f"_quote({v}._value_)"
+    if form == "nested" and hasattr(arg, "_codec"):
+        namespace[tag + "c"] = arg
+        return f"type({v}) is {tag}c", f"{v}._to_text({pad})"
+    return None
+
+
+_BUILDERS = {"to_dict": _dict_writer, "from_dict": _from_dict, "_read_fields": _reader, "_to_text": _text_writer}

@@ -71,7 +71,10 @@ def _paint(word: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 at byte {err.start}") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -216,7 +219,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    topology = parse_topology(_read_text(args.topology))
+    topology = parse_topology(_read_text(args.topology), path=args.topology)
     model, digest = _load_model(args.calib, args.l_ref)
     grid = _load_grid(args.grid)
     demands = _load_demands(args.demands)
@@ -268,7 +271,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             for violation in validate_plan(report, grid, policy):
                 findings.append((violation.code, f"reports[{i}]: {violation.message}"))
     elif isinstance(data, dict) and "nodes" in data and "spans" in data:
-        topology = parse_topology(data, strict=False)
+        topology = parse_topology(data, strict=False, path=args.file)
         for violation in validate_topology(topology):
             findings.append((violation.code, violation.message))
     elif isinstance(data, dict) and "band" in data:

@@ -8,79 +8,15 @@ outputs can be diffed and checked into fixtures.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from . import _schema
+from ._schema import _write, format_real, parse_json
 from .errors import SchemaError
 from .perfmodel import QModel, Thresholds, estimate_q
 from .spectrum import Modulation, NeighborConfig
 from .topology import PathMetrics
-
-REAL_DECIMALS = 4
-
-
-def format_real(value: float) -> str:
-    """Fixed 4-decimal rendering; negative zero normalizes to zero."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite real {value!r}")
-    text = f"{value:.{REAL_DECIMALS}f}"
-    return "0.0000" if text == "-0.0000" else text
-
-
-_quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
-
-
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the canonical text of *value* to *out*. *pad* is a newline and
-    the indentation of the line the value ends on."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        lead = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"document keys must be strings, got {type(key).__name__}")
-            head = lead + _quote(key) + ": "
-            # most values are plain strings and ints: write them without a call
-            kind = type(item)
-            if kind is str:
-                out.append(head + _quote(item))
-            elif kind is int:
-                out.append(head + str(item))
-            else:
-                out.append(head)
-                _write(item, inner, out)
-            lead = "," + inner
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        lead = "[" + inner
-        for item in value:
-            out.append(lead)
-            _write(item, inner, out)
-            lead = "," + inner
-        out.append(pad + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_real(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} into a document")
 
 
 def canonical_json(data) -> str:
@@ -93,17 +29,13 @@ def canonical_json(data) -> str:
 
 
 def serialize(obj) -> str:
-    """Canonical text for any domain object exposing to_dict."""
-    return canonical_json(obj.to_dict())
-
-
-def parse_json(text: str, label: str = "document"):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(
-            f"{label}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from None
+    """Canonical text for any domain object exposing to_dict. A document type
+    writes it straight from its fields; the bytes are those of
+    ``canonical_json(obj.to_dict())``."""
+    cls = type(obj)
+    if "_to_text" not in cls.__dict__:
+        return canonical_json(obj.to_dict())
+    return cls._to_text(obj, "\n") + "\n"
 
 
 def round_trip(value):

@@ -9,14 +9,13 @@ endpoint pair. Spans are bidirectional.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from . import _schema
-from .errors import SchemaError, TopologyError
+from .errors import TopologyError
 
 VIOLATION_DUPLICATE_NODE = "DUPLICATE_NODE"
 VIOLATION_EMPTY_NODE_ID = "EMPTY_NODE_ID"
@@ -163,26 +162,23 @@ def validate_topology(topology: NetworkTopology) -> list[Violation]:
     return violations
 
 
-def parse_topology(document: str | dict, *, strict: bool = True) -> NetworkTopology:
+def parse_topology(
+    document: str | dict, *, strict: bool = True, path: str = "topology"
+) -> NetworkTopology:
     """Parse a topology document (JSON text or an already-decoded object).
 
     With ``strict=True`` (the default) any invariant violation raises
     :class:`TopologyError`; ``strict=False`` only enforces the structural
-    schema, so the result can be fed to :func:`validate_topology`.
+    schema, so the result can be fed to :func:`validate_topology`. Every
+    error message starts with *path*, such as the file name.
     """
-    if isinstance(document, str):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"topology: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
-    else:
-        data = document
-    topology = NetworkTopology.from_dict(data)
+    data = _schema.parse_json(document, path) if isinstance(document, str) else document
+    topology = NetworkTopology.from_dict(data, path)
     if strict:
         violations = validate_topology(topology)
         if violations:
             detail = "; ".join(f"{v.code}: {v.message}" for v in violations)
-            raise TopologyError(f"invalid topology: {detail}")
+            raise TopologyError(f"{path}: invalid topology: {detail}")
     return topology
 
 

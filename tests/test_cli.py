@@ -291,7 +291,7 @@ class TestPlan:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: topology.spans[0]: {message}\n"
+        assert err == f"error: {topology}.spans[0]: {message}\n"
 
 
 class TestExportPlot:
@@ -385,7 +385,7 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(topology))
         assert code == 2
         assert out == ""
-        assert err == f"error: topology.spans[0]: {message}\n"
+        assert err == f"error: {topology}.spans[0]: {message}\n"
 
     def test_unrecognized_document_exits_two(self, capsys, tmp_path):
         stray = tmp_path / "stray.json"
@@ -409,6 +409,53 @@ class TestErrors:
         code, _, err = run(capsys, "calibrate", "--points", str(broken))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("subcommand", ["validate", "plan"])
+    def test_deep_nesting_exits_two_naming_the_file(self, capsys, fx, tmp_path, subcommand):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        argv = ["validate", str(deep)]
+        if subcommand == "plan":  # the topology is parsed apart from the other inputs
+            argv = ["plan", "--topology", str(deep), "--demands", fx("rm-mi2.demands.json"), "--calib", fx(CALIB)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {deep}: invalid JSON: nested too deeply\n"
+
+    def test_non_utf8_file_exits_two_naming_the_file(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"a": "\xff"}')
+        code, out, err = run(capsys, "validate", str(binary))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {binary}: not UTF-8 at byte 7\n"
+
+    @pytest.mark.parametrize("subcommand", ["validate", "plan"])
+    def test_topology_schema_error_names_the_file(self, capsys, fx, fixture_dir, tmp_path, subcommand):
+        document = json.loads((fixture_dir / TOPO).read_text())
+        document["spans"][0]["length_km"] = "80"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        argv = ["validate", str(bad)]
+        if subcommand == "plan":
+            argv = ["plan", "--topology", str(bad), "--demands", fx("rm-mi2.demands.json"), "--calib", fx(CALIB)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}.spans[0].length_km: expected number, got str\n"
+
+    def test_invalid_topology_names_the_file(self, capsys, fx, fixture_dir, tmp_path):
+        document = json.loads((fixture_dir / TOPO).read_text())
+        document["spans"][0]["to"] = "NOWHERE"
+        bad = tmp_path / "dangling.json"
+        bad.write_text(json.dumps(document))
+        code, out, err = run(
+            capsys,
+            "plan", "--topology", str(bad), "--demands", fx("rm-mi2.demands.json"), "--calib", fx(CALIB),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: invalid topology: DANGLING_ENDPOINT: span[0] BO1-NOWHERE")
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
