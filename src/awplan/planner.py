@@ -36,6 +36,7 @@ from .spectrum import (
     SuperChannel,
     blocked_starts,
     carve_dedicated_partition,
+    check_guard_band,
     fitting_starts,
     lowest_start,
     partition_starts,
@@ -82,8 +83,7 @@ class PlannerPolicy:
     enumerate_pair_mixes: bool = False
 
     def __post_init__(self) -> None:
-        if self.guard_band_slots < 0:
-            raise ValueError(f"guard_band_slots must be >= 0, got {self.guard_band_slots}")
+        check_guard_band(self.guard_band_slots, ValueError)
         if self.qpsk_mixed_reach_limit_km < 0:
             raise ValueError(
                 f"qpsk_mixed_reach_limit_km must be >= 0, got {self.qpsk_mixed_reach_limit_km}"

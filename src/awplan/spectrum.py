@@ -13,6 +13,8 @@ returns extends its parent's masks and id set by the one addition, so a
 replay of n placements builds no mask from every occupant. A window search
 (``blocked_starts``) tests every start of a block at once by ORing shifted
 masks: first fit takes the lowest start it leaves, then places once there.
+A grid document is loaded in one pass over its occupants (``_seed_loaded``);
+the placements are replayed only to word an error.
 
 All operations are pure: they take a grid and return an updated copy.
 """
@@ -35,6 +37,11 @@ NATIVE_BITRATES_GBPS = (10, 40)
 PAIR_COUNT = 5
 CARRIERS_PER_PAIR = 2
 MAX_CARRIERS = PAIR_COUNT * CARRIERS_PER_PAIR
+# Every slot mask is an int of up to slot_count bits, and a guard band adds
+# its width to a shifted mask, so both are bounded to keep each mask small
+# whatever a file says. The paper's band has 160 slots; C+L at 25 GHz is
+# about 480.
+MAX_SLOT_COUNT = 1024
 
 
 class Modulation(Enum):
@@ -65,6 +72,8 @@ class BandConfig:
             raise ValueError(f"native_channel_width_slots is fixed at {NATIVE_WIDTH_SLOTS}")
         if self.slot_count <= 0 or self.slot_count % 2 != 0:
             raise ValueError(f"slot_count must be a positive even integer, got {self.slot_count}")
+        if self.slot_count > MAX_SLOT_COUNT:
+            raise ValueError(f"slot_count must be at most {MAX_SLOT_COUNT}, got {self.slot_count}")
         if not 0 < self.superchannel_width_slots <= self.slot_count:
             raise ValueError(
                 f"superchannel_width_slots must be in 1..{self.slot_count}, "
@@ -217,6 +226,15 @@ class NeighborConfig:
             raise ValueError("a super-channel in a dedicated partition has no native neighbors")
 
 
+def check_guard_band(guard: int, error: type[Exception] = SpectrumError) -> None:
+    """Raise *error* unless *guard* is a guard band width of 0 to
+    ``MAX_SLOT_COUNT`` slots."""
+    if guard < 0:
+        raise error(f"guard_band_slots must be >= 0, got {guard}")
+    if guard > MAX_SLOT_COUNT:
+        raise error(f"guard_band_slots must be at most {MAX_SLOT_COUNT}, got {guard}")
+
+
 def slot_span(start: int, end: int) -> int:
     """Bitmask of the slots [start, end)."""
     return ((1 << (end - start)) - 1) << start
@@ -307,12 +325,17 @@ class SpectrumGrid:
                 return partition
         return None
 
-    # hand-written: a grid is rebuilt by replaying its placements, not field by field
+    # hand-written: a grid's placement rules span its occupants, not one field
     @classmethod
     def from_dict(cls, data: dict, path: str = "grid") -> "SpectrumGrid":
-        """Rebuild a grid by replaying placements, so every grid invariant is
-        re-checked on load."""
+        """Load a grid, checking every placement rule on load. All occupants
+        are checked at once on slot masks, and the grid read from *data* is
+        returned with its masks and id set seeded. Only when a rule fails are
+        the placements replayed one by one, so that the error names the first
+        placement that breaks a rule, worded as that placement words it."""
         parsed = cls._read_fields(data, path)
+        if _seed_loaded(parsed):
+            return parsed
         grid = cls(band=parsed.band)
         try:
             for part in parsed.partitions:
@@ -324,6 +347,45 @@ class SpectrumGrid:
         except SpectrumError as err:
             raise SchemaError(f"{path}: {err}") from None
         return grid
+
+
+def _seed_loaded(grid: SpectrumGrid) -> bool:
+    """Check a grid's occupants against every rule that replaying their
+    placements would check, all at once, and seed its masks and id set.
+    False, with nothing seeded, when any rule fails."""
+    count, width = grid.band.slot_count, grid.band.superchannel_width_slots
+    natives, blocks, partitions = grid.natives, grid.superchannels, grid.partitions
+    if any(native.start_slot % 2 for native in natives) or any(sc.width_slots != width for sc in blocks):
+        return False
+    try:  # each block is tested against the band before a mask is shifted to it
+        partition_mask = _spans(partitions, count)
+        native_mask = _spans(natives, count)
+        block_mask = _spans(blocks, count)
+    except SpectrumError:
+        return False
+    occupied_mask = native_mask | block_mask
+    ids = frozenset([native.id for native in natives] + [sc.id for sc in blocks])
+    if (
+        partition_mask.bit_count() != sum(part.width_slots for part in partitions)
+        or occupied_mask.bit_count() != NATIVE_WIDTH_SLOTS * len(natives) + width * len(blocks)
+        or native_mask & partition_mask
+        or len(ids) != len(natives) + len(blocks)
+        # a block meets no partition, or lies wholly inside one
+        or block_mask & partition_mask
+        and any(
+            slot_span(sc.start_slot, sc.end_slot) & partition_mask
+            and grid.partition_containing(sc.start_slot, sc.end_slot) is None
+            for sc in blocks
+        )
+    ):
+        return False
+    grid.__dict__.update(
+        native_mask=native_mask,
+        occupied_mask=occupied_mask,
+        partition_mask=partition_mask,
+        _occupant_ids=ids,
+    )
+    return True
 
 
 def _seeded(
@@ -486,8 +548,7 @@ def window_neighbors(
 ) -> NeighborConfig:
     """Classify the natives beside a block at [start, end) that lies outside
     every partition; the scan on each side stops at a slot set in *blockers*."""
-    if guard_band_slots < 0:
-        raise SpectrumError(f"guard_band_slots must be >= 0, got {guard_band_slots}")
+    check_guard_band(guard_band_slots)
     natives = grid.native_mask
     left = _scan_outward(_mirror(natives, start), _mirror(blockers, start), guard_band_slots)
     right = _scan_outward(natives >> end, blockers >> end, guard_band_slots)
@@ -499,8 +560,7 @@ def window_neighbors(
 
 def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> NeighborConfig:
     """Classify the native channels adjacent to a placed super-channel."""
-    if guard_band_slots < 0:
-        raise SpectrumError(f"guard_band_slots must be >= 0, got {guard_band_slots}")
+    check_guard_band(guard_band_slots)
     sc = grid.find_superchannel(sc_id)
     if sc is None:
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
@@ -528,8 +588,7 @@ class PlacementRequest:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("request id must be non-empty")
-        if self.guard_band_slots < 0:
-            raise ValueError(f"guard_band_slots must be >= 0, got {self.guard_band_slots}")
+        check_guard_band(self.guard_band_slots, ValueError)
         if self.kind is OccupantKind.NATIVE and self.bitrate_gbps not in NATIVE_BITRATES_GBPS:
             raise ValueError(
                 f"native bitrate must be one of {NATIVE_BITRATES_GBPS}, got {self.bitrate_gbps}"
@@ -559,8 +618,7 @@ def blocked_starts(mask: int, width: int, guard: int = 0) -> int:
     """Bitmask of the starts s whose window [s - guard, s + width + guard)
     meets *mask*. It ORs *mask* shifted by each offset of the window, so every
     start is tested at once; slots below 0 and past the band hold no bits."""
-    if guard < 0:
-        raise SpectrumError(f"guard_band_slots must be >= 0, got {guard}")
+    check_guard_band(guard)
     # bit s of blocked covers mask bits [s - guard, s - guard + reach)
     blocked, reach, covered = mask << guard, width + 2 * guard, 1
     while covered < reach:
@@ -594,11 +652,11 @@ def lowest_start(starts: int) -> int | None:
 
 
 def _first_fit_start(grid: SpectrumGrid, request: PlacementRequest) -> int | None:
-    """The lowest start the slot masks allow for *request*. The test is
-    exact, so placing the request there cannot fail."""
+    """The lowest start the slot masks allow for a request whose id is not
+    in *grid*. The test is exact, so placing the request there cannot fail."""
     native = request.kind is OccupantKind.NATIVE
-    if request.id in grid.occupant_ids() or (native and request.partition_only):
-        return None  # an id is placed once; natives are kept out of partitions
+    if native and request.partition_only:
+        return None  # natives are kept out of partitions
     guard = request.guard_band_slots
     # the guard band separates natives from super-channels
     if native:
@@ -624,11 +682,22 @@ def first_fit_allocate(
 
     Feasibility honors grid alignment, occupancy, partition rules, and the
     request's guard band. Requests that do not fit anywhere are reported as
-    unplaced; they never fail the allocation.
+    unplaced; they never fail the allocation. An id is placed once.
+
+    Occupancy only grows during a call and partitions are fixed, so once a
+    shape (kind, guard band, partition-only) finds no start, no later
+    request of that shape is searched.
     """
     assignments: list[Assignment] = []
+    failed: set[tuple[OccupantKind, int, bool]] = set()
     for request in requests:
-        start = _first_fit_start(grid, request)
+        shape = (request.kind, request.guard_band_slots, request.partition_only)
+        if request.id in grid.occupant_ids() or shape in failed:
+            start = None
+        else:
+            start = _first_fit_start(grid, request)
+            if start is None:
+                failed.add(shape)
         if start is None:
             assignments.append(Assignment(request=request, start_slot=None, reason="no feasible window"))
             continue

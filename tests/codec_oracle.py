@@ -4,7 +4,9 @@
 document before its readers were compiled: it walks the fields in order and
 sends every value through its kind's ``decode``. A nested document is read
 by this loop again, never by compiled code, and a grid is rebuilt by
-replaying its placements, as ``SpectrumGrid.from_dict`` does.
+replaying its placements one by one. ``SpectrumGrid.from_dict`` loads a grid
+in one mask pass instead and replays only to word an error, so this replay is
+the oracle for both the grid it loads and the error it raises.
 """
 
 from __future__ import annotations

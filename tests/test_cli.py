@@ -220,6 +220,32 @@ class TestAllocate:
         assert err.startswith(f"error: {grid}.natives[0].format: expected one of 'IM-DD', got 'OOK'")
 
 
+    def test_guard_wider_than_any_band_exits_two_with_path(self, capsys, fx, tmp_path):
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([{"kind": "superchannel", "id": "aw", "guard_band_slots": 10**12}]))
+        code, out, err = run(
+            capsys,
+            "allocate", "--grid", fx("busy.grid.json"), "--requests", str(requests),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {requests}[0]: guard_band_slots must be at most 1024, got 1000000000000\n"
+
+    @pytest.mark.parametrize("subcommand", ["allocate", "validate"])
+    def test_band_past_the_slot_bound_exits_two_with_path(self, capsys, fx, tmp_path, subcommand):
+        grid = tmp_path / "grid.json"
+        document = json.loads(Path(fx("busy.grid.json")).read_text())
+        document["band"]["slot_count"] = 10**12
+        grid.write_text(json.dumps(document))
+        argv = ["validate", str(grid)]
+        if subcommand == "allocate":
+            argv = ["allocate", "--grid", str(grid), "--requests", fx("trial.requests.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {grid}.band: slot_count must be at most 1024, got 1000000000000\n"
+
+
 class TestPlan:
     def test_long_haul_plan_document(self, capsys, fx):
         code, out, _ = run(
@@ -292,6 +318,16 @@ class TestPlan:
         assert code == 2
         assert out == ""
         assert err == f"error: {topology}.spans[0]: {message}\n"
+
+    def test_guard_wider_than_any_band_exits_two(self, capsys, fx):
+        code, out, err = run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), "--guard-band-slots", str(10**12),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: guard_band_slots must be at most 1024, got 1000000000000\n"
 
 
 class TestExportPlot:

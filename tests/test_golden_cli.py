@@ -1,4 +1,5 @@
-"""Pinned stdout bytes of the CLI on the bundled fixtures.
+"""Pinned stdout bytes of the CLI on the bundled fixtures, and of
+``allocate`` on a crowded grid written from literals.
 
 The hashes were taken from the canonical output before the serialization
 codec replaced the hand-written methods, before the calibration solve
@@ -9,6 +10,7 @@ key order or number formatting fails here.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -73,3 +75,65 @@ def test_stdout_bytes_are_pinned(name, capsys, monkeypatch, fixture_dir):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# A 48-slot band with a partition, natives and a super-channel in it, and a
+# batch where most requests find no window and some ids repeat: one already
+# in the grid, and one placed earlier in the batch.
+CROWDED_GRID = {
+    "band": {
+        "slot_width_ghz": 25.0, "slot_count": 48,
+        "native_channel_width_slots": 2, "superchannel_width_slots": 8,
+    },
+    "natives": [
+        {"id": "N1", "start_slot": 0},
+        {"id": "N2", "start_slot": 2, "bitrate_gbps": 40},
+        {"id": "N3", "start_slot": 8},
+        {"id": "N4", "start_slot": 34},
+        {"id": "N5", "start_slot": 40},
+    ],
+    "superchannels": [{
+        "id": "aw-0",
+        "start_slot": 16,
+        "width_slots": 8,
+        "pairs": [{"index": i, "modulation": "QPSK"} for i in range(5)],
+        "active_carriers": 10,
+    }],
+    "partitions": [{"start_slot": 16, "width_slots": 16}],
+}
+CROWDED_REQUESTS = [
+    {"kind": "superchannel", "id": "aw-1", "guard_band_slots": 2},
+    {"kind": "superchannel", "id": "aw-2", "guard_band_slots": 2},
+    {"kind": "superchannel", "id": "aw-3", "guard_band_slots": 2},
+    {"kind": "superchannel", "id": "aw-0", "partition_only": True},
+    {"kind": "superchannel", "id": "aw-4", "partition_only": True},
+    {"kind": "superchannel", "id": "aw-5", "partition_only": True},
+    {"kind": "native", "id": "n-a"},
+    {"kind": "native", "id": "n-a"},
+    {"kind": "native", "id": "n-b", "bitrate_gbps": 40},
+    {"kind": "native", "id": "n-c", "guard_band_slots": 2},
+    {"kind": "native", "id": "n-d", "partition_only": True},
+    {"kind": "superchannel", "id": "aw-6", "guard_band_slots": 2},
+    {"kind": "superchannel", "id": "aw-7"},
+    {"kind": "superchannel", "id": "aw-8"},
+    {"kind": "native", "id": "n-e"},
+    {"kind": "native", "id": "n-f"},
+    {"kind": "native", "id": "n-g"},
+    {"kind": "superchannel", "id": "aw-9", "guard_band_slots": 2},
+    {"kind": "superchannel", "id": "aw-10", "partition_only": True},
+    {"kind": "superchannel", "id": "aw-11"},
+]
+# taken before the grid load and first fit skipped the per-occupant replay
+CROWDED_ALLOCATION_SHA256 = "d7b790f3060a4d724fd352e2a85019c56963077697c14a8c7beb815a69493935"
+
+
+def test_crowded_allocation_is_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("AWPLAN_NO_COLOR", "1")
+    grid, requests, allocation = tmp_path / "grid.json", tmp_path / "requests.json", tmp_path / "out.json"
+    grid.write_text(json.dumps(CROWDED_GRID))
+    requests.write_text(json.dumps(CROWDED_REQUESTS))
+    assert main(["allocate", "--grid", str(grid), "--requests", str(requests), "--out", str(allocation)]) == 1
+    assert hashlib.sha256(allocation.read_bytes()).hexdigest() == CROWDED_ALLOCATION_SHA256
+    for document in (grid, allocation):
+        assert main(["validate", str(document)]) == 0
+        assert capsys.readouterr().out == "ok\n"

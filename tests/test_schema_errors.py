@@ -111,6 +111,7 @@ TABLE = [
         ("missing", ("slot_count",), DROP, "doc.slot_count: missing required field"),
         ("wrong type", ("slot_count",), "160", "doc.slot_count: expected integer"),
         ("invariant", ("slot_count",), 3, "doc: slot_count must be a positive even integer"),
+        ("too many slots", ("slot_count",), 2048, "doc: slot_count must be at most 1024, got 2048"),
     ]),
     (NativeChannel, _native, [
         ("missing", ("start_slot",), DROP, "doc.start_slot: missing required field"),
@@ -150,6 +151,8 @@ TABLE = [
         ("wrong type", ("guard_band_slots",), "2", "doc.guard_band_slots: expected integer"),
         ("bad enum", ("kind",), "alien", "doc.kind: expected"),
         ("invariant", ("id",), "", "doc: request id must be non-empty"),
+        ("guard too wide", ("guard_band_slots",), 10**12,
+         "doc: guard_band_slots must be at most 1024, got 1000000000000"),
     ]),
     (Assignment, _assignment, [
         ("missing", ("start_slot",), DROP, "doc.start_slot: missing required field"),

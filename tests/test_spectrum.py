@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codec_oracle
 import slot_oracle
 
 from awplan import spectrum
@@ -18,6 +19,7 @@ from awplan import (
     NeighborConfig,
     OccupantKind,
     PlacementRequest,
+    PlannerPolicy,
     SchemaError,
     SpectrumError,
     SpectrumGrid,
@@ -32,6 +34,7 @@ from awplan import (
     place_superchannel,
     unique_occupant_id,
 )
+from awplan.spectrum import MAX_SLOT_COUNT
 
 
 def native(channel_id: str, start: int, bitrate: int = 10) -> NativeChannel:
@@ -65,6 +68,16 @@ class TestBandConfig:
     def test_superchannel_width_must_fit_band(self):
         with pytest.raises(ValueError, match="superchannel_width_slots"):
             BandConfig(slot_count=4, superchannel_width_slots=8)
+
+    # each value is refused when the band is made, before any slot mask exists
+    @pytest.mark.parametrize("slot_count", [MAX_SLOT_COUNT + 2, 10**7, 2**62])
+    def test_slot_count_is_bounded(self, slot_count):
+        with pytest.raises(ValueError, match=rf"^slot_count must be at most 1024, got {slot_count}$"):
+            BandConfig(slot_count=slot_count)
+
+    def test_odd_slot_count_past_the_bound_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"^slot_count must be a positive even integer, got 2049$"):
+            BandConfig(slot_count=2049)
 
 
 class TestNativeChannel:
@@ -395,6 +408,33 @@ class TestNeighborContext:
             assert neighbor_context(grid, sc.id, guard) == expected
 
 
+class TestGuardBound:
+    """A guard band wider than any band is refused before a mask is shifted
+    by it; each value here is refused."""
+
+    TOO_WIDE = [MAX_SLOT_COUNT + 1, 10**7, 10**12]
+
+    @pytest.mark.parametrize("guard", TOO_WIDE)
+    def test_request_and_policy_reject(self, guard):
+        message = rf"^guard_band_slots must be at most 1024, got {guard}$"
+        with pytest.raises(ValueError, match=message):
+            PlacementRequest(kind=OccupantKind.SUPERCHANNEL, id="aw", guard_band_slots=guard)
+        with pytest.raises(ValueError, match=message):
+            PlannerPolicy(guard_band_slots=guard)
+
+    @pytest.mark.parametrize("guard", TOO_WIDE)
+    def test_mask_calls_reject(self, busy_grid, guard):
+        grid = place_superchannel(busy_grid, superchannel("aw", 60))
+        for call in (
+            lambda: spectrum.blocked_starts(grid.native_mask, 8, guard),
+            lambda: spectrum.window_neighbors(grid, 60, 68, guard, 0),
+            lambda: neighbor_context(grid, "aw", guard),
+            lambda: grid_context_for(grid, guard),
+        ):
+            with pytest.raises(SpectrumError, match=rf"^guard_band_slots must be at most 1024, got {guard}$"):
+                call()
+
+
 class TestFirstFit:
     def test_trial_requests_oracle(self, busy_grid, fixture_dir):
         raw = json.loads((fixture_dir / "trial.requests.json").read_text())
@@ -494,6 +534,44 @@ class TestFirstFit:
         result = first_fit_allocate(grid, requests)
         assert [a.start_slot for a in result.assignments] == slot_oracle.first_fit(grid, requests)
 
+    def test_placed_id_does_not_mark_its_shape_failed(self):
+        grid = place_native(empty_grid(), native("a", 0))
+        requests = [PlacementRequest(kind=OccupantKind.NATIVE, id=i) for i in ("a", "b")]
+        assert [a.start_slot for a in first_fit_allocate(grid, requests).assignments] == [None, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=slot_oracle.random_grids(),
+        shapes=st.lists(
+            # few shapes and ids, so shapes repeat and ids are reused, both
+            # ids the grid holds and ids placed earlier in the batch
+            st.tuples(
+                st.booleans(), st.sampled_from([0, 2]), st.booleans(),
+                st.sampled_from(["n0", "s1", "r0", "r1", "r2", "r3"]),
+            ),
+            max_size=16,
+        ),
+    )
+    def test_failed_shape_is_not_searched_again(self, grid, shapes):
+        requests = _requests(shapes)
+        searched = []
+        search = spectrum._first_fit_start
+
+        def recorded(grid, request):
+            start = search(grid, request)
+            searched.append(((request.kind, request.guard_band_slots, request.partition_only), start))
+            return start
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "_first_fit_start", recorded)
+            result = first_fit_allocate(grid, requests)
+        assert [a.start_slot for a in result.assignments] == slot_oracle.first_fit(grid, requests)
+        failed = set()
+        for shape, start in searched:
+            assert shape not in failed
+            if start is None:
+                failed.add(shape)
+
 
 def _requests(shapes) -> list[PlacementRequest]:
     """One request per (is_native, guard, partition_only, id) tuple."""
@@ -588,6 +666,174 @@ class TestSeededState:
         result = first_fit_allocate(grid, requests)
         assert all(a.placed for a in result.assignments)
         assert builds == []
+
+
+def _valid_grid(draw) -> SpectrumGrid:
+    """A valid grid over a random band, built by placements."""
+    slot_count = draw(st.integers(1, 24)) * 2
+    width = draw(st.integers(1, min(11, slot_count)))
+    grid = empty_grid(BandConfig(slot_count=slot_count, superchannel_width_slots=width))
+    for start, size in draw(st.lists(st.tuples(st.integers(0, slot_count // 2), st.integers(1, 6)), max_size=3)):
+        try:
+            grid = carve_dedicated_partition(grid, 2 * start, 2 * size)
+        except SpectrumError:
+            pass
+    placements = draw(st.lists(st.tuples(st.booleans(), st.integers(0, slot_count - 1)), min_size=2, max_size=16))
+    for i, (is_native, start) in enumerate(placements):
+        try:
+            if is_native:
+                grid = place_native(grid, native(f"n{i}", start - start % 2))
+            else:
+                grid = place_superchannel(grid, SuperChannel(id=f"s{i}", start_slot=start, width_slots=width))
+        except SpectrumError:
+            pass
+    return grid
+
+
+_FAULTS = (
+    "misaligned", "native out of band", "block out of band", "partition out of band", "overlap",
+    "native in partition", "straddle", "wrong width", "duplicate id", "overlapping partitions",
+)
+
+
+def _add_fault(draw, grid: SpectrumGrid, doc: dict, fault: str) -> None:
+    """Break one placement rule of *doc*, the document of *grid*, in place;
+    a few draws may leave it valid."""
+    count, width = doc["band"]["slot_count"], doc["band"]["superchannel_width_slots"]
+    natives, blocks, partitions = doc["natives"], doc["superchannels"], doc["partitions"]
+    fresh = f"x{len(natives)}-{len(blocks)}-{len(partitions)}"
+    block = SuperChannel(id=fresh, start_slot=0, width_slots=width).to_dict()
+    # far starts, even ones for natives and partitions: no mask may be built at them
+    far = draw(st.sampled_from([-2**62, 2**62, -2, count]))
+    if fault == "misaligned":
+        natives.append({"id": fresh, "start_slot": 2 * draw(st.integers(0, count // 2 - 1)) + 1})
+    elif fault == "native out of band":
+        natives.append({"id": fresh, "start_slot": draw(st.sampled_from([far, -1, count - 1]))})
+    elif fault == "block out of band":
+        blocks.append(dict(block, start_slot=draw(st.sampled_from([far, -1, count - width + 1]))))
+    elif fault == "partition out of band":
+        partitions.append({"start_slot": draw(st.sampled_from([far, count - 2])), "width_slots": 4})
+    elif fault == "overlap":
+        taken = [item["start_slot"] for item in natives + blocks]
+        start = draw(st.sampled_from(taken)) if taken else 0
+        if draw(st.booleans()) or start > count - width:
+            natives.append({"id": fresh, "start_slot": start - start % 2})
+        else:
+            blocks.append(dict(block, start_slot=start))
+    elif fault == "native in partition":
+        if partitions:
+            natives.append({"id": fresh, "start_slot": draw(st.sampled_from(partitions))["start_slot"]})
+        elif natives:
+            partitions.append({"start_slot": draw(st.sampled_from(natives))["start_slot"], "width_slots": 2})
+    elif fault == "straddle":  # at a window of free slots, so nothing but the straddle is wrong
+        owners, reserved = slot_oracle.slot_owners(grid), slot_oracle.partition_slots(grid)
+        starts = [
+            start for start in range(count - width + 1)
+            if all(owners[slot] is None for slot in range(start, start + width))
+            and any(reserved[slot] for slot in range(start, start + width))
+            and grid.partition_containing(start, start + width) is None
+        ]
+        if starts:
+            blocks.append(dict(block, start_slot=draw(st.sampled_from(starts))))
+    elif fault == "wrong width":
+        wrong = draw(st.sampled_from([0, -3, width + 1, 2**62]))
+        if blocks:
+            draw(st.sampled_from(blocks))["width_slots"] = wrong
+        else:
+            blocks.append(dict(block, width_slots=wrong))
+    elif fault == "duplicate id":  # within a kind or across kinds
+        occupants = natives + blocks
+        if len(occupants) >= 2:
+            source, target = draw(st.permutations(occupants))[:2]
+            target["id"] = source["id"]
+    elif partitions:  # overlapping partitions
+        partitions.append({"start_slot": draw(st.sampled_from(partitions))["start_slot"], "width_slots": 2})
+    else:
+        partitions.extend([{"start_slot": 0, "width_slots": 4}, {"start_slot": 2, "width_slots": 4}])
+
+
+@st.composite
+def grid_documents(draw) -> dict:
+    """A grid document over a random band: valid, or about half the time
+    with one to three placement faults."""
+    grid = _valid_grid(draw)
+    doc = grid.to_dict()
+    if draw(st.booleans()):
+        # mostly one fault, so that each rule is often the only one broken
+        count = draw(st.sampled_from([1, 1, 2, 3]))
+        for fault in draw(st.lists(st.sampled_from(_FAULTS), min_size=count, max_size=count)):
+            _add_fault(draw, grid, doc, fault)
+    return doc
+
+
+def _outcome(load) -> tuple:
+    try:
+        grid = load()
+    except Exception as err:  # the type and message are the outcome
+        return type(err), str(err)
+    return grid, _state(grid)
+
+
+def _grid_doc(natives=(), blocks=(), partitions=()) -> dict:
+    """A 48-slot grid document with 8-slot blocks; *natives* and *blocks*
+    are (id, start) pairs, *partitions* (start, width) pairs."""
+    return SpectrumGrid(
+        band=BandConfig(slot_count=48),
+        natives=tuple(native(*item) for item in natives),
+        superchannels=tuple(SuperChannel(id=i, start_slot=start) for i, start in blocks),
+        partitions=tuple(DedicatedPartition(*item) for item in partitions),
+    ).to_dict()
+
+
+# one fault each, next to occupants that break no rule
+_SINGLE_FAULTS = {
+    "misaligned": _grid_doc(natives=[("a", 0), ("b", 5)], blocks=[("s", 20)]),
+    "native past the band": _grid_doc(natives=[("a", 0), ("b", 2**62)]),
+    "native below the band": _grid_doc(natives=[("a", -2**62), ("b", 4)]),
+    "block below the band": _grid_doc(natives=[("a", 0)], blocks=[("s", -2**62)]),
+    "block past the band": _grid_doc(blocks=[("s", 41)]),
+    "partition past the band": _grid_doc(natives=[("a", 0)], partitions=[(2**62, 4)]),
+    "natives overlap": _grid_doc(natives=[("a", 4), ("b", 4)]),
+    "blocks overlap": _grid_doc(blocks=[("s", 3), ("t", 10)]),
+    "native under a block": _grid_doc(natives=[("a", 10)], blocks=[("s", 3)]),
+    "native in a partition": _grid_doc(natives=[("a", 0), ("b", 20)], partitions=[(16, 16)]),
+    "block straddles": _grid_doc(natives=[("a", 0)], blocks=[("s", 12)], partitions=[(16, 16)]),
+    "block straddles abutting partitions": _grid_doc(blocks=[("s", 12)], partitions=[(8, 8), (16, 16)]),
+    "wrong width": dict(
+        _grid_doc(natives=[("a", 0)]),
+        superchannels=[dict(SuperChannel(id="s", start_slot=8).to_dict(), width_slots=-3)],
+    ),
+    "native ids repeat": _grid_doc(natives=[("a", 0), ("a", 4)]),
+    "block ids repeat": _grid_doc(blocks=[("s", 0), ("s", 20)]),
+    "ids repeat across kinds": _grid_doc(natives=[("a", 0)], blocks=[("a", 20)]),
+    "partitions overlap": _grid_doc(natives=[("a", 0)], partitions=[(8, 8), (12, 8)]),
+}
+
+
+def _assert_loads_like_the_replay(doc: dict) -> None:
+    expected = _outcome(lambda: codec_oracle.read(SpectrumGrid, doc, "grid"))
+    assert _outcome(lambda: SpectrumGrid.from_dict(doc)) == expected
+    if isinstance(expected[0], SpectrumGrid):
+        assert expected[1] == _state(_rebuilt(expected[0]))
+        # a valid document is never replayed
+        assert spectrum._seed_loaded(SpectrumGrid._read_fields(doc, "grid"))
+
+
+class TestOnePassLoad:
+    """``from_dict`` checks every occupant at once on masks; the replay of
+    the placements, one by one, is its oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=grid_documents())
+    def test_matches_the_replay(self, doc):
+        _assert_loads_like_the_replay(doc)
+
+    @pytest.mark.parametrize("fault", sorted(_SINGLE_FAULTS))
+    def test_single_fault_matches_the_replay(self, fault):
+        doc = _SINGLE_FAULTS[fault]
+        with pytest.raises(SchemaError):
+            SpectrumGrid.from_dict(doc)
+        _assert_loads_like_the_replay(doc)
 
 
 class TestPlacementRequest:
