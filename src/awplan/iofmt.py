@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from . import _schema
-from ._schema import _write, format_real, parse_json
+from ._schema import _text, format_real, parse_json
 from .errors import SchemaError
-from .perfmodel import QModel, Thresholds, estimate_q
+from .perfmodel import DEFAULT_THRESHOLDS, QModel, Thresholds, estimate_q
 from .spectrum import Modulation, NeighborConfig
 from .topology import PathMetrics
 
@@ -22,10 +22,7 @@ from .topology import PathMetrics
 def canonical_json(data) -> str:
     """Render plain JSON data (dicts, lists, scalars) canonically, with a
     trailing newline for file output."""
-    out: list[str] = []
-    _write(data, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return _text(data, "\n") + "\n"
 
 
 def serialize(obj) -> str:
@@ -137,11 +134,7 @@ def export_q_vs_distance(
             roadm_count=0,
             raman_span_count=0,
         )
-        estimate = (
-            estimate_q(model, metrics, modulation, neighbors)
-            if thresholds is None
-            else estimate_q(model, metrics, modulation, neighbors, thresholds)
-        )
+        estimate = estimate_q(model, metrics, modulation, neighbors, thresholds or DEFAULT_THRESHOLDS)
         points.append((float(distance), estimate.value_db))
     return PlotSeries(
         label=f"{modulation.value} ({_neighbor_label(neighbors)})",

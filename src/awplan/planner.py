@@ -79,8 +79,6 @@ class PlannerPolicy:
     qpsk_mixed_reach_limit_km: float = DEFAULT_QPSK_MIXED_REACH_LIMIT_KM
     dedicated_edge_carrier_sacrifice: int = 1
     thresholds: Thresholds = field(default_factory=Thresholds)
-    # off by default: only uniform per-block modulations are field-proven
-    enumerate_pair_mixes: bool = False
 
     def __post_init__(self) -> None:
         check_guard_band(self.guard_band_slots, ValueError)
@@ -228,49 +226,36 @@ def enumerate_options(
     mixed_neighbors = context.mixed_neighbors if context.mixed_neighbors is not None else NeighborConfig()
     dedicated_neighbors = NeighborConfig(in_dedicated_partition=True)
     within_reach = metrics.distance_km <= policy.qpsk_mixed_reach_limit_km
-    options: list[PlanOption] = []
 
-    def mixed_option(pair_modulations: tuple[Modulation, ...]) -> PlanOption:
-        # the worst-case modulation governs both the estimate and the reach rule
-        governing = (
-            Modulation.QPSK if Modulation.QPSK in pair_modulations else Modulation.BPSK
-        )
-        q = estimate_q(model, metrics, governing, mixed_neighbors, policy.thresholds)
+    def mixed_option(modulation: Modulation) -> PlanOption:
+        pairs = _uniform(modulation)
+        q = estimate_q(model, metrics, modulation, mixed_neighbors, policy.thresholds)
         feasible = (
             context.mixed_available
             and q.feasibility is not Feasibility.INFEASIBLE
-            and (governing is Modulation.BPSK or within_reach)
+            and (modulation is Modulation.BPSK or within_reach)
         )
         return PlanOption(
             strategy=Strategy.MIXED_SPECTRUM,
-            pair_modulations=pair_modulations,
+            pair_modulations=pairs,
             active_carriers=MAX_CARRIERS,
-            capacity_gbps=superchannel_capacity(pair_modulations, MAX_CARRIERS),
+            capacity_gbps=superchannel_capacity(pairs, MAX_CARRIERS),
             q=q,
             feasible=feasible,
         )
 
-    options.append(mixed_option(_uniform(Modulation.BPSK)))
-    options.append(mixed_option(_uniform(Modulation.QPSK)))
-    if policy.enumerate_pair_mixes:
-        for bpsk_pairs in range(1, PAIR_COUNT):
-            mix = (Modulation.BPSK,) * bpsk_pairs + (Modulation.QPSK,) * (PAIR_COUNT - bpsk_pairs)
-            options.append(mixed_option(mix))
-
     active = MAX_CARRIERS - policy.dedicated_edge_carrier_sacrifice
     q_dedicated = estimate_q(model, metrics, Modulation.QPSK, dedicated_neighbors, policy.thresholds)
-    options.append(
-        PlanOption(
-            strategy=Strategy.DEDICATED_PARTITION,
-            pair_modulations=_uniform(Modulation.QPSK),
-            active_carriers=active,
-            capacity_gbps=superchannel_capacity(_uniform(Modulation.QPSK), active),
-            q=q_dedicated,
-            feasible=context.dedicated_available
-            and q_dedicated.feasibility is not Feasibility.INFEASIBLE,
-        )
+    dedicated = PlanOption(
+        strategy=Strategy.DEDICATED_PARTITION,
+        pair_modulations=_uniform(Modulation.QPSK),
+        active_carriers=active,
+        capacity_gbps=superchannel_capacity(_uniform(Modulation.QPSK), active),
+        q=q_dedicated,
+        feasible=context.dedicated_available
+        and q_dedicated.feasibility is not Feasibility.INFEASIBLE,
     )
-    return options
+    return [mixed_option(Modulation.BPSK), mixed_option(Modulation.QPSK), dedicated]
 
 
 def _option_key(option: PlanOption) -> tuple:
@@ -278,19 +263,10 @@ def _option_key(option: PlanOption) -> tuple:
     return (option.capacity_gbps, option.q.value_db, mixed_preference)
 
 
-def _modulation_summary(option: PlanOption) -> str:
-    kinds = set(option.pair_modulations)
-    if len(kinds) == 1:
-        return f"all-{next(iter(kinds)).value}"
-    counts = {m: option.pair_modulations.count(m) for m in Modulation}
-    return "+".join(
-        f"{counts[m]}x{m.value}" for m in Modulation if counts[m]
-    )
-
-
 def _describe(option: PlanOption) -> str:
+    # every enumerated option has one modulation on all its pairs
     return (
-        f"{option.strategy.value} {_modulation_summary(option)} with "
+        f"{option.strategy.value} all-{option.pair_modulations[0].value} with "
         f"{option.active_carriers} carriers at {option.capacity_gbps:.0f} Gbps "
         f"(Q {option.q.value_db:.2f} dB, {option.q.feasibility.value})"
     )

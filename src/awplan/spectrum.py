@@ -145,6 +145,8 @@ class SuperChannel:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("super-channel id must be non-empty")
+        if self.width_slots <= 0:
+            raise ValueError(f"super-channel width must be > 0, got {self.width_slots}")
         if len(self.pairs) != PAIR_COUNT:
             raise ValueError(f"a super-channel has exactly {PAIR_COUNT} pairs, got {len(self.pairs)}")
         if tuple(sorted(p.index for p in self.pairs)) != tuple(range(PAIR_COUNT)):

@@ -121,7 +121,8 @@ def raw_document(cls: type) -> st.SearchStrategy:
     required, optional = {}, {}
     for field in dataclasses.fields(cls):
         key = codec.keys.get(field.name, field.name)
-        value = FIELD_VALUES.get((cls, field.name)) or raw_value(hints[field.name])
+        fixed = (cls, field.name)
+        value = FIELD_VALUES[fixed] if fixed in FIELD_VALUES else raw_value(hints[field.name])
         (optional if field.name in codec.optional else required)[key] = value
     return st.fixed_dictionaries(required, optional=optional)
 
@@ -252,7 +253,7 @@ def test_import_builds_no_codec_function():
     src = str(Path(awplan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
-        "import sys, awplan, awplan.cli, awplan._schema as s\n"
+        "import sys, awplan, awplan.cli, awplan.adaptation, awplan._schema as s\n"
         "classes = {c for m in list(sys.modules.values()) if m.__name__.startswith('awplan')\n"
         "           for c in vars(m).values() if isinstance(c, type) and '_codec' in vars(c)}\n"
         "built = [c.__name__ for c in classes if 'fields' in vars(c._codec)\n"

@@ -1,0 +1,78 @@
+"""The package's export table: each public name loads the module that
+defines it on first use, and the set of names is the one the package has
+always exported."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import awplan
+
+EXPORTED = {
+    "AdaptationError", "AllocationResult", "AmplifierType", "Assignment", "AwplanError",
+    "BandConfig", "CalibrationError", "CalibrationPoint", "CarrierPair",
+    "DEFAULT_FLATNESS_TOLERANCE_DB", "DedicatedPartition", "Demand", "EqualizationReport",
+    "EqualizationResult", "Feasibility", "GridContext", "Modulation", "NATIVE_IMPACT_DB",
+    "NativeChannel", "NeighborConfig", "NetworkTopology", "Node", "NodeEqualizationSummary",
+    "OccupantKind", "PathMetrics", "PlacementRequest", "PlanOption", "PlanReport",
+    "PlannerPolicy", "PlanningError", "PlotSeries", "PowerReading", "QEstimate", "QModel",
+    "SchemaError", "Span", "SpectrumError", "SpectrumGrid", "Strategy", "SuperChannel",
+    "Thresholds", "TopologyError", "Violation", "VoaSetting", "__version__",
+    "aggregate_path", "apply_plan", "calibrate", "canonical_json",
+    "carve_dedicated_partition", "classify_q", "compute_voa_settings", "default_pairs",
+    "empty_grid", "enumerate_options", "equalization_report", "estimate_q",
+    "export_q_vs_distance", "first_fit_allocate", "fixture_path", "format_real",
+    "grid_context_for", "neighbor_context", "neighbor_penalty", "parse_json",
+    "parse_topology", "place_native", "place_superchannel", "plan_link",
+    "plot_series_from_csv", "plot_series_to_csv", "round_trip", "serialize",
+    "superchannel_capacity", "unique_occupant_id", "validate_plan", "validate_topology",
+}
+
+
+def test_exports_are_unchanged():
+    assert len(awplan.__all__) == len(EXPORTED)
+    assert set(awplan.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("name", sorted(awplan._MODULE_OF))
+def test_each_name_is_its_modules_object(name):
+    module = importlib.import_module(f"awplan.{awplan._MODULE_OF[name]}")
+    assert getattr(awplan, name) is getattr(module, name)
+
+
+def test_dir_lists_every_export():
+    assert set(awplan.__all__) <= set(dir(awplan))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from awplan import *", namespace)
+    assert set(awplan.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'awplan' has no attribute 'no_such_name'"):
+        awplan.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    ("probe", "expected"),
+    [
+        ("import sys, awplan; print(sorted(m for m in sys.modules if m.startswith('awplan.')))", "[]\n"),
+        ("import sys, awplan.cli; print('awplan.adaptation' in sys.modules)", "False\n"),
+    ],
+    ids=["package", "cli"],
+)
+def test_import_loads_only_what_is_used(probe, expected):
+    src = str(Path(awplan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout == expected

@@ -231,16 +231,6 @@ class TestEnumerateOptions:
         assert options[-1].active_carriers == 10
         assert options[-1].capacity_gbps == 500.0
 
-    def test_pair_mix_enumeration_is_opt_in(self, model, clean_metrics):
-        policy = PlannerPolicy(enumerate_pair_mixes=True)
-        context = grid_context_for(empty_grid(), 2)
-        options = enumerate_options(
-            self.demand(), clean_metrics(500.0), context, model, policy
-        )
-        assert len(options) == 7
-        capacities = {o.capacity_gbps for o in options if o.strategy is Strategy.MIXED_SPECTRUM}
-        assert capacities == {250.0, 300.0, 350.0, 400.0, 450.0, 500.0}
-
     def test_no_window_makes_mixed_infeasible(self, model, clean_metrics):
         band = BandConfig(slot_count=8)
         grid = place_superchannel(empty_grid(band), SuperChannel(id="aw", start_slot=0))

@@ -130,6 +130,7 @@ TABLE = [
         ("wrong type", ("width_slots",), "8", "doc.width_slots: expected integer"),
         ("bad enum", ("pairs", 2, "modulation"), "x", "doc.pairs[2].modulation: expected one of"),
         ("invariant", ("active_carriers",), 3, "doc: active_carriers must be 10 or 9"),
+        ("nonpositive width", ("width_slots",), -3, "doc: super-channel width must be > 0, got -3"),
     ]),
     (DedicatedPartition, _partition, [
         ("missing", ("width_slots",), DROP, "doc.width_slots: missing required field"),

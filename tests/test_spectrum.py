@@ -122,6 +122,13 @@ class TestSuperChannel:
         with pytest.raises(ValueError, match="pairs"):
             SuperChannel(id="aw", start_slot=0, pairs=default_pairs()[:4])
 
+    def test_nonpositive_width_rejected(self):
+        with pytest.raises(ValueError, match="super-channel width must be > 0, got -3"):
+            first_fit_allocate(
+                SpectrumGrid(superchannels=(SuperChannel("s", 8, width_slots=-3),)),
+                [PlacementRequest(kind=OccupantKind.NATIVE, id="n")],
+            )
+
     def test_one_sacrificed_carrier_is_legal(self):
         sc = SuperChannel(id="aw", start_slot=0, active_carriers=9)
         assert sc.active_carriers == 9
