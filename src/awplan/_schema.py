@@ -18,6 +18,12 @@ The compiled code inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, or to
 the generic emitter ``_write`` of its encoded value, so every message, the
 order of messages and the canonical bytes are those of the generic code.
+
+Plain data (dicts, lists, scalars) is written by writers compiled per dict
+shape, the tuple of a dict's keys, on the shape's first use: one f-string
+that inlines each value of exactly the type it had in that first dict. On
+any error ``_write``, the only generic emitter, writes the whole value
+instead, so its messages and the deepest value it can write stay the same.
 """
 
 from __future__ import annotations
@@ -167,10 +173,106 @@ def _write(value, pad: str, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__} into a document")
 
 
-def _text(value, pad: str) -> str:
+def _written(value, pad: str) -> str:
     out: list[str] = []
     _write(value, pad, out)
     return "".join(out)
+
+
+def _text(value, pad: str) -> str:
+    """The canonical text of plain data *value*, from the writers compiled
+    per dict shape. On any error the generic emitter runs over the whole
+    value instead, so that it raises, in its own order, and so that a value
+    nested as deeply as the generic emitter can write is still written."""
+    try:
+        return _plain(value, pad)
+    except (TypeError, ValueError, RecursionError):
+        out: list[str] = []
+        _write(value, pad, out)  # called from here, so it gets as deep a stack as ever
+        return "".join(out)
+
+
+# A dict's shape is the tuple of its keys, in order. Past the cap, dicts of
+# a new shape take the generic emitter, and so does a dict of more keys than
+# a record has: a map keyed by data, whose writer would take far longer to
+# compile (tens of µs a key) than to use once. Two threads may both compile
+# a shape; either writer is right.
+SHAPE_CAP = 256
+SHAPE_MAX_KEYS = 32
+_shape_writers: dict[tuple, Callable[[dict, str], str]] = {}
+
+
+def _plain(value, pad: str) -> str:
+    """The compiled path of :func:`_text`: a value not of exactly a JSON
+    type goes to the generic emitter, alone."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        return (_shape_writers.get(tuple(value)) or _shape_writer(value))(value, pad)
+    if kind is list or kind is tuple:
+        return _items(value, pad)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return format_real(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _written(value, pad)
+
+
+def _items(value: list | tuple, pad: str) -> str:
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    first = value[0]
+    if type(first) is dict and first:
+        # a list of records: every item of the first one's shape is written
+        # by that shape's writer
+        keys = tuple(first)
+        writer = _shape_writers.get(keys) or _shape_writer(first)
+        texts = [writer(x, inner) if type(x) is dict and tuple(x) == keys else _plain(x, inner) for x in value]
+        return _array(texts, pad)
+    return _array([_plain(x, inner) for x in value], pad)
+
+
+def _shape_writer(sample: dict) -> Callable[[dict, str], str]:
+    """The writer of dicts of *sample*'s shape, compiled to one f-string
+    that inlines each value of exactly the type it has in *sample*."""
+    keys = tuple(sample)
+    if len(_shape_writers) >= SHAPE_CAP or len(keys) > SHAPE_MAX_KEYS or any(type(key) is not str for key in keys):
+        return _written
+    names = [f"v{i}" for i in range(len(keys))]
+    lines = ["def _shape(d, pad):", f"    {', '.join(names)}, = d.values()", "    inner = pad + '  '"]
+    for i, (v, item) in enumerate(zip(names, sample.values())):
+        kind = type(item)
+        if kind in _SCALAR_TEXT:
+            text = f"{_SCALAR_TEXT[kind].format(v)} if type({v}) is {kind.__name__} else _plain({v}, inner)"
+        elif item is None:
+            text = f"'null' if {v} is None else _plain({v}, inner)"
+        elif kind is list:
+            text = f"_items({v}, inner) if type({v}) is list else _plain({v}, inner)"
+        else:
+            text = f"_plain({v}, inner)"
+        lines.append(f"    t{i} = {text}")
+    lines.append(f"    return f{_template(keys)!r}")
+    namespace = {"_quote": _quote, "format_real": format_real, "_plain": _plain, "_items": _items}
+    exec(compile("\n".join(lines) + "\n", "<codec dict shape>", "exec"), namespace)
+    _shape_writers[keys] = writer = namespace["_shape"]
+    return writer
+
+
+def _template(keys) -> str:
+    """An f-string body of a dict whose value texts are ``t0``, ``t1``, …,
+    written at ``pad`` with its keys at ``inner``."""
+    if not keys:
+        return "{{}}"
+    rows = [f"{{inner}}{_quote(key).replace('{', '{{').replace('}', '}}')}: {{t{i}}}" for i, key in enumerate(keys)]
+    return "{{" + ",".join(rows) + "{pad}}}"
 
 
 # -- kinds --------------------------------------------------------------------
@@ -250,7 +352,8 @@ def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None)
 
 
 def _enum(enum_cls: type[Enum]) -> Kind:
-    return _one_of({member.value: member for member in enum_cls}, attrgetter("value"))
+    # _value_ is the attribute itself; .value is a property, several times slower
+    return _one_of({member.value: member for member in enum_cls}, attrgetter("_value_"))
 
 
 def _nested(doc_cls: type) -> Kind:
@@ -506,12 +609,9 @@ def _text_writer(cls: type) -> Callable[[Any, str], str]:
         "_quote": _quote, "format_real": format_real, "_array": _array, "_text_of_dict": _text_of_dict,
     }
     lines = ["def _to_text(self, pad):", "    try:", "        inner = pad + '  '"]
-    template = ""
     for i, (name, key, kind, _) in enumerate(fields):
         lines += [f"        v = self.{name}", f"        t{i} = {_text_expr(kind, f'_w{i}', namespace)}"]
-        quoted = _quote(key).replace("{", "{{").replace("}", "}}")
-        template += ("," if i else "{{") + "{inner}" + quoted + ": {t" + str(i) + "}"
-    template += "{pad}}}" if fields else "{{}}"
+    template = _template([key for _, key, _, _ in fields])
     lines += [f"        return f{template!r}", "    except Exception:", "        return _text_of_dict(self, pad)"]
     return _compile(cls, "_to_text", lines, namespace)
 

@@ -49,6 +49,9 @@ class Thresholds:
     design_min_db: float = DESIGN_MIN_DB
 
     def __post_init__(self) -> None:
+        for name in ("hard_min_db", "design_min_db"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not self.hard_min_db < self.design_min_db:
             raise ValueError(
                 f"hard_min_db must be below design_min_db, "
@@ -182,6 +185,8 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
     slope. Redundant points are tolerated only when consistent: the solve is
     checked to a 1e-9 residual.
     """
+    if not math.isfinite(l_ref_km):
+        raise CalibrationError(f"l_ref_km must be finite, got {l_ref_km}")
     by_modulation: dict[Modulation, list[CalibrationPoint]] = {m: [] for m in Modulation}
     for point in points:
         by_modulation[point.modulation].append(point)

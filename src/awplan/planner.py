@@ -82,7 +82,7 @@ class PlannerPolicy:
 
     def __post_init__(self) -> None:
         check_guard_band(self.guard_band_slots, ValueError)
-        if self.qpsk_mixed_reach_limit_km < 0:
+        if not self.qpsk_mixed_reach_limit_km >= 0:  # refuses NaN; +inf is no limit
             raise ValueError(
                 f"qpsk_mixed_reach_limit_km must be >= 0, got {self.qpsk_mixed_reach_limit_km}"
             )

@@ -126,6 +126,10 @@ def default_pairs(modulation: Modulation = Modulation.QPSK) -> tuple[CarrierPair
     return tuple(CarrierPair(index=i, modulation=modulation) for i in range(PAIR_COUNT))
 
 
+# shared by every block built without pairs: pairs are frozen, so one tuple serves
+DEFAULT_PAIRS = default_pairs()
+
+
 @_schema.document("superchannel")
 @dataclass(frozen=True)
 class SuperChannel:
@@ -139,7 +143,7 @@ class SuperChannel:
     id: str
     start_slot: int
     width_slots: int = 8
-    pairs: tuple[CarrierPair, ...] = field(default_factory=default_pairs)
+    pairs: tuple[CarrierPair, ...] = DEFAULT_PAIRS
     active_carriers: int = MAX_CARRIERS
 
     def __post_init__(self) -> None:
@@ -691,9 +695,12 @@ def first_fit_allocate(
     request of that shape is searched.
     """
     assignments: list[Assignment] = []
-    failed: set[tuple[OccupantKind, int, bool]] = set()
+    failed: set[tuple[bool, int, bool]] = set()
+    # the kind as a bool: an Enum member is looked up and hashed in Python
+    native_kind = OccupantKind.NATIVE
     for request in requests:
-        shape = (request.kind, request.guard_band_slots, request.partition_only)
+        native = request.kind is native_kind
+        shape = (native, request.guard_band_slots, request.partition_only)
         if request.id in grid.occupant_ids() or shape in failed:
             start = None
         else:
@@ -703,7 +710,7 @@ def first_fit_allocate(
         if start is None:
             assignments.append(Assignment(request=request, start_slot=None, reason="no feasible window"))
             continue
-        if request.kind is OccupantKind.NATIVE:
+        if native:
             occupant = NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps)
             grid = place_native(grid, occupant)
         else:

@@ -78,6 +78,12 @@ class TestCalibrate:
         meta = json.loads(out)["_meta"]
         assert meta["generator"].startswith("awplan ")
 
+    def test_nan_reference_distance_exits_two_naming_the_field(self, capsys, fx):
+        code, out, err = run(capsys, "calibrate", "--points", fx(CALIB), "--l-ref", "nan")
+        assert code == 2
+        assert out == ""
+        assert err == "error: l_ref_km must be finite, got nan\n"
+
 
 class TestEstimate:
     def test_reference_baseline(self, capsys, fx):
@@ -328,6 +334,36 @@ class TestPlan:
         assert code == 2
         assert out == ""
         assert err == "error: guard_band_slots must be at most 1024, got 1000000000000\n"
+
+    def test_nan_reach_limit_exits_two(self, capsys, fx):
+        code, out, err = run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), "--qpsk-reach-limit", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: qpsk_mixed_reach_limit_km must be >= 0, got nan\n"
+
+    def test_infinite_reach_limit_rejects_nothing_for_reach(self, capsys, fx):
+        code, out, _ = run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), "--qpsk-reach-limit", "inf",
+        )
+        assert code == 0
+        assert "reach limit" not in out
+
+    @pytest.mark.parametrize("flag, field", [("--hard-min", "hard_min_db"), ("--design-min", "design_min_db")])
+    def test_nan_threshold_exits_two_naming_the_field(self, capsys, fx, flag, field):
+        code, out, err = run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), flag, "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must be a number, got nan\n"
 
 
 class TestExportPlot:

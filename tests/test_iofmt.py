@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from awplan import _schema
 from awplan import (
     Modulation,
     NeighborConfig,
@@ -175,6 +178,154 @@ class TestCanonicalJson:
     )
     def test_raises_what_the_recursive_emitter_raises(self, data):
         assert _outcome(canonical_json, data) == _outcome(lambda d: _emit(d, 0) + "\n", data)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# a few shapes, so that shapes repeat; one is another's keys reordered, and
+# some hold keys that are not strings
+_KEYS = st.sampled_from([
+    ("id",),
+    ("id", "start_slot", "format"),
+    ("format", "id", "start_slot"),
+    ("a", "b"),
+    ("b", "a"),
+    ("x", 1),
+    (None, "x"),
+    (_Str("id"),),
+])
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-10, 10, allow_nan=False)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _TEXT
+    | st.sampled_from([_Str("s"), _Int(7), _Float(2.5), _Level.HIGH])
+)
+
+
+def _records(children):
+    """Dicts of one of the shapes above, some of them a dict subclass."""
+    def of(keys):
+        values = st.lists(children, min_size=len(keys), max_size=len(keys))
+        return st.tuples(values, st.booleans()).map(lambda vb: (_Dict if vb[1] else dict)(zip(keys, vb[0])))
+
+    return _KEYS.flatmap(of)
+
+
+_SHAPED = st.recursive(
+    _SCALAR,
+    lambda children: _records(children)
+    | st.lists(_records(children), min_size=2, max_size=4)
+    | st.lists(_records(children) | children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple),
+    max_leaves=16,
+)
+
+
+def _generic(value):
+    """canonical_json by the generic emitter alone, from as deep a frame."""
+    return _schema._written(value, "\n") + "\n"
+
+
+@pytest.fixture(scope="class")
+def shape_cache():
+    """Empties the shape cache on each call; puts it back afterwards."""
+    saved = dict(_schema._shape_writers)
+    yield _schema._shape_writers.clear
+    _schema._shape_writers.clear()
+    _schema._shape_writers.update(saved)
+
+
+def _nested(kind: str, depth: int):
+    value = 0
+    for level in range(depth):
+        value = [value] if kind == "list" or (kind == "mixed" and level % 2) else {"k": value}
+    return value
+
+
+def _deepest(write, kind: str) -> int:
+    """The deepest nesting of *kind* that *write* writes from this frame."""
+    low, high = 1, 2 * sys.getrecursionlimit()
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            write(_nested(kind, mid))
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
+class TestShapeWriters:
+    """The writers compiled per dict shape against the recursive emitter and
+    the generic one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SHAPED, min_size=2, max_size=2))
+    def test_matches_both_emitters_as_value_types_drift(self, shape_cache, values):
+        shape_cache()
+        # the first value compiles the shapes with its value types; the
+        # second reuses them with its own
+        for value in values:
+            outcome = _outcome(canonical_json, value)
+            assert outcome == _outcome(lambda d: _emit(d, 0) + "\n", value)
+            assert outcome == _outcome(_generic, value)
+
+    def test_a_list_that_mixes_shapes(self, shape_cache):
+        shape_cache()
+        data = [{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": 5}, [], {"a": 6, "b": 7, "c": 8}, _Dict(a=9, b=0), {"a": 1}]
+        assert canonical_json(data) == _generic(data)
+
+    def test_past_the_cap_output_is_unchanged(self, shape_cache):
+        shape_cache()
+        for i in range(_schema.SHAPE_CAP):
+            canonical_json({f"k{i}": i})
+        assert len(_schema._shape_writers) == _schema.SHAPE_CAP
+        data = [{"late": 1.5, "shape": [{"x": None}]}, {"late": True, "shape": []}]
+        assert canonical_json(data) == _generic(data)
+        assert len(_schema._shape_writers) == _schema.SHAPE_CAP
+
+    def test_a_map_of_many_keys_is_written_but_not_compiled(self, shape_cache):
+        shape_cache()
+        data = {f"node-{i}": i for i in range(_schema.SHAPE_MAX_KEYS + 1)}
+        assert canonical_json(data) == _generic(data)
+        assert not _schema._shape_writers
+
+    @pytest.mark.parametrize("kind", ["list", "dict", "mixed"])
+    def test_deepest_document_is_the_generic_emitters(self, shape_cache, kind):
+        shape_cache()
+        limit = sys.getrecursionlimit()
+        # room for 990 levels above this frame
+        sys.setrecursionlimit(limit + 990 - _deepest(_generic, kind))
+        try:
+            deepest = _deepest(_generic, kind)
+            assert deepest >= 990
+            assert _deepest(canonical_json, kind) == deepest
+            value = _nested(kind, deepest)
+            assert canonical_json(value) == _generic(value)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestParseJson:

@@ -68,6 +68,11 @@ class TestThresholds:
         with pytest.raises(ValueError, match="hard_min_db"):
             Thresholds(hard_min_db=9.0, design_min_db=8.5)
 
+    @pytest.mark.parametrize("field", ["hard_min_db", "design_min_db"])
+    def test_nan_floor_is_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got nan$"):
+            Thresholds(**{field: float("nan")})
+
     def test_round_trips_through_dict(self):
         t = Thresholds(hard_min_db=5.0, design_min_db=7.0)
         assert Thresholds.from_dict(t.to_dict()) == t
@@ -209,6 +214,11 @@ class TestCalibrate:
         ]
         with pytest.raises(CalibrationError, match="QPSK.*unguarded"):
             calibrate(remaining)
+
+    @pytest.mark.parametrize("l_ref_km", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reference_distance_named(self, calib_points, l_ref_km):
+        with pytest.raises(CalibrationError, match=f"^l_ref_km must be finite, got {l_ref_km}$"):
+            calibrate(calib_points, l_ref_km)
 
     def test_missing_long_distance_point_named(self, calib_points):
         remaining = [p for p in calib_points if p.distance_km == 345.0]

@@ -118,6 +118,13 @@ class TestPlannerPolicy:
         with pytest.raises(ValueError, match="guard_band_slots"):
             PlannerPolicy(guard_band_slots=-1)
 
+    def test_nan_reach_limit_rejected(self):
+        with pytest.raises(ValueError, match="^qpsk_mixed_reach_limit_km must be >= 0, got nan$"):
+            PlannerPolicy(qpsk_mixed_reach_limit_km=float("nan"))
+
+    def test_infinite_reach_limit_is_no_limit(self):
+        assert PlannerPolicy(qpsk_mixed_reach_limit_km=float("inf")).qpsk_mixed_reach_limit_km == float("inf")
+
 
 class TestGridContext:
     def test_empty_grid_offers_everything_at_zero(self):

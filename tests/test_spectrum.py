@@ -113,6 +113,9 @@ class TestSuperChannel:
         assert sc.active_carriers == 10
         assert len(sc.pairs) == 5
 
+    def test_default_pairs_are_five_enabled_qpsk_pairs(self):
+        assert SuperChannel("a", 0).pairs == default_pairs()
+
     def test_pair_indices_must_cover_range(self):
         pairs = tuple(CarrierPair(index=0, modulation=Modulation.QPSK) for _ in range(5))
         with pytest.raises(ValueError, match="indices"):
