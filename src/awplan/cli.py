@@ -29,6 +29,7 @@ from .perfmodel import (
     Feasibility,
     Thresholds,
     calibrate,
+    check_l_ref,
     estimate_q,
 )
 from .planner import (
@@ -258,6 +259,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             CalibrationPoint.from_dict(item, f"{args.file}[{i}]")
             for i, item in enumerate(_schema.get_list(data, args.file))
         ]
+        check_l_ref(args.l_ref)  # a bad flag is a usage error, not a finding about the file
         try:
             calibrate(points, args.l_ref)
         except CalibrationError as err:

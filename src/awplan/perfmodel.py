@@ -50,8 +50,9 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for name in ("hard_min_db", "design_min_db"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.hard_min_db < self.design_min_db:
             raise ValueError(
                 f"hard_min_db must be below design_min_db, "
@@ -174,6 +175,12 @@ def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
     return solution, rank
 
 
+def check_l_ref(l_ref_km: float) -> None:
+    """Raise CalibrationError unless *l_ref_km* is a finite reference distance."""
+    if not math.isfinite(l_ref_km):
+        raise CalibrationError(f"l_ref_km must be finite, got {l_ref_km}")
+
+
 def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM) -> QModel:
     """Solve the model exactly from measured points.
 
@@ -185,8 +192,7 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
     slope. Redundant points are tolerated only when consistent: the solve is
     checked to a 1e-9 residual.
     """
-    if not math.isfinite(l_ref_km):
-        raise CalibrationError(f"l_ref_km must be finite, got {l_ref_km}")
+    check_l_ref(l_ref_km)
     by_modulation: dict[Modulation, list[CalibrationPoint]] = {m: [] for m in Modulation}
     for point in points:
         by_modulation[point.modulation].append(point)

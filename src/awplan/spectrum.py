@@ -12,7 +12,10 @@ of a slot window with them. ``place_native``, ``place_superchannel`` and
 returns extends its parent's masks and id set by the one addition, so a
 replay of n placements builds no mask from every occupant. A window search
 (``blocked_starts``) tests every start of a block at once by ORing shifted
-masks: first fit takes the lowest start it leaves, then places once there.
+masks. First fit searches on working masks (``_WorkingGrid``): it reads the
+grid's masks once, takes the lowest start each search leaves, adds the
+placement to the working masks, and builds its result grid once per call.
+The search is exact, so first fit does not call the validators.
 A grid document is loaded in one pass over its occupants (``_seed_loaded``);
 the placements are replayed only to word an error.
 
@@ -396,17 +399,17 @@ def _seed_loaded(grid: SpectrumGrid) -> bool:
 
 def _seeded(
     child: SpectrumGrid, parent: SpectrumGrid, *, native: int = 0, occupied: int = 0,
-    partition: int = 0, new_id: str | None = None,
+    partition: int = 0, new_ids: set[str] | frozenset[str] = frozenset(),
 ) -> SpectrumGrid:
-    """*child* is *parent* plus one validated addition. Seed its masks and id
-    set with *parent*'s plus the added slots and id, instead of a rebuild
+    """*child* is *parent* plus validated additions. Seed its masks and id
+    set with *parent*'s plus the added slots and ids, instead of a rebuild
     from every occupant."""
     ids = parent.occupant_ids()
     child.__dict__.update(
         native_mask=parent.native_mask | native,
         occupied_mask=parent.occupied_mask | occupied,
         partition_mask=parent.partition_mask | partition,
-        _occupant_ids=ids if new_id is None else ids | {new_id},
+        _occupant_ids=ids | new_ids if new_ids else ids,
     )
     return child
 
@@ -447,7 +450,7 @@ def place_native(grid: SpectrumGrid, channel: NativeChannel) -> SpectrumGrid:
     _check_occupancy(grid, channel.start_slot, channel.end_slot, channel.id)
     span = slot_span(channel.start_slot, channel.end_slot)
     child = SpectrumGrid(grid.band, grid.natives + (channel,), grid.superchannels, grid.partitions)
-    return _seeded(child, grid, native=span, occupied=span, new_id=channel.id)
+    return _seeded(child, grid, native=span, occupied=span, new_ids={channel.id})
 
 
 def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
@@ -473,7 +476,7 @@ def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
         )
     _check_occupancy(grid, sc.start_slot, sc.end_slot, sc.id)
     child = SpectrumGrid(grid.band, grid.natives, grid.superchannels + (sc,), grid.partitions)
-    return _seeded(child, grid, occupied=slot_span(sc.start_slot, sc.end_slot), new_id=sc.id)
+    return _seeded(child, grid, occupied=slot_span(sc.start_slot, sc.end_slot), new_ids={sc.id})
 
 
 def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: int) -> SpectrumGrid:
@@ -657,28 +660,48 @@ def lowest_start(starts: int) -> int | None:
     return (starts & -starts).bit_length() - 1 if starts else None
 
 
-def _first_fit_start(grid: SpectrumGrid, request: PlacementRequest) -> int | None:
-    """The lowest start the slot masks allow for a request whose id is not
-    in *grid*. The test is exact, so placing the request there cannot fail."""
+class _WorkingGrid:
+    """The occupancy of a grid during one first fit, as masks that take each
+    placement in place, with the search constants of its band and partitions
+    (partitions are fixed during a call)."""
+
+    __slots__ = ("native_mask", "occupied_mask", "width", "native_starts", "block_starts", "inside_starts")
+
+    def __init__(self, grid: SpectrumGrid) -> None:
+        # occupied_mask first: it raises on a double-booked grid, naming both owners
+        self.occupied_mask = grid.occupied_mask
+        self.native_mask = grid.native_mask
+        partitions = grid.partition_mask
+        count = grid.band.slot_count
+        self.width = width = grid.band.superchannel_width_slots
+        # natives are kept out of partitions
+        self.native_starts = fitting_starts(count, NATIVE_WIDTH_SLOTS, even=True)
+        self.native_starts &= ~blocked_starts(partitions, NATIVE_WIDTH_SLOTS)
+        # a block lies wholly inside one partition, or (unless it must sit in
+        # one) wholly outside every partition
+        fits = fitting_starts(count, width)
+        inside = partition_starts(grid, width)
+        self.inside_starts = fits & inside
+        self.block_starts = fits & (inside | ~blocked_starts(partitions, width))
+
+
+def _first_fit_start(grid: _WorkingGrid, request: PlacementRequest) -> int | None:
+    """The lowest start the working masks allow for a request whose id is
+    not yet placed. The test is exact, so placing the request there cannot
+    fail."""
     native = request.kind is OccupantKind.NATIVE
     if native and request.partition_only:
         return None  # natives are kept out of partitions
     guard = request.guard_band_slots
+    occupied = grid.occupied_mask
     # the guard band separates natives from super-channels
     if native:
-        starts = fitting_starts(grid.band.slot_count, NATIVE_WIDTH_SLOTS, even=True)
-        starts &= ~blocked_starts(grid.occupied_mask | grid.partition_mask, NATIVE_WIDTH_SLOTS)
-        starts &= ~blocked_starts(grid.occupied_mask & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard)
-        return lowest_start(starts)
-    width = grid.band.superchannel_width_slots
-    starts = fitting_starts(grid.band.slot_count, width)
-    starts &= ~blocked_starts(grid.occupied_mask, width)
-    starts &= ~blocked_starts(grid.native_mask, width, guard)
-    # a block lies wholly inside one partition, or (unless it must sit in one)
-    # wholly outside every partition
-    outside = ~blocked_starts(grid.partition_mask, width)
-    inside = partition_starts(grid, width)
-    return lowest_start(starts & (inside if request.partition_only else inside | outside))
+        starts = grid.native_starts & ~blocked_starts(occupied, NATIVE_WIDTH_SLOTS)
+        return lowest_start(starts & ~blocked_starts(occupied & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard))
+    width = grid.width
+    starts = grid.inside_starts if request.partition_only else grid.block_starts
+    starts &= ~blocked_starts(occupied, width)
+    return lowest_start(starts & ~blocked_starts(grid.native_mask, width, guard))
 
 
 def first_fit_allocate(
@@ -692,31 +715,50 @@ def first_fit_allocate(
 
     Occupancy only grows during a call and partitions are fixed, so once a
     shape (kind, guard band, partition-only) finds no start, no later
-    request of that shape is searched.
+    request of that shape is searched. The search is exact, so placements
+    go straight onto working masks, and the result grid is built once, with
+    its masks and id set seeded; with nothing placed it is *grid* itself.
     """
     assignments: list[Assignment] = []
     failed: set[tuple[bool, int, bool]] = set()
+    ids = grid.occupant_ids()
+    placed: set[str] = set()
+    natives: list[NativeChannel] = []
+    blocks: list[SuperChannel] = []
+    working = None  # read from the grid at the first search
     # the kind as a bool: an Enum member is looked up and hashed in Python
     native_kind = OccupantKind.NATIVE
     for request in requests:
         native = request.kind is native_kind
         shape = (native, request.guard_band_slots, request.partition_only)
-        if request.id in grid.occupant_ids() or shape in failed:
+        if request.id in ids or request.id in placed or shape in failed:
             start = None
         else:
-            start = _first_fit_start(grid, request)
+            if working is None:
+                working = _WorkingGrid(grid)
+            start = _first_fit_start(working, request)
             if start is None:
                 failed.add(shape)
         if start is None:
             assignments.append(Assignment(request=request, start_slot=None, reason="no feasible window"))
             continue
+        placed.add(request.id)
         if native:
-            occupant = NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps)
-            grid = place_native(grid, occupant)
+            natives.append(NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps))
+            span = slot_span(start, start + NATIVE_WIDTH_SLOTS)
+            working.native_mask |= span
         else:
-            width = grid.band.superchannel_width_slots
-            grid = place_superchannel(grid, SuperChannel(id=request.id, start_slot=start, width_slots=width))
+            blocks.append(SuperChannel(id=request.id, start_slot=start, width_slots=working.width))
+            span = slot_span(start, start + working.width)
+        working.occupied_mask |= span
         assignments.append(Assignment(request=request, start_slot=start))
+    if placed:
+        child = SpectrumGrid(
+            grid.band, grid.natives + tuple(natives), grid.superchannels + tuple(blocks), grid.partitions
+        )
+        grid = _seeded(
+            child, grid, native=working.native_mask, occupied=working.occupied_mask, new_ids=placed
+        )
     return AllocationResult(assignments=tuple(assignments), grid=grid)
 
 

@@ -363,7 +363,19 @@ class TestPlan:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: {field} must be a number, got nan\n"
+        assert err == f"error: {field} must be finite, got nan\n"
+
+    @pytest.mark.parametrize("flag, value", [("--hard-min", "-inf"), ("--design-min", "inf")])
+    def test_infinite_threshold_exits_two_naming_the_field(self, capsys, fx, flag, value):
+        field = flag[2:].replace("-", "_") + "_db"
+        for argv in (
+            ("plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json")),
+            ("estimate", "--distance", "345", "--modulation", "qpsk"),
+        ):
+            code, out, err = run(capsys, *argv, "--calib", fx(CALIB), f"{flag}={value}")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {field} must be finite, got {value}\n"
 
 
 class TestExportPlot:
@@ -398,6 +410,12 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", fx(CALIB))
         assert code == 0
         assert out == "ok\n"
+
+    def test_nan_reference_distance_exits_two_like_calibrate(self, capsys, fx):
+        code, out, err = run(capsys, "validate", fx(CALIB), "--l-ref", "nan")
+        assert code == 2
+        assert out == ""
+        assert err == "error: l_ref_km must be finite, got nan\n"
 
     def test_grid_file_ok(self, capsys, fx):
         code, out, _ = run(capsys, "validate", fx("busy.grid.json"))

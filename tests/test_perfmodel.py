@@ -70,8 +70,16 @@ class TestThresholds:
 
     @pytest.mark.parametrize("field", ["hard_min_db", "design_min_db"])
     def test_nan_floor_is_named(self, field):
-        with pytest.raises(ValueError, match=f"^{field} must be a number, got nan$"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
             Thresholds(**{field: float("nan")})
+
+    # each infinity on its own would keep the floors ordered
+    @pytest.mark.parametrize(
+        "field, value", [("hard_min_db", float("-inf")), ("design_min_db", float("inf"))]
+    )
+    def test_infinite_floor_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            Thresholds(**{field: value})
 
     def test_round_trips_through_dict(self):
         t = Thresholds(hard_min_db=5.0, design_min_db=7.0)

@@ -445,6 +445,14 @@ class TestGuardBound:
                 call()
 
 
+# (is_native, guard, partition_only, id) per request: ids that random_grids
+# may already hold, and fresh ones
+_BATCHES = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 4), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1"])),
+    max_size=8,
+)
+
+
 class TestFirstFit:
     def test_trial_requests_oracle(self, busy_grid, fixture_dir):
         raw = json.loads((fixture_dir / "trial.requests.json").read_text())
@@ -533,16 +541,32 @@ class TestFirstFit:
     @settings(max_examples=300, deadline=None)
     @given(
         grid=slot_oracle.random_grids(),
-        shapes=st.lists(
-            # ids that random_grids may already hold, and fresh ones
-            st.tuples(st.booleans(), st.integers(0, 4), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1"])),
-            max_size=8,
-        ),
+        shapes=_BATCHES,
     )
     def test_matches_slot_by_slot_first_fit(self, grid, shapes):
         requests = _requests(shapes)
         result = first_fit_allocate(grid, requests)
         assert [a.start_slot for a in result.assignments] == slot_oracle.first_fit(grid, requests)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=slot_oracle.random_grids(), shapes=_BATCHES)
+    def test_result_grid_matches_a_replay(self, grid, shapes):
+        result = first_fit_allocate(grid, _requests(shapes))
+        replayed = grid
+        for a in result.assignments:
+            request, start = a.request, a.start_slot
+            if start is None:
+                continue
+            if request.kind is OccupantKind.NATIVE:
+                replayed = place_native(replayed, NativeChannel(request.id, start, request.bitrate_gbps))
+            else:
+                width = grid.band.superchannel_width_slots
+                replayed = place_superchannel(replayed, SuperChannel(request.id, start, width))
+        assert result.grid == replayed
+        assert _state(result.grid) == _state(_rebuilt(result.grid))
+        if not any(a.placed for a in result.assignments):
+            assert result.grid is grid
+        assert first_fit_allocate(grid, []).grid is grid
 
     def test_placed_id_does_not_mark_its_shape_failed(self):
         grid = place_native(empty_grid(), native("a", 0))
@@ -575,12 +599,28 @@ class TestFirstFit:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectrum, "_first_fit_start", recorded)
             result = first_fit_allocate(grid, requests)
-        assert [a.start_slot for a in result.assignments] == slot_oracle.first_fit(grid, requests)
+        expected_starts = slot_oracle.first_fit(grid, requests)
+        assert [a.start_slot for a in result.assignments] == expected_starts
         failed = set()
         for shape, start in searched:
             assert shape not in failed
             if start is None:
                 failed.add(shape)
+        # every request with a fresh id and a shape not yet failed is searched,
+        # counted from the oracle's starts: a first fit that bypassed the
+        # search would record none
+        ids = {n.id for n in grid.natives} | {sc.id for sc in grid.superchannels}
+        failed_shapes, fresh = set(), 0
+        for request, start in zip(requests, expected_starts):
+            shape = (request.kind, request.guard_band_slots, request.partition_only)
+            if request.id in ids or shape in failed_shapes:
+                continue
+            fresh += 1
+            if start is None:
+                failed_shapes.add(shape)
+            else:
+                ids.add(request.id)
+        assert len(searched) == fresh
 
 
 def _requests(shapes) -> list[PlacementRequest]:
