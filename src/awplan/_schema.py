@@ -7,23 +7,23 @@ reals fixed at four decimal places.
 
 A document type is a frozen dataclass decorated with :func:`document`. Its
 field annotations are the schema: each one maps to a :class:`Kind`, and the
-codec compiles four functions per class from them with ``exec``:
-``to_dict()``, ``from_dict(data, path)``, the straight-line field reader
-``_read_fields(data, where)`` and the canonical text writer
-``_to_text(self, pad)``. Each is compiled the first time it is used, not
-when the class is defined, so importing the package compiles nothing. Keys
-follow the field order. A method the class defines itself is kept.
+codec compiles three functions per class from them with ``exec``:
+``to_dict()``, ``from_dict(data, path)`` and the straight-line field reader
+``_read_fields(data, where)``. Each is compiled the first time it is used,
+not when the class is defined, so importing the package compiles nothing.
+Keys follow the field order. A method the class defines itself is kept.
 
-The compiled code inlines only the common case, a value of exactly the
-declared type. Any other value goes to its kind's generic ``decode``, or to
-the generic emitter ``_write`` of its encoded value, so every message, the
-order of messages and the canonical bytes are those of the generic code.
+The compiled reader inlines only the common case, a value of exactly the
+declared type. Any other value goes to its kind's generic ``decode``, so
+every message and the order of messages are those of the generic code.
 
-Plain data (dicts, lists, scalars) is written by writers compiled per dict
-shape, the tuple of a dict's keys, on the shape's first use: one f-string
-that inlines each value of exactly the type it had in that first dict. On
-any error ``_write``, the only generic emitter, writes the whole value
-instead, so its messages and the deepest value it can write stay the same.
+Only plain data (dicts, lists, scalars) is written; a document is written
+as its ``to_dict()``. The writers are compiled per dict shape, the tuple of
+a dict's keys, on the shape's first use: one f-string that inlines each
+value of exactly the type it had in that first dict. On any error
+``_write``, the only generic emitter, writes the whole value instead, so
+its messages, the canonical bytes and the deepest value it can write stay
+the same.
 """
 
 from __future__ import annotations
@@ -240,6 +240,9 @@ def _items(value: list | tuple, pad: str) -> str:
     return _array([_plain(x, inner) for x in value], pad)
 
 
+_SCALAR_TEXT = {str: "_quote({})", int: "str({})", float: "format_real({})", bool: "('true' if {} else 'false')"}
+
+
 def _shape_writer(sample: dict) -> Callable[[dict, str], str]:
     """The writer of dicts of *sample*'s shape, compiled to one f-string
     that inlines each value of exactly the type it has in *sample*."""
@@ -286,9 +289,10 @@ class Kind:
     path string is built only on failure or for a nested document.
     ``encode`` is None for values written as they are. Scalar kinds also
     keep their type test, so a nullable variant can be derived. ``form``
-    and ``arg`` tell the compiler what to inline: ``"scalar"`` (the exact
-    type), ``"member"`` (the value -> member map), ``"nested"`` (the class),
-    ``"tuple"`` and ``"nullable"`` (the inner kind); ``""`` inlines nothing."""
+    and ``arg`` tell the reader's compiler what to inline: ``"scalar"`` (the
+    exact type), ``"member"`` (the value -> member map), ``"nested"`` (the
+    class), ``"tuple"`` and ``"nullable"`` (the inner kind); ``""`` inlines
+    nothing."""
 
     decode: Callable[[Any, str, str], Any]
     encode: Callable[[Any], Any] | None = None
@@ -493,12 +497,6 @@ def _from_dict(cls: type) -> classmethod:
     return classmethod(from_dict)
 
 
-def _text_of_dict(self: Any, pad: str) -> str:
-    # the generic writer: the emitter of to_dict(), for a class that writes
-    # its own to_dict and for the errors of a compiled writer
-    return _text(self.to_dict(), pad)
-
-
 def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:
     qualname = f"{cls.__qualname__}.{name}"
     exec(compile("\n".join(lines) + "\n", f"<codec {qualname}>", "exec"), namespace)
@@ -598,61 +596,4 @@ def _nested_reader(doc_cls: type, tag: str, namespace: dict[str, Any]) -> str:
     return tag + "c"
 
 
-def _text_writer(cls: type) -> Callable[[Any, str], str]:
-    """``_to_text(self, pad)`` compiled to one f-string of the canonical text,
-    the same as the generic emitter writes for ``to_dict()``. On any error
-    the generic emitter runs instead, so that it raises, in its own order."""
-    if "to_dict" in cls._codec.own:
-        return _text_of_dict
-    fields = cls._codec.fields
-    namespace: dict[str, Any] = {
-        "_quote": _quote, "format_real": format_real, "_array": _array, "_text_of_dict": _text_of_dict,
-    }
-    lines = ["def _to_text(self, pad):", "    try:", "        inner = pad + '  '"]
-    for i, (name, key, kind, _) in enumerate(fields):
-        lines += [f"        v = self.{name}", f"        t{i} = {_text_expr(kind, f'_w{i}', namespace)}"]
-    template = _template([key for _, key, _, _ in fields])
-    lines += [f"        return f{template!r}", "    except Exception:", "        return _text_of_dict(self, pad)"]
-    return _compile(cls, "_to_text", lines, namespace)
-
-
-def _text_expr(kind: Kind, tag: str, namespace: dict[str, Any]) -> str:
-    """An expression of the canonical text of field value ``v`` written at
-    ``inner``: inlined where ``v`` has exactly the declared type, else the
-    generic emitter of the encoded value."""
-    encode = kind.encode
-    namespace[tag] = _text if encode is None else lambda value, pad: _text(encode(value), pad)
-    slow = f"{tag}(v, inner)"
-    if kind.form == "nullable":
-        fast = _fast_text(kind.arg, tag, namespace, "v", "inner")
-        return f"'null' if v is None else {fast[1]} if {fast[0]} else {slow}"
-    if kind.form == "tuple":
-        fast = _fast_text(kind.arg, tag, namespace, "x", "inner + '  '")
-        if fast is None:
-            return slow
-        return f"_array([{fast[1]} for x in v], inner) if type(v) is tuple and all([{fast[0]} for x in v]) else {slow}"
-    fast = _fast_text(kind, tag, namespace, "v", "inner")
-    return slow if fast is None else f"{fast[1]} if {fast[0]} else {slow}"
-
-
-_SCALAR_TEXT = {str: "_quote({})", int: "str({})", float: "format_real({})", bool: "('true' if {} else 'false')"}
-
-
-def _fast_text(kind: Kind, tag: str, namespace: dict[str, Any], v: str, pad: str) -> tuple[str, str] | None:
-    """(test, text): where the test holds, the text expression is what the
-    generic emitter writes for the encoded value *v* at indentation *pad*."""
-    form, arg = kind.form, kind.arg
-    if form == "scalar":
-        return f"type({v}) is {arg.__name__}", _SCALAR_TEXT[arg].format(v)
-    if form == "member" and kind.encode is None:  # a literal: the member is its string
-        return f"type({v}) is str", f"_quote({v})"
-    if form == "member":  # an enum member, written as its value (a value not a str falls back)
-        namespace[tag + "e"] = type(next(iter(arg.values())))
-        return f"type({v}) is {tag}e", f"_quote({v}._value_)"
-    if form == "nested" and hasattr(arg, "_codec"):
-        namespace[tag + "c"] = arg
-        return f"type({v}) is {tag}c", f"{v}._to_text({pad})"
-    return None
-
-
-_BUILDERS = {"to_dict": _dict_writer, "from_dict": _from_dict, "_read_fields": _reader, "_to_text": _text_writer}
+_BUILDERS = {"to_dict": _dict_writer, "from_dict": _from_dict, "_read_fields": _reader}

@@ -250,6 +250,9 @@ def _cmd_export_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # bad flags are usage errors, whatever the document, not findings about it
+    check_l_ref(args.l_ref)
+    thresholds = _thresholds_from(args)
     text = _read_text(args.file)
     data = parse_json(text, label=args.file)
     findings: list[tuple[str, str]] = []
@@ -259,14 +262,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             CalibrationPoint.from_dict(item, f"{args.file}[{i}]")
             for i, item in enumerate(_schema.get_list(data, args.file))
         ]
-        check_l_ref(args.l_ref)  # a bad flag is a usage error, not a finding about the file
         try:
             calibrate(points, args.l_ref)
         except CalibrationError as err:
             findings.append(("CALIBRATION", str(err)))
     elif isinstance(data, dict) and "reports" in data:
         grid = _load_grid(args.grid)
-        policy = PlannerPolicy(thresholds=_thresholds_from(args))
+        policy = PlannerPolicy(thresholds=thresholds)
         reports_raw = _schema.get_list(data["reports"], f"{args.file}.reports")
         for i, item in enumerate(reports_raw):
             report = PlanReport.from_dict(item, f"{args.file}.reports[{i}]")

@@ -26,13 +26,8 @@ def canonical_json(data) -> str:
 
 
 def serialize(obj) -> str:
-    """Canonical text for any domain object exposing to_dict. A document type
-    writes it straight from its fields; the bytes are those of
-    ``canonical_json(obj.to_dict())``."""
-    cls = type(obj)
-    if "_to_text" not in cls.__dict__:
-        return canonical_json(obj.to_dict())
-    return cls._to_text(obj, "\n") + "\n"
+    """Canonical text for any domain object exposing to_dict."""
+    return canonical_json(obj.to_dict())
 
 
 def round_trip(value):

@@ -91,6 +91,10 @@ class CalibrationPoint:
     measured_q_db: float
 
     def __post_init__(self) -> None:
+        for name in ("distance_km", "measured_q_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.distance_km < 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.measured_q_db <= 0:

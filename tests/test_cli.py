@@ -85,6 +85,19 @@ class TestCalibrate:
         assert err == "error: l_ref_km must be finite, got nan\n"
 
 
+@pytest.mark.parametrize("command", [("calibrate", "--points"), ("validate",)], ids=["calibrate", "validate"])
+def test_non_finite_calibration_point_exits_two_naming_the_point(capsys, fixture_dir, tmp_path, command):
+    points = json.loads((fixture_dir / CALIB).read_text())
+    points[0]["measured_q_db"] = float("nan")
+    path = tmp_path / "nan.calib.json"
+    path.write_text(json.dumps(points))  # the JSON token NaN
+    assert "NaN" in path.read_text()
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}[0]: measured_q_db must be finite, got nan\n"
+
+
 class TestEstimate:
     def test_reference_baseline(self, capsys, fx):
         code, out, err = run(
@@ -416,6 +429,21 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err == "error: l_ref_km must be finite, got nan\n"
+
+    @pytest.mark.parametrize("document", [TOPO, "busy.grid.json"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(("--l-ref", "nan", "--hard-min=-inf"), "l_ref_km must be finite, got nan", id="l-ref-first"),
+            pytest.param(("--hard-min=-inf",), "hard_min_db must be finite, got -inf", id="hard-min"),
+            pytest.param(("--design-min", "nan"), "design_min_db must be finite, got nan", id="design-min"),
+        ],
+    )
+    def test_bad_flags_exit_two_whatever_the_document(self, capsys, fx, document, flags, message):
+        code, out, err = run(capsys, "validate", fx(document), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_grid_file_ok(self, capsys, fx):
         code, out, _ = run(capsys, "validate", fx("busy.grid.json"))

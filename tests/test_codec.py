@@ -3,8 +3,10 @@
 Readers: every document type's compiled ``from_dict`` must give the object
 the generic field loop of ``codec_oracle`` gives, or raise its message, on
 valid documents and on documents with one or several faults. Writers:
-``serialize`` must give ``canonical_json(obj.to_dict())`` for every object,
-including values whose runtime type is not the declared one.
+``serialize``, through the writers compiled per dict shape, must give what
+the generic emitter ``_write`` gives for ``obj.to_dict()``, or raise its
+message, for every object, including values whose runtime type is not the
+declared one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from awplan import (
     PlanOption,
     SuperChannel,
     _schema,
-    canonical_json,
     round_trip,
     serialize,
 )
@@ -221,7 +222,7 @@ def loose_object(draw, cls: type):
 
 
 def _generic_text(obj) -> str:
-    return canonical_json(obj.to_dict())
+    return _schema._written(obj.to_dict(), "\n") + "\n"
 
 
 @settings(max_examples=300, deadline=None)

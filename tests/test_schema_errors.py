@@ -180,6 +180,9 @@ TABLE = [
         ("wrong type", ("measured_q_db",), "13", "doc.measured_q_db: expected number"),
         ("bad enum", ("modulation",), "8QAM", "doc.modulation: expected"),
         ("invariant", ("measured_q_db",), 0, "doc: measured_q_db must be > 0"),
+        ("not a number", ("measured_q_db",), float("nan"), "doc: measured_q_db must be finite, got nan"),
+        ("infinite", ("measured_q_db",), float("inf"), "doc: measured_q_db must be finite, got inf"),
+        ("infinite distance", ("distance_km",), float("-inf"), "doc: distance_km must be finite, got -inf"),
     ]),
     (QModel, QModel(345.0, {Modulation.BPSK: 17.0, Modulation.QPSK: 13.8}, _per_mod, _per_mod, _per_mod), [
         ("missing", ("q_ref_db", "BPSK"), DROP, "doc.q_ref_db.BPSK: missing required field"),
