@@ -1,17 +1,23 @@
-"""The document codec: JSON text to domain objects and back.
+"""The document codec: JSON text to domain objects and back, and the records
+the domain objects are.
 
 Every reader reports the full dotted path of the offending field so that
 parse failures on hand-edited files point at the exact location. Every
 writer emits canonical text: stable key order, two-space indentation, and
 reals fixed at four decimal places.
 
-A document type is a frozen dataclass decorated with :func:`document`. Its
-field annotations are the schema: each one maps to a :class:`Kind`, and the
-codec compiles three functions per class from them with ``exec``:
-``to_dict()``, ``from_dict(data, path)`` and the straight-line field reader
-``_read_fields(data, where)``. Each is compiled the first time it is used,
-not when the class is defined, so importing the package compiles nothing.
-Keys follow the field order. A method the class defines itself is kept.
+A record is a class decorated with :func:`record`: a frozen dataclass with
+slots (an instance dict only where a ``cached_property`` needs one), whose
+``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are compiled from its
+dataclass fields with ``exec`` in place of the ones ``dataclasses`` writes.
+A document type is a record decorated with :func:`document`. Its field
+annotations are the schema: each one maps to a :class:`Kind`, and the codec
+compiles three functions per class from them: ``to_dict()``,
+``from_dict(data, path)`` and the straight-line field reader
+``_read_fields(data, where)``. Each function is compiled the first time it
+is used, not when the class is defined, so importing the package compiles
+only the constructors of the records it builds. Keys follow the field
+order. A codec method the class defines itself is kept.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
@@ -35,7 +41,6 @@ import types
 import typing
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, methodcaller
 from typing import Any, Callable
 
 from .errors import SchemaError
@@ -287,12 +292,13 @@ class Kind:
 
     ``decode(value, path, key)`` reports errors at ``<path>.<key>``; the
     path string is built only on failure or for a nested document.
-    ``encode`` is None for values written as they are. Scalar kinds also
+    ``encode`` writes a value the compiled ``to_dict`` does not inline (an
+    enum-keyed map); it is None for every other kind. Scalar kinds also
     keep their type test, so a nullable variant can be derived. ``form``
-    and ``arg`` tell the reader's compiler what to inline: ``"scalar"`` (the
-    exact type), ``"member"`` (the value -> member map), ``"nested"`` (the
-    class), ``"tuple"`` and ``"nullable"`` (the inner kind); ``""`` inlines
-    nothing."""
+    and ``arg`` tell the compilers what to inline: ``"scalar"`` (the exact
+    type), ``"member"`` and ``"enum"`` (the value -> member map), ``"nested"``
+    (the class), ``"tuple"`` and ``"nullable"`` (the inner kind); ``""``
+    inlines nothing."""
 
     decode: Callable[[Any, str, str], Any]
     encode: Callable[[Any], Any] | None = None
@@ -342,7 +348,7 @@ def _nullable(kind: Kind) -> Kind:
     return Kind(decode, name=name, form="nullable", arg=kind)
 
 
-def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None) -> Kind:
+def _one_of(members: dict[str, Any], form: str = "member") -> Kind:
     """A string that must be one of the keys of *members*; reads its value."""
     allowed = ", ".join(repr(value) for value in members)
 
@@ -352,33 +358,31 @@ def _one_of(members: dict[str, Any], encode: Callable[[Any], Any] | None = None)
             raise SchemaError(f"{path}.{key}: expected one of {allowed}, got {value!r}")
         return member
 
-    return Kind(decode, encode, form="member", arg=members)
+    return Kind(decode, form=form, arg=members)
 
 
 def _enum(enum_cls: type[Enum]) -> Kind:
-    # _value_ is the attribute itself; .value is a property, several times slower
-    return _one_of({member.value: member for member in enum_cls}, attrgetter("_value_"))
+    """A member read from its value; written as its value."""
+    return _one_of({member.value: member for member in enum_cls}, "enum")
 
 
 def _nested(doc_cls: type) -> Kind:
     def decode(value: Any, path: str, key: str) -> Any:
         return doc_cls.from_dict(value, f"{path}.{key}")
 
-    return Kind(decode, methodcaller("to_dict"), form="nested", arg=doc_cls)
+    return Kind(decode, form="nested", arg=doc_cls)
 
 
 def _tuple_of(item: Kind) -> Kind:
     """A JSON array read as a tuple of one kind; items report ``<key>[i]``."""
-    item_decode, item_encode = item.decode, item.encode
+    item_decode = item.decode
 
     def decode(value: Any, path: str, key: str) -> tuple:
         if not isinstance(value, list):
             raise _expected("array", value, path, key)
         return tuple([item_decode(v, path, f"{key}[{i}]") for i, v in enumerate(value)])
 
-    if item_encode is None:
-        return Kind(decode, list, form="tuple", arg=item)
-    return Kind(decode, lambda items: list(map(item_encode, items)), form="tuple", arg=item)
+    return Kind(decode, form="tuple", arg=item)
 
 
 def _enum_map(enum_cls: type[Enum], value: Kind) -> Kind:
@@ -421,6 +425,120 @@ def _kind_of(annotation: Any) -> Kind:
     raise TypeError(f"no document kind for {annotation!r}")
 
 
+# -- records ------------------------------------------------------------------
+
+
+class _Factory:
+    """The default, in a compiled ``__init__``, of a field a factory fills."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+class _Unbuilt:
+    """A class attribute standing in for one compiled method until its first
+    use, which compiles the method and puts it in the stand-in's place."""
+
+    def __init__(self, cls: type, name: str, build: Callable[[type], Any]) -> None:
+        self.cls, self.name, self.build = cls, name, build
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        setattr(self.cls, self.name, self.build(self.cls))
+        return getattr(owner if obj is None else obj, self.name)
+
+
+def record(cls: type) -> type:
+    """Class decorator making *cls* a frozen record: a dataclass with
+    ``__slots__`` (with an instance dict instead where a ``cached_property``
+    needs one), whose ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``
+    are compiled on first use from its dataclass fields.
+
+    They behave as those of ``@dataclass(frozen=True)``, with one choice
+    where Python versions differ: ``__eq__`` compares the tuples of the
+    fields, as 3.10-3.12 do, so a field that holds the same NaN object on
+    both sides compares equal (3.13 compares field by field, and it does not).
+    """
+    slots = not any(isinstance(value, cached_property) for value in vars(cls).values())
+    cls = dataclasses.dataclass(frozen=True, slots=slots, init=False, repr=False, eq=False)(cls)
+    for name, build in _RECORD_BUILDERS.items():
+        setattr(cls, name, _Unbuilt(cls, name, build))
+    return cls
+
+
+def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:
+    qualname = f"{cls.__qualname__}.{name}"
+    exec(compile("\n".join(lines) + "\n", f"<codec {qualname}>", "exec"), namespace)
+    function = namespace[name]
+    function.__qualname__ = qualname
+    return function
+
+
+def _init(cls: type) -> Callable:
+    """``__init__`` compiled from the dataclass fields: each argument is
+    stored through its slot's member descriptor (or by
+    ``object.__setattr__``, into an instance dict), an absent one from its
+    default factory, and ``__post_init__`` runs last."""
+    fields, slotted = dataclasses.fields(cls), "__slots__" in vars(cls)
+    namespace: dict[str, Any] = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
+    params, body = ["self"], []
+    for i, field in enumerate(fields):
+        name = field.name
+        if field.default_factory is not dataclasses.MISSING:
+            namespace[f"_factory{i}"] = field.default_factory
+            params.append(f"{name}=_FACTORY")
+            body += [f"    if {name} is _FACTORY:", f"        {name} = _factory{i}()"]
+        elif field.default is not dataclasses.MISSING:
+            namespace[f"_default{i}"] = field.default
+            params.append(f"{name}=_default{i}")
+        else:
+            params.append(name)
+        if slotted:
+            namespace[f"_set{i}"] = vars(cls)[name].__set__
+            body.append(f"    _set{i}(self, {name})")
+        else:
+            body.append(f"    _setattr(self, {name!r}, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    function = _compile(cls, "__init__", [f"def __init__({', '.join(params)}):", *body], namespace)
+    # the annotations of the __init__ dataclasses writes, for inspect.signature
+    function.__annotations__ = {**{field.name: field.type for field in fields}, "return": None}
+    return function
+
+
+def _field_tuple(owner: str, names: list[str]) -> str:
+    return "(" + "".join(f"{owner}.{name}," for name in names) + ")"
+
+
+def _eq(cls: type) -> Callable:
+    names = [field.name for field in dataclasses.fields(cls) if field.compare]
+    lines = [
+        "def __eq__(self, other):",
+        "    if self is other:",
+        "        return True",
+        "    if other.__class__ is self.__class__:",
+        f"        return {_field_tuple('self', names)} == {_field_tuple('other', names)}",
+        "    return NotImplemented",
+    ]
+    return _compile(cls, "__eq__", lines, {})
+
+
+def _hash(cls: type) -> Callable:
+    names = [f.name for f in dataclasses.fields(cls) if (f.compare if f.hash is None else f.hash)]
+    return _compile(cls, "__hash__", ["def __hash__(self):", f"    return hash({_field_tuple('self', names)})"], {})
+
+
+def _repr(cls: type) -> Callable:
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in dataclasses.fields(cls) if f.repr)
+    lines = ["def __repr__(self):", f"    return f{'{self.__class__.__qualname__}(' + shown + ')'!r}"]
+    return _compile(cls, "__repr__", lines, {})
+
+
+_RECORD_BUILDERS = {"__init__": _init, "__eq__": _eq, "__hash__": _hash, "__repr__": _repr}
+
+
 # -- document types -----------------------------------------------------------
 
 
@@ -449,25 +567,13 @@ class _Codec:
         return fields
 
 
-class _Unbuilt:
-    """A class attribute standing in for one codec function until its first
-    use, which compiles the function and puts it in the stand-in's place."""
-
-    def __init__(self, cls: type, name: str) -> None:
-        self.cls, self.name = cls, name
-
-    def __get__(self, obj: Any, owner: type | None = None) -> Any:
-        setattr(self.cls, self.name, _BUILDERS[self.name](self.cls))
-        return getattr(owner if obj is None else obj, self.name)
-
-
 def document(
     path: str,
     *,
     keys: dict[str, str] | None = None,
     optional: tuple[str, ...] = (),
 ):
-    """Class decorator giving a frozen dataclass ``to_dict()`` and
+    """Class decorator making *cls* a :func:`record` with ``to_dict()`` and
     ``from_dict(data, path=<path>)`` from its field annotations.
 
     ``keys`` renames fields in the document. A field in ``optional`` may be
@@ -478,10 +584,11 @@ def document(
     """
 
     def wrap(cls: type) -> type:
+        cls = record(cls)
         cls._codec = _Codec(cls, path, keys or {}, optional)
-        for name in _BUILDERS:
+        for name, build in _BUILDERS.items():
             if name not in cls._codec.own:
-                setattr(cls, name, _Unbuilt(cls, name))
+                setattr(cls, name, _Unbuilt(cls, name, build))
         return cls
 
     return wrap
@@ -497,25 +604,30 @@ def _from_dict(cls: type) -> classmethod:
     return classmethod(from_dict)
 
 
-def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:
-    qualname = f"{cls.__qualname__}.{name}"
-    exec(compile("\n".join(lines) + "\n", f"<codec {qualname}>", "exec"), namespace)
-    function = namespace[name]
-    function.__qualname__ = qualname
-    return function
-
-
 def _dict_writer(cls: type) -> Callable[[Any], dict]:
     """``to_dict`` compiled to one dict display, as fast as a hand-written one."""
     namespace: dict[str, Any] = {}
-    items = []
-    for i, (name, key, kind, _) in enumerate(cls._codec.fields):
-        if kind.encode is None:
-            items.append(f"{key!r}: self.{name}")
-        else:
-            namespace[f"_encode{i}"] = kind.encode
-            items.append(f"{key!r}: _encode{i}(self.{name})")
+    items = [
+        f"{key!r}: {_write_expr(kind, f'self.{name}', f'_encode{i}', namespace)}"
+        for i, (name, key, kind, _) in enumerate(cls._codec.fields)
+    ]
     return _compile(cls, "to_dict", ["def to_dict(self):", f"    return {{{', '.join(items)}}}"], namespace)
+
+
+def _write_expr(kind: Kind, value: str, tag: str, namespace: dict[str, Any]) -> str:
+    """An expression of the plain data that the field value *value* is written as."""
+    if kind.form == "nested":
+        return f"{value}.to_dict()"
+    if kind.form == "enum":
+        # _value_ is the attribute itself; .value is a property, several times slower
+        return f"{value}._value_"
+    if kind.form == "tuple":
+        item = _write_expr(kind.arg, "x", tag, namespace)
+        return f"list({value})" if item == "x" else f"[{item} for x in {value}]"
+    if kind.encode is not None:
+        namespace[tag] = kind.encode
+        return f"{tag}({value})"
+    return value
 
 
 def _reader(cls: type) -> staticmethod:
@@ -529,8 +641,8 @@ def _reader(cls: type) -> staticmethod:
         "    if type(data) is not dict:",
         "        data = _get_object(data, where)",
     ]
-    args = []
-    for i, (name, key, kind, default) in enumerate(cls._codec.fields):
+    fields = cls._codec.fields
+    for i, (_, key, kind, default) in enumerate(fields):
         lines += [
             f"    if {key!r} in data:",
             f"        v = data[{key!r}]",
@@ -542,10 +654,9 @@ def _reader(cls: type) -> staticmethod:
         else:
             namespace[f"_default{i}"] = default
             lines.append(f"        f{i} = _default{i}")
-        args.append(f"{name}=f{i}")
     lines += [
         "    try:",
-        f"        return _cls({', '.join(args)})",
+        f"        return _cls({', '.join(f'f{i}' for i in range(len(fields)))})",  # positional: fields in order
         "    except ValueError as err:",
         "        raise SchemaError(f'{where}: {err}') from None",
     ]
@@ -563,7 +674,7 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
         return f"v if type(v) is {arg.__name__} else {slow}"
     if form == "nullable":
         return f"v if v is None or type(v) is {arg.arg.__name__} else {slow}"
-    if form == "member":
+    if form in ("member", "enum"):
         namespace[tag + "m"] = arg
         return f"{tag}m[v] if type(v) is str and v in {tag}m else {slow}"
     if form == "nested" and hasattr(arg, "_codec"):
@@ -573,7 +684,7 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
     item = arg
     if item.form == "scalar":
         return f"tuple(v) if type(v) is list and all([type(x) is {item.arg.__name__} for x in v]) else {slow}"
-    if item.form == "member":
+    if item.form in ("member", "enum"):
         namespace[tag + "m"] = item.arg
         return (
             f"tuple([{tag}m[x] for x in v]) "

@@ -9,7 +9,6 @@ fails its node in the equalization summary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _schema
 from .errors import AdaptationError
@@ -17,7 +16,6 @@ from .spectrum import SpectrumGrid
 
 
 @_schema.document("reading")
-@dataclass(frozen=True)
 class PowerReading:
     """Measured per-channel power at one tap point."""
 
@@ -32,7 +30,6 @@ class PowerReading:
 
 
 @_schema.document("setting")
-@dataclass(frozen=True)
 class VoaSetting:
     """Per-channel attenuation; an attenuator cannot amplify."""
 
@@ -47,7 +44,6 @@ class VoaSetting:
 
 
 @_schema.document("equalization")
-@dataclass(frozen=True)
 class EqualizationResult:
     settings: tuple[VoaSetting, ...]
     max_residual_db: float
@@ -92,7 +88,6 @@ def compute_voa_settings(
 
 
 @_schema.document("node_summary")
-@dataclass(frozen=True)
 class NodeEqualizationSummary:
     node_id: str
     passed: bool
@@ -102,7 +97,6 @@ class NodeEqualizationSummary:
 
 
 @_schema.document("equalization_report")
-@dataclass(frozen=True)
 class EqualizationReport:
     flatness_tolerance_db: float
     nodes: tuple[NodeEqualizationSummary, ...]

@@ -9,7 +9,6 @@ outputs can be diffed and checked into fixtures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _schema
 from ._schema import _text, format_real, parse_json
@@ -46,7 +45,7 @@ def round_trip(value):
     return rebuilt
 
 
-@dataclass(frozen=True)
+@_schema.record
 class PlotSeries:
     """An x-sorted series of finite points ready for any plotting tool."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _schema
@@ -41,7 +40,6 @@ class Feasibility(Enum):
 
 
 @_schema.document("thresholds")
-@dataclass(frozen=True)
 class Thresholds:
     """Q floors in dB: hard working minimum and design-practice minimum."""
 
@@ -74,14 +72,14 @@ def classify_q(value_db: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> 
 
 
 @_schema.document("q", keys={"feasibility": "class"})
-@dataclass(frozen=True)
 class QEstimate:
+    """A predicted Q value and its class against the floors."""
+
     value_db: float
     feasibility: Feasibility
 
 
 @_schema.document("point")
-@dataclass(frozen=True)
 class CalibrationPoint:
     """One measured Q value at a known distance and neighbor configuration."""
 
@@ -102,7 +100,6 @@ class CalibrationPoint:
 
 
 @_schema.document("model")
-@dataclass(frozen=True)
 class QModel:
     """Empirical Q model: per-modulation baseline, distance slope, and
     additive neighbor penalties. Immutable once calibrated."""

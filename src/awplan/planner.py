@@ -11,7 +11,7 @@ higher Q margin, then to mixed spectrum to avoid carving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from . import _schema
@@ -57,8 +57,9 @@ class Strategy(Enum):
 
 
 @_schema.document("demand")
-@dataclass(frozen=True)
 class Demand:
+    """A capacity request along a path of node ids."""
+
     path: tuple[str, ...]
     required_capacity_gbps: float
 
@@ -71,7 +72,7 @@ class Demand:
             )
 
 
-@dataclass(frozen=True)
+@_schema.record
 class PlannerPolicy:
     """Planning knobs; defaults reproduce the production deployment choices."""
 
@@ -116,7 +117,6 @@ def superchannel_capacity(
 
 
 @_schema.document("option")
-@dataclass(frozen=True)
 class PlanOption:
     """One candidate deployment. Construction is permissive so reports can be
     loaded and validated; consistency checks live in validate_plan."""
@@ -140,8 +140,9 @@ class PlanOption:
 
 
 @_schema.document("report")
-@dataclass(frozen=True)
 class PlanReport:
+    """The chosen option for a demand, the rejected ones and why."""
+
     demand: Demand
     chosen: PlanOption
     alternatives: tuple[PlanOption, ...]
@@ -150,7 +151,7 @@ class PlanReport:
     native_impact_db: float
 
 
-@dataclass(frozen=True)
+@_schema.record
 class GridContext:
     """What the current spectrum offers a new block: the lowest mixed window
     and its neighbor profile, and the lowest dedicated window (existing or
@@ -177,7 +178,17 @@ def _carve_width(width_slots: int) -> int:
 
 def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     """Probe the grid for the lowest feasible mixed placement and the lowest
-    dedicated placement a new super-channel could use."""
+    dedicated placement a new super-channel could use. The context is kept
+    on the grid, so each guard band probes a grid once; a guard that raises
+    is never kept."""
+    key = (type(guard_band_slots), guard_band_slots)  # 2.0 raises where 2 does not
+    context = grid._contexts.get(key)
+    if context is None:
+        context = grid._contexts[key] = _probe(grid, guard_band_slots)
+    return context
+
+
+def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     width = grid.band.superchannel_width_slots
     count = grid.band.slot_count
     occupied = grid.occupied_mask

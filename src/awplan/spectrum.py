@@ -25,7 +25,7 @@ All operations are pure: they take a grid and return an updated copy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from typing import Literal
@@ -58,7 +58,6 @@ class OccupantKind(Enum):
 
 
 @_schema.document("band")
-@dataclass(frozen=True)
 class BandConfig:
     """Fixed-grid C-band geometry. Slot width and native width are fixed by
     the host technology; only the band size and block width are tunable."""
@@ -85,7 +84,6 @@ class BandConfig:
 
 
 @_schema.document("native", optional=("bitrate_gbps", "format"))
-@dataclass(frozen=True)
 class NativeChannel:
     """A host-domain IM-DD channel on the 50 GHz grid."""
 
@@ -111,7 +109,6 @@ class NativeChannel:
 
 
 @_schema.document("pair", optional=("enabled",))
-@dataclass(frozen=True)
 class CarrierPair:
     """Two carriers of a super-channel sharing one modulation setting."""
 
@@ -134,7 +131,6 @@ DEFAULT_PAIRS = default_pairs()
 
 
 @_schema.document("superchannel")
-@dataclass(frozen=True)
 class SuperChannel:
     """A coherent block of 10 carriers managed as one entity.
 
@@ -154,13 +150,15 @@ class SuperChannel:
             raise ValueError("super-channel id must be non-empty")
         if self.width_slots <= 0:
             raise ValueError(f"super-channel width must be > 0, got {self.width_slots}")
-        if len(self.pairs) != PAIR_COUNT:
+        # the shared default pairs are five enabled pairs, known good
+        default = self.pairs is DEFAULT_PAIRS
+        if not default and len(self.pairs) != PAIR_COUNT:
             raise ValueError(f"a super-channel has exactly {PAIR_COUNT} pairs, got {len(self.pairs)}")
-        if tuple(sorted(p.index for p in self.pairs)) != tuple(range(PAIR_COUNT)):
+        if not default and tuple(sorted(p.index for p in self.pairs)) != tuple(range(PAIR_COUNT)):
             raise ValueError("pair indices must be 0..4 with no duplicates")
         if not 0 <= self.active_carriers <= MAX_CARRIERS:
             raise ValueError(f"active_carriers must be in 0..{MAX_CARRIERS}, got {self.active_carriers}")
-        full = CARRIERS_PER_PAIR * sum(1 for p in self.pairs if p.enabled)
+        full = MAX_CARRIERS if default else CARRIERS_PER_PAIR * sum(1 for p in self.pairs if p.enabled)
         if self.active_carriers not in (full, max(full - 1, 0)):
             raise ValueError(
                 f"active_carriers must be {full} or {max(full - 1, 0)} "
@@ -189,7 +187,6 @@ class SuperChannel:
 
 
 @_schema.document("partition")
-@dataclass(frozen=True)
 class DedicatedPartition:
     """A contiguous region reserved for coherent carriers; natives are kept out.
     Boundaries align to the 50 GHz native grid."""
@@ -218,7 +215,6 @@ class DedicatedPartition:
 
 
 @_schema.document("neighbors")
-@dataclass(frozen=True)
 class NeighborConfig:
     """Native channels adjacent to a super-channel, split by guard-band status."""
 
@@ -268,11 +264,11 @@ def _spans(blocks, slot_count: int) -> int:
 
 
 @_schema.document("grid")
-@dataclass(frozen=True)
 class SpectrumGrid:
     """The band and its occupants. The slot masks and the id set are cached
-    on first use, or seeded by the placement that made the grid; they are not
-    fields, so equality, repr and serialization ignore them."""
+    on first use, or seeded by the placement that made the grid, and so are
+    the planner's probes; they are not fields, so equality, repr and
+    serialization ignore them."""
 
     band: BandConfig = field(default_factory=BandConfig)
     natives: tuple[NativeChannel, ...] = ()
@@ -299,6 +295,11 @@ class SpectrumGrid:
     @cached_property
     def _occupant_ids(self) -> frozenset[str]:
         return frozenset(n.id for n in self.natives) | {sc.id for sc in self.superchannels}
+
+    @cached_property
+    def _contexts(self) -> dict:
+        """The planner's probes of this grid (``grid_context_for``), by guard."""
+        return {}
 
     def occupant_map(self) -> dict[int, tuple[OccupantKind, str]]:
         """Slot -> owner map; raises if two occupants ever share a slot."""
@@ -586,8 +587,9 @@ def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> N
 @_schema.document(
     "request", optional=("guard_band_slots", "partition_only", "bitrate_gbps")
 )
-@dataclass(frozen=True)
 class PlacementRequest:
+    """One occupant for first fit to place."""
+
     kind: OccupantKind
     id: str
     guard_band_slots: int = 0
@@ -605,8 +607,9 @@ class PlacementRequest:
 
 
 @_schema.document("assignment", optional=("reason",))
-@dataclass(frozen=True)
 class Assignment:
+    """Where first fit put a request: a start slot, or None and the reason."""
+
     request: PlacementRequest
     start_slot: int | None
     reason: str | None = None
@@ -617,8 +620,9 @@ class Assignment:
 
 
 @_schema.document("allocation")
-@dataclass(frozen=True)
 class AllocationResult:
+    """Every request's assignment, in request order, and the grid after them."""
+
     assignments: tuple[Assignment, ...]
     grid: SpectrumGrid
 

@@ -10,7 +10,6 @@ endpoint pair. Spans are bidirectional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -31,7 +30,6 @@ class AmplifierType(Enum):
 
 
 @_schema.document("violation")
-@dataclass(frozen=True)
 class Violation:
     """A single invariant violation with a stable machine code."""
 
@@ -40,15 +38,15 @@ class Violation:
 
 
 @_schema.document("node")
-@dataclass(frozen=True)
 class Node:
+    """A network site; ``has_roadm`` tells whether it holds a ROADM."""
+
     id: str
     name: str
     has_roadm: bool
 
 
 @_schema.document("span", keys={"from_node": "from", "to_node": "to"})
-@dataclass(frozen=True)
 class Span:
     """One fiber segment between two ROADM nodes, or between a ROADM node and
     an anonymous inline amplifier site on the way to the far node."""
@@ -69,7 +67,6 @@ class Span:
 
 
 @_schema.document("topology")
-@dataclass(frozen=True)
 class NetworkTopology:
     """Immutable container of nodes and spans.
 
@@ -100,7 +97,6 @@ class NetworkTopology:
 
 
 @_schema.document("metrics")
-@dataclass(frozen=True)
 class PathMetrics:
     """Aggregated link-table metrics for one path."""
 

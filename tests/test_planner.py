@@ -20,8 +20,10 @@ from awplan import (
     PlannerPolicy,
     PlanningError,
     QEstimate,
+    SchemaError,
     Span,
     SpectrumError,
+    SpectrumGrid,
     Strategy,
     SuperChannel,
     apply_plan,
@@ -192,6 +194,33 @@ class TestGridContext:
             context.dedicated_needs_carve,
         )
         assert got == slot_oracle.grid_context(grid, guard)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=slot_oracle.random_grids(), guard=st.integers(0, 5))
+    def test_kept_context_equals_a_fresh_probe(self, grid, guard):
+        first = grid_context_for(grid, guard)
+        assert grid_context_for(grid, guard) is first
+        try:
+            fresh = SpectrumGrid.from_dict(grid.to_dict())
+        except SchemaError:  # a block id used twice; the probe still reads the grid
+            fresh = replace(grid)
+        assert grid_context_for(fresh, guard) == first
+        # equality, repr and the document ignore the kept probes
+        assert grid == fresh and repr(grid) == repr(fresh) and grid.to_dict() == fresh.to_dict()
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=slot_oracle.random_grids(), guard=st.integers(-3, -1))
+    def test_a_guard_that_raises_raises_on_every_call(self, grid, guard):
+        for _ in range(2):
+            with pytest.raises(SpectrumError, match=f"guard_band_slots must be >= 0, got {guard}"):
+                grid_context_for(grid, guard)
+
+    def test_a_float_guard_is_not_served_by_its_int_twin(self):
+        grid = empty_grid()
+        grid_context_for(grid, 2)
+        with pytest.raises(TypeError):
+            grid_context_for(grid, 2.0)
 
 
 class TestEnumerateOptions:

@@ -34,7 +34,7 @@ from awplan import (
     place_superchannel,
     unique_occupant_id,
 )
-from awplan.spectrum import MAX_SLOT_COUNT
+from awplan.spectrum import DEFAULT_PAIRS, MAX_SLOT_COUNT
 
 
 def native(channel_id: str, start: int, bitrate: int = 10) -> NativeChannel:
@@ -139,6 +139,23 @@ class TestSuperChannel:
     def test_two_missing_carriers_rejected(self):
         with pytest.raises(ValueError, match="active_carriers"):
             SuperChannel(id="aw", start_slot=0, active_carriers=8)
+
+    def test_shared_default_pairs_skip_only_the_pair_checks(self):
+        assert SuperChannel("x", 0, active_carriers=9).pairs is DEFAULT_PAIRS
+        with pytest.raises(ValueError, match=r"^active_carriers must be 10 or 9 for 5 enabled pairs, got 8$"):
+            SuperChannel("x", 0, active_carriers=8)
+        with pytest.raises(ValueError, match=r"^active_carriers must be in 0\.\.10, got 11$"):
+            SuperChannel("x", 0, active_carriers=11)
+
+    def test_pairs_equal_to_the_default_are_checked_in_full(self):
+        fresh = default_pairs()
+        assert fresh == DEFAULT_PAIRS and fresh is not DEFAULT_PAIRS
+        assert SuperChannel("x", 0, pairs=fresh, active_carriers=9).active_carriers == 9
+        with pytest.raises(ValueError, match=r"^active_carriers must be 10 or 9 for 5 enabled pairs, got 8$"):
+            SuperChannel("x", 0, pairs=fresh, active_carriers=8)
+        duplicate = fresh[:4] + (fresh[0],)
+        with pytest.raises(ValueError, match=r"^pair indices must be 0\.\.4 with no duplicates$"):
+            SuperChannel("x", 0, pairs=duplicate)
 
     def test_active_count_follows_disabled_pairs(self):
         pairs = tuple(
