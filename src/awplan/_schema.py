@@ -21,7 +21,9 @@ order. A codec method the class defines itself is kept.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
-every message and the order of messages are those of the generic code.
+every message and the order of messages are those of the generic code. The
+items of a list of nested documents are read without their paths; on a
+fault the list is read again by its kind's ``decode``, which words it.
 
 Only plain data (dicts, lists, scalars) is written; a document is written
 as its ``to_dict()``. The writers are compiled per dict shape, the tuple of
@@ -691,10 +693,22 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
             f"if type(v) is list and all([type(x) is str and x in {tag}m for x in v]) else {slow}"
         )
     if item.form == "nested" and hasattr(item.arg, "_codec"):
-        where = "f" + repr("{where}." + key.replace("{", "{{").replace("}", "}}") + "[{i}]")
+        namespace["_read_items"] = _read_items
         read = _nested_reader(item.arg, tag, namespace)
-        return f"tuple([{read}(x, {where}) for i, x in enumerate(v)]) if type(v) is list else {slow}"
+        return f"_read_items({read}, v, where, {tag}, {key!r}) if type(v) is list else {slow}"
     return slow
+
+
+def _read_items(read: Callable, items: list, where: str, decode: Callable, key: str) -> tuple:
+    """The nested documents of the list *items*, each read without its own
+    path, which only an error would use. On a fault *decode* reads the list
+    again and, since readers are pure, raises the same first fault, with
+    its path."""
+    try:
+        return tuple([read(item, where) for item in items])
+    except SchemaError:
+        pass
+    return decode(items, where, key)
 
 
 def _nested_reader(doc_cls: type, tag: str, namespace: dict[str, Any]) -> str:

@@ -15,40 +15,19 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, _schema
 from .errors import AwplanError, CalibrationError, SchemaError
-from .iofmt import (
-    canonical_json,
-    export_q_vs_distance,
-    parse_json,
-    plot_series_to_csv,
-)
+from .iofmt import PlotSeries, canonical_json, export_q_vs_distance, parse_json, plot_series_to_csv
 from .perfmodel import (
-    CalibrationPoint,
-    Feasibility,
-    Thresholds,
-    calibrate,
-    check_l_ref,
-    estimate_q,
+    CalibrationPoint, Feasibility, QEstimate, QModel, Thresholds, calibrate, check_l_ref, estimate_q,
 )
-from .planner import (
-    Demand,
-    PlannerPolicy,
-    PlanReport,
-    plan_link,
-    validate_plan,
-)
+from .planner import Demand, PlannerPolicy, PlanReport, plan_link, validate_plan
 from .spectrum import (
-    AllocationResult,
-    Modulation,
-    NeighborConfig,
-    PlacementRequest,
-    SpectrumGrid,
-    empty_grid,
-    first_fit_allocate,
+    AllocationResult, Modulation, NeighborConfig, PlacementRequest, SpectrumGrid, empty_grid, first_fit_allocate,
 )
-from .topology import PathMetrics, parse_topology, validate_topology
+from .topology import NetworkTopology, PathMetrics, check_topology, validate_topology
 
 _CLASS_COLORS = {
     Feasibility.OK.value: "\x1b[32m",
@@ -95,41 +74,88 @@ def _stamped(document: dict, args: argparse.Namespace) -> dict:
     return {**document, "_meta": meta}
 
 
-def _load_calibration_points(path: str) -> tuple[list[CalibrationPoint], str]:
-    text = _read_text(path)
-    data = parse_json(text, label=path)
-    items = _schema.get_list(data, path)
-    points = [
-        CalibrationPoint.from_dict(item, f"{path}[{i}]") for i, item in enumerate(items)
+def _calibration_findings(points: list, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+    try:
+        calibrate(points, args.l_ref)
+    except CalibrationError as err:
+        return [("CALIBRATION", str(err))]
+    return []
+
+
+def _plan_findings(reports: list, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+    policy = PlannerPolicy(thresholds=_thresholds_from(args))
+    return [
+        (violation.code, f"reports[{i}]: {violation.message}")
+        for i, report in enumerate(reports)
+        for violation in validate_plan(report, grid, policy)
     ]
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return points, digest
 
 
-def _load_model(path: str, l_ref_km: float):
-    points, digest = _load_calibration_points(path)
-    return calibrate(points, l_ref_km), digest
+def _topology_findings(topology: NetworkTopology, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+    return [(violation.code, violation.message) for violation in validate_topology(topology)]
+
+
+class _Kind(NamedTuple):
+    """A row of the table of document kinds: the keys that identify a document
+    (for an array, those of its first item), its record class, where its
+    records are (the document itself where ``array`` is None, else the items
+    of the array at key ``array``, "" being the document) and validate's check."""
+
+    keys: tuple[str, ...]
+    cls: type
+    array: str | None = None
+    check: Callable | None = None
+
+
+# validate takes the first row whose keys a document has: the order matters
+_KINDS = {
+    "calibration points": _Kind(("distance_km", "measured_q_db"), CalibrationPoint, "", _calibration_findings),
+    "plan": _Kind(("reports",), PlanReport, "reports", _plan_findings),
+    "topology": _Kind(("nodes", "spans"), NetworkTopology, check=_topology_findings),
+    "grid": _Kind(("band",), SpectrumGrid),
+    "allocation": _Kind(("assignments",), AllocationResult),
+    "demands": _Kind(("path", "required_capacity_gbps"), Demand, ""),
+    "requests": _Kind(("kind", "id"), PlacementRequest, ""),
+    "model": _Kind(("l_ref_km", "q_ref_db"), QModel),
+    "estimate": _Kind(("value_db", "class"), QEstimate),
+    "plot series": _Kind(("label", "points"), PlotSeries),
+}
+
+
+def _identify(data, path: str) -> _Kind:
+    """The first row whose keys *data* has; an array that no row
+    identifies is read as calibration points."""
+    array = isinstance(data, list)
+    head = data[0] if array and data else data
+    for kind in _KINDS.values():
+        if (kind.array == "") == array and isinstance(head, dict) and all(key in head for key in kind.keys):
+            return kind
+    if array:
+        return _KINDS["calibration points"]
+    raise SchemaError(f"{path}: unrecognized document type")
+
+
+def _decode(kind: _Kind, data, path: str):
+    """The record, or the list of records, that a document of *kind* holds."""
+    if kind.array is None:
+        return kind.cls.from_dict(data, path)
+    if kind.array:
+        data, path = data[kind.array], f"{path}.{kind.array}"
+    return [kind.cls.from_dict(item, f"{path}[{i}]") for i, item in enumerate(_schema.get_list(data, path))]
+
+
+def _load(name: str, path: str):
+    return _decode(_KINDS[name], parse_json(_read_text(path), label=path), path)
 
 
 def _load_grid(path: str | None) -> SpectrumGrid:
-    if path is None:
-        return empty_grid()
-    data = parse_json(_read_text(path), label=path)
-    return SpectrumGrid.from_dict(_schema.get_object(data, path), path)
+    return empty_grid() if path is None else _load("grid", path)
 
 
-def _load_demands(path: str) -> list[Demand]:
-    data = parse_json(_read_text(path), label=path)
-    items = _schema.get_list(data, path)
-    return [Demand.from_dict(item, f"{path}[{i}]") for i, item in enumerate(items)]
-
-
-def _load_requests(path: str) -> list[PlacementRequest]:
-    data = parse_json(_read_text(path), label=path)
-    items = _schema.get_list(data, path)
-    return [
-        PlacementRequest.from_dict(item, f"{path}[{i}]") for i, item in enumerate(items)
-    ]
+def _load_model(path: str, l_ref_km: float):
+    text = _read_text(path)
+    points = _decode(_KINDS["calibration points"], parse_json(text, label=path), path)
+    return calibrate(points, l_ref_km), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_modulation(text: str) -> Modulation:
@@ -212,18 +238,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    grid = _load_grid(args.grid)
-    requests = _load_requests(args.requests)
+    grid = _load("grid", args.grid)
+    requests = _load("requests", args.requests)
     result = first_fit_allocate(grid, requests)
     _write_output(canonical_json(_stamped(result.to_dict(), args)), args.out)
     return 0 if all(a.placed for a in result.assignments) else 1
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    topology = parse_topology(_read_text(args.topology), path=args.topology)
+    topology = check_topology(_load("topology", args.topology), args.topology)
     model, digest = _load_model(args.calib, args.l_ref)
     grid = _load_grid(args.grid)
-    demands = _load_demands(args.demands)
+    demands = _load("demands", args.demands)
     policy = _policy_from(args)
     reports = [plan_link(demand, topology, grid, model, policy) for demand in demands]
     document = {
@@ -252,39 +278,12 @@ def _cmd_export_plot(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     # bad flags are usage errors, whatever the document, not findings about it
     check_l_ref(args.l_ref)
-    thresholds = _thresholds_from(args)
-    text = _read_text(args.file)
-    data = parse_json(text, label=args.file)
-    findings: list[tuple[str, str]] = []
-
-    if isinstance(data, list):
-        points = [
-            CalibrationPoint.from_dict(item, f"{args.file}[{i}]")
-            for i, item in enumerate(_schema.get_list(data, args.file))
-        ]
-        try:
-            calibrate(points, args.l_ref)
-        except CalibrationError as err:
-            findings.append(("CALIBRATION", str(err)))
-    elif isinstance(data, dict) and "reports" in data:
-        grid = _load_grid(args.grid)
-        policy = PlannerPolicy(thresholds=thresholds)
-        reports_raw = _schema.get_list(data["reports"], f"{args.file}.reports")
-        for i, item in enumerate(reports_raw):
-            report = PlanReport.from_dict(item, f"{args.file}.reports[{i}]")
-            for violation in validate_plan(report, grid, policy):
-                findings.append((violation.code, f"reports[{i}]: {violation.message}"))
-    elif isinstance(data, dict) and "nodes" in data and "spans" in data:
-        topology = parse_topology(data, strict=False, path=args.file)
-        for violation in validate_topology(topology):
-            findings.append((violation.code, violation.message))
-    elif isinstance(data, dict) and "band" in data:
-        SpectrumGrid.from_dict(data, args.file)
-    elif isinstance(data, dict) and "assignments" in data:
-        AllocationResult.from_dict(data, args.file)
-    else:
-        raise SchemaError(f"{args.file}: unrecognized document type")
-
+    _thresholds_from(args)
+    data = parse_json(_read_text(args.file), label=args.file)
+    kind = _identify(data, args.file)
+    grid = _load_grid(args.grid) if kind.check is _plan_findings else None
+    document = _decode(kind, data, args.file)
+    findings = kind.check(document, args, grid) if kind.check else []
     if findings:
         for code, message in findings:
             sys.stdout.write(f"{code}: {message}\n")
@@ -293,11 +292,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_calib_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--calib", required=True, help="calibration points file (JSON list)")
-    parser.add_argument(
-        "--l-ref", type=float, default=345.0, help="reference distance in km (default 345)"
-    )
+def _add_calib_args(parser: argparse.ArgumentParser, flag: str | None = "--calib") -> None:
+    """The calibration points file under *flag* (validate reads none) and its reference distance."""
+    if flag:
+        parser.add_argument(flag, required=True, help="calibration points file (JSON list)")
+    parser.add_argument("--l-ref", type=float, default=345.0, help="reference distance in km (default 345)")
 
 
 def _add_threshold_args(parser: argparse.ArgumentParser) -> None:
@@ -325,8 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     cal = subparsers.add_parser("calibrate", help="fit the Q model from measured points")
-    cal.add_argument("--points", required=True, help="calibration points file (JSON list)")
-    cal.add_argument("--l-ref", type=float, default=345.0)
+    _add_calib_args(cal, "--points")
     cal.add_argument("--out", help="output path (default stdout)")
     cal.set_defaults(handler=_cmd_calibrate)
 
@@ -380,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = subparsers.add_parser("validate", help="validate any file this tool reads or writes")
     val.add_argument("file", help="document to validate")
     val.add_argument("--grid", help="grid file for plan placement checks")
-    val.add_argument("--l-ref", type=float, default=345.0)
+    _add_calib_args(val, None)
     _add_threshold_args(val)
     val.set_defaults(handler=_cmd_validate)
 

@@ -34,12 +34,12 @@ from .spectrum import (
     NeighborConfig,
     SpectrumGrid,
     SuperChannel,
+    WorkingGrid,
     blocked_starts,
     carve_dedicated_partition,
     check_guard_band,
     fitting_starts,
     lowest_start,
-    partition_starts,
     place_superchannel,
     unique_occupant_id,
     window_neighbors,
@@ -189,28 +189,29 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
 
 
 def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
-    width = grid.band.superchannel_width_slots
-    count = grid.band.slot_count
-    occupied = grid.occupied_mask
-    taken = occupied | grid.partition_mask
+    # the windows first fit searches: a mixed block lies outside every
+    # partition, a dedicated one inside one
+    working = WorkingGrid(grid)
+    width, occupied = working.width, working.occupied_mask
+    free = ~blocked_starts(occupied, width)
 
     mixed_start = lowest_start(
-        fitting_starts(count, width)
-        & ~blocked_starts(grid.native_mask, width, guard_band_slots)
-        & ~blocked_starts(taken, width)
+        working.outside_starts & free & ~blocked_starts(working.native_mask, width, guard_band_slots)
     )
     mixed_neighbors: NeighborConfig | None = None
     if mixed_start is not None:
         mixed_neighbors = window_neighbors(
-            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~grid.native_mask
+            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~working.native_mask
         )
 
-    # partitions are disjoint, so the lowest free start is in the first one that has any
-    dedicated_start = lowest_start(partition_starts(grid, width) & ~blocked_starts(occupied, width))
+    dedicated_start = lowest_start(working.inside_starts & free)
     needs_carve = False
     if dedicated_start is None:
         carve = _carve_width(width)
-        dedicated_start = lowest_start(fitting_starts(count, carve, even=True) & ~blocked_starts(taken, carve))
+        taken = occupied | grid.partition_mask
+        dedicated_start = lowest_start(
+            fitting_starts(grid.band.slot_count, carve, even=True) & ~blocked_starts(taken, carve)
+        )
         needs_carve = dedicated_start is not None
 
     return GridContext(

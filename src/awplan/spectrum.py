@@ -12,7 +12,7 @@ of a slot window with them. ``place_native``, ``place_superchannel`` and
 returns extends its parent's masks and id set by the one addition, so a
 replay of n placements builds no mask from every occupant. A window search
 (``blocked_starts``) tests every start of a block at once by ORing shifted
-masks. First fit searches on working masks (``_WorkingGrid``): it reads the
+masks. First fit searches on working masks (``WorkingGrid``): it reads the
 grid's masks once, takes the lowest start each search leaves, adds the
 placement to the working masks, and builds its result grid once per call.
 The search is exact, so first fit does not call the validators.
@@ -664,12 +664,14 @@ def lowest_start(starts: int) -> int | None:
     return (starts & -starts).bit_length() - 1 if starts else None
 
 
-class _WorkingGrid:
-    """The occupancy of a grid during one first fit, as masks that take each
-    placement in place, with the search constants of its band and partitions
-    (partitions are fixed during a call)."""
+class WorkingGrid:
+    """The occupancy of a grid during one first fit or one planner probe, as
+    masks that take each placement in place, with the search constants of
+    its band and partitions (partitions are fixed during a call)."""
 
-    __slots__ = ("native_mask", "occupied_mask", "width", "native_starts", "block_starts", "inside_starts")
+    __slots__ = (
+        "native_mask", "occupied_mask", "width", "native_starts", "block_starts", "inside_starts", "outside_starts",
+    )
 
     def __init__(self, grid: SpectrumGrid) -> None:
         # occupied_mask first: it raises on a double-booked grid, naming both owners
@@ -684,12 +686,12 @@ class _WorkingGrid:
         # a block lies wholly inside one partition, or (unless it must sit in
         # one) wholly outside every partition
         fits = fitting_starts(count, width)
-        inside = partition_starts(grid, width)
-        self.inside_starts = fits & inside
-        self.block_starts = fits & (inside | ~blocked_starts(partitions, width))
+        self.inside_starts = fits & partition_starts(grid, width)
+        self.outside_starts = fits & ~blocked_starts(partitions, width)
+        self.block_starts = self.inside_starts | self.outside_starts
 
 
-def _first_fit_start(grid: _WorkingGrid, request: PlacementRequest) -> int | None:
+def _first_fit_start(grid: WorkingGrid, request: PlacementRequest) -> int | None:
     """The lowest start the working masks allow for a request whose id is
     not yet placed. The test is exact, so placing the request there cannot
     fail."""
@@ -739,7 +741,7 @@ def first_fit_allocate(
             start = None
         else:
             if working is None:
-                working = _WorkingGrid(grid)
+                working = WorkingGrid(grid)
             start = _first_fit_start(working, request)
             if start is None:
                 failed.add(shape)

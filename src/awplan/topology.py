@@ -170,11 +170,16 @@ def parse_topology(
     """
     data = _schema.parse_json(document, path) if isinstance(document, str) else document
     topology = NetworkTopology.from_dict(data, path)
-    if strict:
-        violations = validate_topology(topology)
-        if violations:
-            detail = "; ".join(f"{v.code}: {v.message}" for v in violations)
-            raise TopologyError(f"{path}: invalid topology: {detail}")
+    return check_topology(topology, path) if strict else topology
+
+
+def check_topology(topology: NetworkTopology, path: str) -> NetworkTopology:
+    """*topology* itself, or :class:`TopologyError` naming every invariant
+    it violates after *path*."""
+    violations = validate_topology(topology)
+    if violations:
+        detail = "; ".join(f"{v.code}: {v.message}" for v in violations)
+        raise TopologyError(f"{path}: invalid topology: {detail}")
     return topology
 
 

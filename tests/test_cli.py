@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from awplan.cli import main
+from conftest import FIXTURE_DIR
 
 CALIB = "reference.calib.json"
 TOPO = "garr.topo.json"
@@ -418,7 +420,53 @@ class TestExportPlot:
         assert series["points"][0][0] == 500.0
 
 
+@pytest.mark.parametrize("subcommand", ["calibrate", "estimate", "plan", "export-plot", "validate"])
+def test_every_l_ref_flag_has_its_help(capsys, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as excinfo:
+        main([subcommand, "--help"])
+    assert excinfo.value.code == 0
+    assert re.search(r"--l-ref L_REF +reference distance in km \(default 345\)\n", capsys.readouterr().out)
+
+
+# every command whose JSON output validate must accept, its input files named by fixture
+OUTPUTS = {
+    "calibrate": ("calibrate", "--points", CALIB),
+    "estimate": ("estimate", "--calib", CALIB, "--distance", "1131", "--modulation", "qpsk", "--json"),
+    "plan": ("plan", "--calib", CALIB, "--topology", TOPO, "--demands", "rm-mi2.demands.json"),
+    "allocate": ("allocate", "--grid", "busy.grid.json", "--requests", "trial.requests.json"),
+    "export-plot": ("export-plot", "--calib", CALIB, "--modulation", "qpsk", "--distances", "345,1131", "--format", "json"),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("name", sorted(path.name for path in FIXTURE_DIR.iterdir()))
+    def test_every_bundled_fixture_validates(self, capsys, fx, name):
+        assert run(capsys, "validate", fx(name)) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("stamp", [(), ("--stamp",)], ids=["plain", "stamped"])
+    @pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS)
+    def test_every_output_validates(self, capsys, fx, tmp_path, argv, stamp):
+        output = tmp_path / "output.json"
+        argv = [fx(arg) if arg.endswith(".json") else arg for arg in argv]
+        assert run(capsys, *stamp, *argv, "--out", str(output)) == (0, "", "")
+        assert ("_meta" in json.loads(output.read_text())) == bool(stamp)
+        assert run(capsys, "validate", str(output)) == (0, "ok\n", "")
+
+    def test_empty_array_is_read_as_calibration_points(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        assert run(capsys, "validate", str(empty)) == (
+            1, "CALIBRATION: BPSK: missing zero-neighbor baseline point at 345.0 km\n", ""
+        )
+
+    def test_unidentified_array_is_read_as_calibration_points(self, capsys, fixture_dir, tmp_path):
+        points = json.loads((fixture_dir / CALIB).read_text())
+        del points[0]["distance_km"]
+        broken = tmp_path / "points.json"
+        broken.write_text(json.dumps(points))
+        assert run(capsys, "validate", str(broken)) == (2, "", f"error: {broken}[0].distance_km: missing required field\n")
+
     def test_calibration_file_ok(self, capsys, fx):
         code, out, _ = run(capsys, "validate", fx(CALIB))
         assert code == 0

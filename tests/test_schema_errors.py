@@ -313,3 +313,38 @@ def test_enum_errors_share_one_wording(cls, valid, keys, allowed):
     with pytest.raises(SchemaError) as excinfo:
         cls.from_dict(_broken(valid.to_dict(), keys, "bogus"), "doc")
     assert str(excinfo.value) == f"{dotted}: expected one of {allowed}, got 'bogus'"
+
+
+_full_grid = SpectrumGrid(natives=tuple(NativeChannel(id=f"n{i}", start_slot=2 * i) for i in range(80)))
+_allocation = AllocationResult(
+    assignments=tuple(
+        Assignment(request=PlacementRequest(kind=OccupantKind.NATIVE, id=f"r{i}"), start_slot=None, reason="full")
+        for i in range(6)
+    ),
+    grid=_full_grid,
+)
+
+
+# lists of nested documents are read without the items' paths, and again
+# with them only on a fault
+@pytest.mark.parametrize(
+    "cls, valid, breaks, message",
+    [
+        pytest.param(SpectrumGrid, _full_grid, [(("natives", 37, "start_slot"), "74")],
+                     "doc.natives[37].start_slot: expected integer, got str", id="natives-37-type"),
+        pytest.param(SpectrumGrid, _full_grid, [(("natives", 37, "bitrate_gbps"), 25)],
+                     "doc.natives[37]: native bitrate must be one of (10, 40), got 25", id="natives-37-invariant"),
+        pytest.param(SpectrumGrid, _full_grid, [(("natives", 50, "id"), 5), (("natives", 37, "id"), DROP)],
+                     "doc.natives[37].id: missing required field", id="natives-first-of-two"),
+        pytest.param(AllocationResult, _allocation, [(("assignments", 3, "request", "kind"), "alien")],
+                     "doc.assignments[3].request.kind: expected one of 'native', 'superchannel', got 'alien'",
+                     id="assignments-3-request-kind"),
+    ],
+)
+def test_fault_deep_in_a_list_names_its_item(cls, valid, breaks, message):
+    document = valid.to_dict()
+    for keys, value in breaks:
+        document = _broken(document, keys, value)
+    with pytest.raises(SchemaError) as excinfo:
+        cls.from_dict(document, "doc")
+    assert str(excinfo.value) == message
