@@ -7,17 +7,16 @@ writer emits canonical text: stable key order, two-space indentation, and
 reals fixed at four decimal places.
 
 A record is a class decorated with :func:`record`: a frozen dataclass with
-slots (an instance dict only where a ``cached_property`` needs one), whose
-``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are compiled from its
-dataclass fields with ``exec`` in place of the ones ``dataclasses`` writes.
-A document type is a record decorated with :func:`document`. Its field
-annotations are the schema: each one maps to a :class:`Kind`, and the codec
-compiles three functions per class from them: ``to_dict()``,
+slots (an instance dict only where a ``cached_property`` needs one). Only
+the code that runs hot is compiled with ``exec``, each function on its first
+use: a record's ``__init__``, and per document type ``to_dict()``,
 ``from_dict(data, path)`` and the straight-line field reader
-``_read_fields(data, where)``. Each function is compiled the first time it
-is used, not when the class is defined, so importing the package compiles
-only the constructors of the records it builds. Keys follow the field
-order. A codec method the class defines itself is kept.
+``_read_fields(data, where)``. Every record shares one ``__eq__``,
+``__hash__`` and ``__repr__``. A document type is a record decorated with
+:func:`document`; its field annotations are the schema, each one mapping to
+a :class:`Kind`. Importing the package compiles only the constructors of the
+records it builds. Keys follow the field order. A codec method the class
+defines itself is kept.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
@@ -43,7 +42,7 @@ import types
 import typing
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import SchemaError
 
@@ -134,28 +133,13 @@ def _write(value, pad: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {type(key).__name__}")
-            head = lead + _quote(key) + ": "
-            # most values are scalars: write them without a call
-            kind = type(item)
-            if kind is str:
-                out.append(head + _quote(item))
-            elif kind is int:
-                out.append(head + str(item))
-            elif kind is float:
-                out.append(head + format_real(item))
-            elif kind is bool:
-                out.append(head + ("true" if item else "false"))
-            else:
-                out.append(head)
-                _write(item, inner, out)
+            out.append(lead + _quote(key) + ": ")
+            _write(item, inner, out)
             lead = "," + inner
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        if type(value[0]) is str and all([type(item) is str for item in value]):
-            out.append(_array(list(map(_quote, value)), pad))
             return
         inner = pad + "  "
         lead = "[" + inner
@@ -288,8 +272,7 @@ def _template(keys) -> str:
 # -- kinds --------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """How one field value is read from a document and written back.
 
     ``decode(value, path, key)`` reports errors at ``<path>.<key>``; the
@@ -299,8 +282,7 @@ class Kind:
     keep their type test, so a nullable variant can be derived. ``form``
     and ``arg`` tell the compilers what to inline: ``"scalar"`` (the exact
     type), ``"member"`` and ``"enum"`` (the value -> member map), ``"nested"``
-    (the class), ``"tuple"`` and ``"nullable"`` (the inner kind); ``""``
-    inlines nothing."""
+    (the class) and ``"tuple"`` (the item kind); ``""`` inlines nothing."""
 
     decode: Callable[[Any, str, str], Any]
     encode: Callable[[Any], Any] | None = None
@@ -347,7 +329,7 @@ def _nullable(kind: Kind) -> Kind:
             return inner(value, path, key)
         raise _expected(name, value, path, key)
 
-    return Kind(decode, name=name, form="nullable", arg=kind)
+    return Kind(decode, name=name)
 
 
 def _one_of(members: dict[str, Any], form: str = "member") -> Kind:
@@ -421,23 +403,12 @@ def _kind_of(annotation: Any) -> Kind:
         return _one_of({arg: arg for arg in args})
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         return _enum(annotation)
-    # a document type is known by its _codec, which unlike from_dict is no stand-in to build
-    if hasattr(annotation, "_codec") or hasattr(annotation, "from_dict"):
+    if hasattr(annotation, "_codec"):
         return _nested(annotation)
     raise TypeError(f"no document kind for {annotation!r}")
 
 
 # -- records ------------------------------------------------------------------
-
-
-class _Factory:
-    """The default, in a compiled ``__init__``, of a field a factory fills."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
 
 
 class _Unbuilt:
@@ -452,11 +423,34 @@ class _Unbuilt:
         return getattr(owner if obj is None else obj, self.name)
 
 
+def _values(obj: Any) -> tuple:
+    """The field values of a record, in field order."""
+    return tuple([getattr(obj, name) for name in obj.__match_args__])
+
+
+def _record_eq(self, other):
+    if self is other:
+        return True
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(_values(self))
+
+
+def _record_repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def record(cls: type) -> type:
     """Class decorator making *cls* a frozen record: a dataclass with
     ``__slots__`` (with an instance dict instead where a ``cached_property``
-    needs one), whose ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``
-    are compiled on first use from its dataclass fields.
+    needs one) and an ``__init__`` compiled on first use from its fields.
+    Every record shares one ``__eq__``, ``__hash__`` and ``__repr__``, which
+    read the field names from ``__match_args__``.
 
     They behave as those of ``@dataclass(frozen=True)``, with one choice
     where Python versions differ: ``__eq__`` compares the tuples of the
@@ -465,8 +459,8 @@ def record(cls: type) -> type:
     """
     slots = not any(isinstance(value, cached_property) for value in vars(cls).values())
     cls = dataclasses.dataclass(frozen=True, slots=slots, init=False, repr=False, eq=False)(cls)
-    for name, build in _RECORD_BUILDERS.items():
-        setattr(cls, name, _Unbuilt(cls, name, build))
+    cls.__init__ = _Unbuilt(cls, "__init__", _init)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
     return cls
 
 
@@ -481,18 +475,14 @@ def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) 
 def _init(cls: type) -> Callable:
     """``__init__`` compiled from the dataclass fields: each argument is
     stored through its slot's member descriptor (or by
-    ``object.__setattr__``, into an instance dict), an absent one from its
-    default factory, and ``__post_init__`` runs last."""
+    ``object.__setattr__``, into an instance dict), and ``__post_init__``
+    runs last."""
     fields, slotted = dataclasses.fields(cls), "__slots__" in vars(cls)
-    namespace: dict[str, Any] = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
+    namespace: dict[str, Any] = {"_setattr": object.__setattr__}
     params, body = ["self"], []
     for i, field in enumerate(fields):
         name = field.name
-        if field.default_factory is not dataclasses.MISSING:
-            namespace[f"_factory{i}"] = field.default_factory
-            params.append(f"{name}=_FACTORY")
-            body += [f"    if {name} is _FACTORY:", f"        {name} = _factory{i}()"]
-        elif field.default is not dataclasses.MISSING:
+        if field.default is not dataclasses.MISSING:
             namespace[f"_default{i}"] = field.default
             params.append(f"{name}=_default{i}")
         else:
@@ -508,37 +498,6 @@ def _init(cls: type) -> Callable:
     # the annotations of the __init__ dataclasses writes, for inspect.signature
     function.__annotations__ = {**{field.name: field.type for field in fields}, "return": None}
     return function
-
-
-def _field_tuple(owner: str, names: list[str]) -> str:
-    return "(" + "".join(f"{owner}.{name}," for name in names) + ")"
-
-
-def _eq(cls: type) -> Callable:
-    names = [field.name for field in dataclasses.fields(cls) if field.compare]
-    lines = [
-        "def __eq__(self, other):",
-        "    if self is other:",
-        "        return True",
-        "    if other.__class__ is self.__class__:",
-        f"        return {_field_tuple('self', names)} == {_field_tuple('other', names)}",
-        "    return NotImplemented",
-    ]
-    return _compile(cls, "__eq__", lines, {})
-
-
-def _hash(cls: type) -> Callable:
-    names = [f.name for f in dataclasses.fields(cls) if (f.compare if f.hash is None else f.hash)]
-    return _compile(cls, "__hash__", ["def __hash__(self):", f"    return hash({_field_tuple('self', names)})"], {})
-
-
-def _repr(cls: type) -> Callable:
-    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in dataclasses.fields(cls) if f.repr)
-    lines = ["def __repr__(self):", f"    return f{'{self.__class__.__qualname__}(' + shown + ')'!r}"]
-    return _compile(cls, "__repr__", lines, {})
-
-
-_RECORD_BUILDERS = {"__init__": _init, "__eq__": _eq, "__hash__": _hash, "__repr__": _repr}
 
 
 # -- document types -----------------------------------------------------------
@@ -674,13 +633,13 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
     form, arg = kind.form, kind.arg
     if form == "scalar":
         return f"v if type(v) is {arg.__name__} else {slow}"
-    if form == "nullable":
-        return f"v if v is None or type(v) is {arg.arg.__name__} else {slow}"
     if form in ("member", "enum"):
         namespace[tag + "m"] = arg
         return f"{tag}m[v] if type(v) is str and v in {tag}m else {slow}"
-    if form == "nested" and hasattr(arg, "_codec"):
-        return f"{_nested_reader(arg, tag, namespace)}(v, where + {'.' + key!r})"
+    # a nested class that writes its own from_dict is read by its kind's decode
+    if form == "nested" and "from_dict" not in arg._codec.own:
+        namespace[tag + "c"] = arg._read_fields
+        return f"{tag}c(v, where + {'.' + key!r})"
     if form != "tuple":
         return slow
     item = arg
@@ -692,10 +651,9 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
             f"tuple([{tag}m[x] for x in v]) "
             f"if type(v) is list and all([type(x) is str and x in {tag}m for x in v]) else {slow}"
         )
-    if item.form == "nested" and hasattr(item.arg, "_codec"):
-        namespace["_read_items"] = _read_items
-        read = _nested_reader(item.arg, tag, namespace)
-        return f"_read_items({read}, v, where, {tag}, {key!r}) if type(v) is list else {slow}"
+    if item.form == "nested" and "from_dict" not in item.arg._codec.own:
+        namespace["_read_items"], namespace[tag + "c"] = _read_items, item.arg._read_fields
+        return f"_read_items({tag}c, v, where, {tag}, {key!r}) if type(v) is list else {slow}"
     return slow
 
 
@@ -709,16 +667,6 @@ def _read_items(read: Callable, items: list, where: str, decode: Callable, key: 
     except SchemaError:
         pass
     return decode(items, where, key)
-
-
-def _nested_reader(doc_cls: type, tag: str, namespace: dict[str, Any]) -> str:
-    """The name of what reads a nested document: its compiled reader, or its
-    own ``from_dict``, looked up on each call, where the class wrote one."""
-    if "from_dict" in doc_cls._codec.own:
-        namespace[tag + "c"] = doc_cls
-        return f"{tag}c.from_dict"
-    namespace[tag + "c"] = doc_cls._read_fields
-    return tag + "c"
 
 
 _BUILDERS = {"to_dict": _dict_writer, "from_dict": _from_dict, "_read_fields": _reader}

@@ -18,12 +18,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, _schema
-from .errors import AwplanError, CalibrationError, SchemaError
+from .errors import AwplanError, CalibrationError, SchemaError, TopologyError
 from .iofmt import PlotSeries, canonical_json, export_q_vs_distance, parse_json, plot_series_to_csv
 from .perfmodel import (
-    CalibrationPoint, Feasibility, QEstimate, QModel, Thresholds, calibrate, check_l_ref, estimate_q,
+    DEFAULT_L_REF_KM, DESIGN_MIN_DB, HARD_MIN_DB, CalibrationPoint, Feasibility, QEstimate, QModel, Thresholds,
+    calibrate, check_l_ref, estimate_q,
 )
-from .planner import Demand, PlannerPolicy, PlanReport, plan_link, validate_plan
+from .planner import DEFAULT_POLICY, Demand, PlannerPolicy, PlanReport, plan_link, validate_plan
 from .spectrum import (
     AllocationResult, Modulation, NeighborConfig, PlacementRequest, SpectrumGrid, empty_grid, first_fit_allocate,
 )
@@ -123,13 +124,18 @@ _KINDS = {
 
 
 def _identify(data, path: str) -> _Kind:
-    """The first row whose keys *data* has; an array that no row
-    identifies is read as calibration points."""
+    """The first row whose keys *data* has (for an array, its first item),
+    else the first row that has some of them, so that its reader names the
+    missing key; an array that no row identifies is read as calibration
+    points."""
     array = isinstance(data, list)
     head = data[0] if array and data else data
-    for kind in _KINDS.values():
-        if (kind.array == "") == array and isinstance(head, dict) and all(key in head for key in kind.keys):
-            return kind
+    rows = [kind for kind in _KINDS.values() if (kind.array == "") == array]
+    if isinstance(head, dict):
+        for test in (all, any):
+            for kind in rows:
+                if test(key in head for key in kind.keys):
+                    return kind
     if array:
         return _KINDS["calibration points"]
     raise SchemaError(f"{path}: unrecognized document type")
@@ -153,9 +159,14 @@ def _load_grid(path: str | None) -> SpectrumGrid:
 
 
 def _load_model(path: str, l_ref_km: float):
+    check_l_ref(l_ref_km)  # a bad flag is no fault of the file
     text = _read_text(path)
     points = _decode(_KINDS["calibration points"], parse_json(text, label=path), path)
-    return calibrate(points, l_ref_km), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    try:
+        model = calibrate(points, l_ref_km)
+    except CalibrationError as err:
+        raise CalibrationError(f"{path}: {err}") from None
+    return model, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_modulation(text: str) -> Modulation:
@@ -251,7 +262,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     grid = _load_grid(args.grid)
     demands = _load("demands", args.demands)
     policy = _policy_from(args)
-    reports = [plan_link(demand, topology, grid, model, policy) for demand in demands]
+    reports = []
+    for i, demand in enumerate(demands):
+        try:
+            reports.append(plan_link(demand, topology, grid, model, policy))
+        except TopologyError as err:
+            raise TopologyError(f"{args.demands}[{i}]: {err}") from None
     document = {
         "model_provenance": {"calibration_sha256": digest},
         "reports": [report.to_dict() for report in reports],
@@ -296,15 +312,15 @@ def _add_calib_args(parser: argparse.ArgumentParser, flag: str | None = "--calib
     """The calibration points file under *flag* (validate reads none) and its reference distance."""
     if flag:
         parser.add_argument(flag, required=True, help="calibration points file (JSON list)")
-    parser.add_argument("--l-ref", type=float, default=345.0, help="reference distance in km (default 345)")
+    parser.add_argument(
+        "--l-ref", type=float, default=DEFAULT_L_REF_KM, help="reference distance in km (default %(default)g)"
+    )
 
 
 def _add_threshold_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--hard-min", type=float, default=HARD_MIN_DB, help="hard Q floor in dB (default %(default)g)")
     parser.add_argument(
-        "--hard-min", type=float, default=6.5, help="hard Q floor in dB (default 6.5)"
-    )
-    parser.add_argument(
-        "--design-min", type=float, default=8.5, help="design Q floor in dB (default 8.5)"
+        "--design-min", type=float, default=DESIGN_MIN_DB, help="design Q floor in dB (default %(default)g)"
     )
 
 
@@ -355,12 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_calib_args(plan)
     plan.add_argument("--grid", help="spectrum grid file (default: empty C-band)")
     plan.add_argument("--out", help="output path (default stdout)")
-    plan.add_argument("--guard-band-slots", type=int, default=2)
-    plan.add_argument("--qpsk-reach-limit", type=float, default=1000.0)
+    plan.add_argument("--guard-band-slots", type=int, default=DEFAULT_POLICY.guard_band_slots)
+    plan.add_argument("--qpsk-reach-limit", type=float, default=DEFAULT_POLICY.qpsk_mixed_reach_limit_km)
     plan.add_argument(
         "--sacrifice",
         type=int,
-        default=1,
+        default=DEFAULT_POLICY.dedicated_edge_carrier_sacrifice,
         help="edge carriers given up in a dedicated partition (0 or 1)",
     )
     _add_threshold_args(plan)

@@ -29,6 +29,12 @@ DESIGN_MIN_DB = 8.5
 # so the claim is stated rather than natives omitted.
 NATIVE_IMPACT_DB = 0.0
 
+# A fit squares the numbers of its points, so each is bounded to keep the
+# solve finite: no terrestrial path is longer than the Earth's circumference,
+# and no measured Q comes near 100 dB.
+MAX_POINT_DISTANCE_KM = 40_000.0
+MAX_MEASURED_Q_DB = 100.0
+
 # residual ceiling for an exactly-determined calibration solve
 _SOLVE_TOLERANCE = 1e-9
 
@@ -89,10 +95,12 @@ class CalibrationPoint:
     measured_q_db: float
 
     def __post_init__(self) -> None:
-        for name in ("distance_km", "measured_q_db"):
+        for name, bound in (("distance_km", MAX_POINT_DISTANCE_KM), ("measured_q_db", MAX_MEASURED_Q_DB)):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if value > bound:
+                raise ValueError(f"{name} must be at most {bound:g}, got {value}")
         if self.distance_km < 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.measured_q_db <= 0:

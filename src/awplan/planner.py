@@ -11,12 +11,12 @@ higher Q margin, then to mixed spectrum to avoid carving.
 
 from __future__ import annotations
 
-from dataclasses import field
 from enum import Enum
 
 from . import _schema
 from .errors import PlanningError
 from .perfmodel import (
+    DEFAULT_THRESHOLDS,
     NATIVE_IMPACT_DB,
     Feasibility,
     QEstimate,
@@ -79,7 +79,7 @@ class PlannerPolicy:
     guard_band_slots: int = DEFAULT_GUARD_BAND_SLOTS
     qpsk_mixed_reach_limit_km: float = DEFAULT_QPSK_MIXED_REACH_LIMIT_KM
     dedicated_edge_carrier_sacrifice: int = 1
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    thresholds: Thresholds = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         check_guard_band(self.guard_band_slots, ValueError)

@@ -25,7 +25,6 @@ All operations are pure: they take a grid and return an updated copy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from typing import Literal
@@ -270,7 +269,7 @@ class SpectrumGrid:
     the planner's probes; they are not fields, so equality, repr and
     serialization ignore them."""
 
-    band: BandConfig = field(default_factory=BandConfig)
+    band: BandConfig = BandConfig()
     natives: tuple[NativeChannel, ...] = ()
     superchannels: tuple[SuperChannel, ...] = ()
     partitions: tuple[DedicatedPartition, ...] = ()

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from awplan.cli import main
+from awplan import perfmodel, planner
+from awplan.cli import _build_parser, main
 from conftest import FIXTURE_DIR
 
 CALIB = "reference.calib.json"
@@ -98,6 +99,56 @@ def test_non_finite_calibration_point_exits_two_naming_the_point(capsys, fixture
     assert code == 2
     assert out == ""
     assert err == f"error: {path}[0]: measured_q_db must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("field", ["distance_km", "measured_q_db"])
+@pytest.mark.parametrize("command", ["calibrate", "estimate", "plan", "export-plot", "validate"])
+def test_huge_calibration_number_exits_two_naming_the_point(capsys, fx, fixture_dir, tmp_path, command, field):
+    points = json.loads((fixture_dir / CALIB).read_text())
+    points[3][field] = 1e308
+    path = tmp_path / "huge.calib.json"
+    path.write_text(json.dumps(points))
+    argv = {
+        "calibrate": ["calibrate", "--points", str(path)],
+        "estimate": ["estimate", "--calib", str(path), "--distance", "1131", "--modulation", "qpsk"],
+        "plan": ["plan", "--calib", str(path), "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json")],
+        "export-plot": ["export-plot", "--calib", str(path), "--modulation", "qpsk", "--distances", "345"],
+        "validate": ["validate", str(path)],
+    }[command]
+    bound = {"distance_km": "40000", "measured_q_db": "100"}[field]
+    assert run(capsys, *argv) == (2, "", f"error: {path}[3]: {field} must be at most {bound}, got 1e+308\n")
+
+
+def test_a_failed_fit_names_the_points_file(capsys, fixture_dir, tmp_path):
+    points = [
+        point for point in json.loads((fixture_dir / CALIB).read_text())
+        if not (point["modulation"] == "QPSK" and point["distance_km"] == 345.0 and not any(point["neighbor_config"].values()))
+    ]
+    path = tmp_path / "no-baseline.calib.json"
+    path.write_text(json.dumps(points))
+    message = "QPSK: missing zero-neighbor baseline point at 345.0 km"
+    assert run(capsys, "calibrate", "--points", str(path)) == (2, "", f"error: {path}: {message}\n")
+    # validate reports the fit as a finding about the document it was given
+    assert run(capsys, "validate", str(path)) == (1, f"CALIBRATION: {message}\n", "")
+    # a bad flag is checked before the file is read, and names no file
+    assert run(capsys, "calibrate", "--points", str(path), "--l-ref", "nan") == (
+        2, "", "error: l_ref_km must be finite, got nan\n"
+    )
+
+
+def test_cli_defaults_are_the_library_defaults():
+    args = _build_parser().parse_args(["plan", "--topology", "t", "--demands", "d", "--calib", "c"])
+    assert args.l_ref == perfmodel.DEFAULT_L_REF_KM
+    assert (args.hard_min, args.design_min) == (perfmodel.HARD_MIN_DB, perfmodel.DESIGN_MIN_DB)
+    assert args.guard_band_slots == planner.DEFAULT_GUARD_BAND_SLOTS
+    assert args.qpsk_reach_limit == planner.DEFAULT_QPSK_MIXED_REACH_LIMIT_KM
+    policy = planner.PlannerPolicy(
+        guard_band_slots=args.guard_band_slots,
+        qpsk_mixed_reach_limit_km=args.qpsk_reach_limit,
+        dedicated_edge_carrier_sacrifice=args.sacrifice,
+        thresholds=perfmodel.Thresholds(args.hard_min, args.design_min),
+    )
+    assert policy == planner.PlannerPolicy()
 
 
 class TestEstimate:
@@ -284,6 +335,14 @@ class TestPlan:
         assert chosen["active_carriers"] == 9
         assert chosen["capacity_gbps"] == 450.0
 
+    def test_unknown_node_names_the_demand(self, capsys, fx, fixture_dir, tmp_path):
+        demands = json.loads((fixture_dir / "rm-mi2.demands.json").read_text())
+        demands.append({**demands[0], "path": ["RM", "XX"]})
+        path = tmp_path / "unknown.demands.json"
+        path.write_text(json.dumps(demands))
+        code, out, err = run(capsys, "plan", "--topology", fx(TOPO), "--demands", str(path), "--calib", fx(CALIB))
+        assert (code, out, err) == (2, "", f"error: {path}[1]: unknown node 'XX' in path\n")
+
     def test_plan_output_is_deterministic(self, capsys, fx):
         argv = (
             "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
@@ -466,6 +525,34 @@ class TestValidate:
         broken = tmp_path / "points.json"
         broken.write_text(json.dumps(points))
         assert run(capsys, "validate", str(broken)) == (2, "", f"error: {broken}[0].distance_km: missing required field\n")
+
+    @pytest.mark.parametrize(
+        "fixture, command, dropped",
+        [
+            ("trial.requests.json", ["allocate", "--grid", "busy.grid.json", "--requests"], "kind"),
+            ("trial.requests.json", ["allocate", "--grid", "busy.grid.json", "--requests"], "id"),
+            ("rm-mi2.demands.json", ["plan", "--topology", TOPO, "--calib", CALIB, "--demands"], "path"),
+            ("rm-mi2.demands.json", ["plan", "--topology", TOPO, "--calib", CALIB, "--demands"], "required_capacity_gbps"),
+        ],
+    )
+    def test_a_missing_identifying_key_is_blamed_as_the_reading_command_does(
+        self, capsys, fx, fixture_dir, tmp_path, fixture, command, dropped
+    ):
+        items = json.loads((fixture_dir / fixture).read_text())
+        del items[0][dropped]
+        path = tmp_path / fixture
+        path.write_text(json.dumps(items))
+        message = f"error: {path}[0].{dropped}: missing required field\n"
+        assert run(capsys, "validate", str(path)) == (2, "", message)
+        argv = [fx(arg) if arg.endswith(".json") else arg for arg in command]
+        assert run(capsys, *argv, str(path)) == (2, "", message)
+
+    def test_a_missing_identifying_key_of_an_object_is_blamed(self, capsys, fixture_dir, tmp_path):
+        topology = json.loads((fixture_dir / TOPO).read_text())
+        del topology["nodes"]
+        path = tmp_path / "no-nodes.topo.json"
+        path.write_text(json.dumps(topology))
+        assert run(capsys, "validate", str(path)) == (2, "", f"error: {path}.nodes: missing required field\n")
 
     def test_calibration_file_ok(self, capsys, fx):
         code, out, _ = run(capsys, "validate", fx(CALIB))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,24 @@ class TestCalibrationPoint:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError, match="distance_km"):
             point(10.0, distance=-1.0)
+
+    def test_numbers_are_bounded(self):
+        assert point(100.0, distance=40_000.0).distance_km == 40_000.0
+        with pytest.raises(ValueError, match="^distance_km must be at most 40000, got 40000.5$"):
+            point(10.0, distance=40_000.5)
+        with pytest.raises(ValueError, match="^measured_q_db must be at most 100, got 100.5$"):
+            point(100.5)
+
+    def test_a_calibration_of_bounded_points_is_finite(self):
+        # the largest numbers a point may hold do not overflow the solve
+        far = 40_000.0
+        points = [
+            point(q - penalty, modulation=m, neighbors=n)
+            for m, q in ((Modulation.BPSK, 100.0), (Modulation.QPSK, 90.0))
+            for n, penalty in ((CLEAN, 0), (NeighborConfig(guarded_native_count=1), 1), (NeighborConfig(0, 1), 2))
+        ] + [point(1e-9, distance=far, modulation=m) for m in Modulation]
+        model = calibrate(points)
+        assert all(math.isfinite(v) for v in model.slope_db_per_km.values())
 
     def test_round_trips_through_dict(self):
         p = point(13.77, neighbors=NeighborConfig(guarded_native_count=2))

@@ -1,7 +1,7 @@
 """The compiled records against plain ``@dataclass(frozen=True)`` twins.
 
 Every record gets a twin built by ``dataclasses`` from the same fields,
-defaults, default factories and ``__post_init__``. On Hypothesis values the
+defaults and ``__post_init__``. On Hypothesis values the
 two must build or refuse alike, and then agree on ``==``, ``hash``,
 ``repr``, ``dataclasses.replace`` and frozen assignment and deletion; the
 record must also survive ``copy.deepcopy`` and ``pickle``. Values hold no
@@ -234,10 +234,17 @@ def test_a_record_holding_a_nan_equals_itself():
     assert estimate != QEstimate(float("nan"), Feasibility.OK)
 
 
-def test_default_factories_run_per_record():
-    assert spectrum.SpectrumGrid().band == spectrum.BandConfig()
-    assert spectrum.SpectrumGrid().band is not spectrum.SpectrumGrid().band
-    assert planner.PlannerPolicy().thresholds == perfmodel.Thresholds()
+def test_a_record_default_is_one_shared_frozen_record():
+    for make, field, fresh in [
+        (spectrum.SpectrumGrid, "band", spectrum.BandConfig),
+        (planner.PlannerPolicy, "thresholds", perfmodel.Thresholds),
+    ]:
+        default = getattr(make(), field)
+        assert default == fresh()
+        assert getattr(make(), field) is default is make.__dataclass_fields__[field].default
+        name = dataclasses.fields(default)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(default, name, getattr(default, name))
 
 
 def test_vars_fails_on_a_slotted_record():
@@ -258,10 +265,11 @@ def test_import_compiles_only_the_records_it_builds():
         "import sys, dataclasses, awplan.cli, awplan.adaptation, awplan._schema as s\n"
         "records = {c for n, m in list(sys.modules.items()) if n.startswith('awplan.') and n != 'awplan._schema'\n"
         "           for c in vars(m).values() if isinstance(c, type) and dataclasses.is_dataclass(c)}\n"
-        "def built(name): return sorted(c.__name__ for c in records if not isinstance(vars(c)[name], s._Unbuilt))\n"
-        "print(len(records), built('__init__'), built('__eq__'), built('__hash__'), built('__repr__'))"
+        "built = sorted(c.__name__ for c in records if not isinstance(vars(c)['__init__'], s._Unbuilt))\n"
+        "shared = all(vars(c)[n] is getattr(s, '_record_' + n.strip('_')) for c in records for n in ('__eq__', '__hash__', '__repr__'))\n"
+        "print(len(records), built, shared)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout == "30 ['CarrierPair', 'PlannerPolicy', 'Thresholds'] [] [] []\n"
+    assert result.stdout == "30 ['BandConfig', 'CarrierPair', 'PlannerPolicy', 'Thresholds'] True\n"
