@@ -9,20 +9,22 @@ reals fixed at four decimal places.
 A record is a class decorated with :func:`record`: a frozen dataclass with
 slots (an instance dict only where a ``cached_property`` needs one). Only
 the code that runs hot is compiled with ``exec``, each function on its first
-use: a record's ``__init__``, and per document type ``to_dict()``,
-``from_dict(data, path)`` and the straight-line field reader
-``_read_fields(data, where)``. Every record shares one ``__eq__``,
-``__hash__`` and ``__repr__``. A document type is a record decorated with
-:func:`document`; its field annotations are the schema, each one mapping to
-a :class:`Kind`. Importing the package compiles only the constructors of the
-records it builds. Keys follow the field order. A codec method the class
-defines itself is kept.
+use: a record's ``__init__``, and per document type ``to_dict()`` and the
+straight-line reader ``from_dict(data, path)``. Every record shares one
+``__eq__``, ``__hash__`` and ``__repr__``. A document type is a record
+decorated with :func:`document`; its field annotations are the schema, each
+one mapping to a :class:`Kind`. Importing the package compiles only the
+constructors of the records it builds. Keys follow the field order. A codec
+method the class defines itself is kept; a class that writes its own
+``from_dict`` gets the compiled reader as ``_read_fields``.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
-every message and the order of messages are those of the generic code. The
-items of a list of nested documents are read without their paths; on a
-fault the list is read again by its kind's ``decode``, which words it.
+every message and the order of messages are those of the generic code. A
+nested document, alone or in a list, is read by its class's ``from_dict``,
+looked up at each call. The items of a list of nested documents are read
+without their paths; on a fault the list is read again by its kind's
+``decode``, which words it.
 
 Only plain data (dicts, lists, scalars) is written; a document is written
 as its ``to_dict()``. The writers are compiled per dict shape, the tuple of
@@ -62,6 +64,8 @@ def parse_json(text: str, label: str = "document"):
         ) from None
     except RecursionError:
         raise SchemaError(f"{label}: invalid JSON: nested too deeply") from None
+    except ValueError as err:  # such as an integer past the interpreter's digit limit
+        raise SchemaError(f"{label}: invalid JSON: {err}") from None
 
 
 def _type_name(value: Any) -> str:
@@ -114,9 +118,8 @@ _quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a st
 
 
 def _array(texts: list[str], pad: str) -> str:
-    """An array from the texts of its items, each written at ``pad + "  "``."""
-    if not texts:
-        return "[]"
+    """An array from the texts of its items (at least one), each written at
+    ``pad + "  "``."""
     inner = pad + "  "
     return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
@@ -261,10 +264,8 @@ def _shape_writer(sample: dict) -> Callable[[dict, str], str]:
 
 
 def _template(keys) -> str:
-    """An f-string body of a dict whose value texts are ``t0``, ``t1``, …,
-    written at ``pad`` with its keys at ``inner``."""
-    if not keys:
-        return "{{}}"
+    """An f-string body of a dict of at least one key whose value texts are
+    ``t0``, ``t1``, …, written at ``pad`` with its keys at ``inner``."""
     rows = [f"{{inner}}{_quote(key).replace('{', '{{').replace('}', '}}')}: {{t{i}}}" for i, key in enumerate(keys)]
     return "{{" + ",".join(rows) + "{pad}}}"
 
@@ -546,23 +547,15 @@ def document(
 
     def wrap(cls: type) -> type:
         cls = record(cls)
-        cls._codec = _Codec(cls, path, keys or {}, optional)
+        cls._codec = codec = _Codec(cls, path, keys or {}, optional)
         for name, build in _BUILDERS.items():
-            if name not in cls._codec.own:
+            if name not in codec.own:
                 setattr(cls, name, _Unbuilt(cls, name, build))
+        if "from_dict" in codec.own:
+            cls._read_fields = _Unbuilt(cls, "_read_fields", _reader)
         return cls
 
     return wrap
-
-
-def _from_dict(cls: type) -> classmethod:
-    read_fields, default_path = cls._read_fields, cls._codec.path
-
-    def from_dict(cls_: type, data: dict, path: str = default_path) -> Any:
-        return read_fields(data, path)
-
-    from_dict.__qualname__ = f"{cls.__qualname__}.from_dict"
-    return classmethod(from_dict)
 
 
 def _dict_writer(cls: type) -> Callable[[Any], dict]:
@@ -592,15 +585,19 @@ def _write_expr(kind: Kind, value: str, tag: str, namespace: dict[str, Any]) -> 
 
 
 def _reader(cls: type) -> staticmethod:
-    """``_read_fields(data, where)`` compiled to straight-line code: one block
-    per field, in key order, so the first fault in key order is reported."""
+    """``from_dict(data, path=<codec path>)`` compiled to straight-line code:
+    one block per field, in key order, so the first fault in key order is
+    reported. A class that writes its own ``from_dict`` gets it as
+    ``_read_fields``."""
+    name = "_read_fields" if "from_dict" in cls._codec.own else "from_dict"
     namespace: dict[str, Any] = {
         "_cls": cls, "_get_object": get_object, "_missing": _missing, "SchemaError": SchemaError,
+        "_path": cls._codec.path,
     }
     lines = [
-        "def _read_fields(data, where):",
+        f"def {name}(data, path=_path):",
         "    if type(data) is not dict:",
-        "        data = _get_object(data, where)",
+        "        data = _get_object(data, path)",
     ]
     fields = cls._codec.fields
     for i, (_, key, kind, default) in enumerate(fields):
@@ -611,7 +608,7 @@ def _reader(cls: type) -> staticmethod:
             "    else:",
         ]
         if default is _REQUIRED:
-            lines.append(f"        raise _missing(where, {key!r})")
+            lines.append(f"        raise _missing(path, {key!r})")
         else:
             namespace[f"_default{i}"] = default
             lines.append(f"        f{i} = _default{i}")
@@ -619,27 +616,27 @@ def _reader(cls: type) -> staticmethod:
         "    try:",
         f"        return _cls({', '.join(f'f{i}' for i in range(len(fields)))})",  # positional: fields in order
         "    except ValueError as err:",
-        "        raise SchemaError(f'{where}: {err}') from None",
+        "        raise SchemaError(f'{path}: {err}') from None",
     ]
-    return staticmethod(_compile(cls, "_read_fields", lines, namespace))
+    return staticmethod(_compile(cls, name, lines, namespace))
 
 
 def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str:
     """An expression of the decoded field value from its raw value ``v``: the
     inlined read where ``v`` has exactly the declared type, else the kind's
-    decode, which words the error."""
+    decode, which words the error. A nested document is read by its class's
+    ``from_dict``, looked up at each call."""
     namespace[tag] = kind.decode
-    slow = f"{tag}(v, where, {key!r})"
+    slow = f"{tag}(v, path, {key!r})"
     form, arg = kind.form, kind.arg
     if form == "scalar":
         return f"v if type(v) is {arg.__name__} else {slow}"
     if form in ("member", "enum"):
         namespace[tag + "m"] = arg
         return f"{tag}m[v] if type(v) is str and v in {tag}m else {slow}"
-    # a nested class that writes its own from_dict is read by its kind's decode
-    if form == "nested" and "from_dict" not in arg._codec.own:
-        namespace[tag + "c"] = arg._read_fields
-        return f"{tag}c(v, where + {'.' + key!r})"
+    if form == "nested":
+        namespace[tag + "c"] = arg
+        return f"{tag}c.from_dict(v, path + {'.' + key!r})"
     if form != "tuple":
         return slow
     item = arg
@@ -651,9 +648,9 @@ def _read_expr(kind: Kind, tag: str, key: str, namespace: dict[str, Any]) -> str
             f"tuple([{tag}m[x] for x in v]) "
             f"if type(v) is list and all([type(x) is str and x in {tag}m for x in v]) else {slow}"
         )
-    if item.form == "nested" and "from_dict" not in item.arg._codec.own:
-        namespace["_read_items"], namespace[tag + "c"] = _read_items, item.arg._read_fields
-        return f"_read_items({tag}c, v, where, {tag}, {key!r}) if type(v) is list else {slow}"
+    if item.form == "nested":
+        namespace["_read_items"], namespace[tag + "c"] = _read_items, item.arg
+        return f"_read_items({tag}c.from_dict, v, path, {tag}, {key!r}) if type(v) is list else {slow}"
     return slow
 
 
@@ -669,4 +666,4 @@ def _read_items(read: Callable, items: list, where: str, decode: Callable, key: 
     return decode(items, where, key)
 
 
-_BUILDERS = {"to_dict": _dict_writer, "from_dict": _from_dict, "_read_fields": _reader}
+_BUILDERS = {"to_dict": _dict_writer, "from_dict": _reader}

@@ -72,14 +72,12 @@ def compute_voa_settings(
     clipped: list[str] = []
     max_residual = 0.0
     for reading in readings:
-        attenuation = max(0.0, reading.power_dbm - target_dbm)
-        settings.append(VoaSetting(channel_ref=reading.channel_ref, attenuation_db=attenuation))
-        if reading.power_dbm < target_dbm:
+        power = reading.power_dbm
+        settings.append(VoaSetting(channel_ref=reading.channel_ref, attenuation_db=max(0.0, power - target_dbm)))
+        if power < target_dbm:
             clipped.append(reading.channel_ref)
-            residual = abs(reading.power_dbm - target_dbm)
-        else:
-            residual = abs((reading.power_dbm - attenuation) - target_dbm)
-        max_residual = max(max_residual, residual)
+        # a residual is the clipped shortfall: a levelled channel meets the target
+        max_residual = max(max_residual, target_dbm - power)
     return EqualizationResult(
         settings=tuple(settings),
         max_residual_db=max_residual,

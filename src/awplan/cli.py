@@ -75,7 +75,7 @@ def _stamped(document: dict, args: argparse.Namespace) -> dict:
     return {**document, "_meta": meta}
 
 
-def _calibration_findings(points: list, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+def _calibration_findings(points: list, args: argparse.Namespace) -> list:
     try:
         calibrate(points, args.l_ref)
     except CalibrationError as err:
@@ -83,7 +83,8 @@ def _calibration_findings(points: list, args: argparse.Namespace, grid: Spectrum
     return []
 
 
-def _plan_findings(reports: list, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+def _plan_findings(reports: list, args: argparse.Namespace) -> list:
+    grid = _load_grid(args.grid)
     policy = PlannerPolicy(thresholds=_thresholds_from(args))
     return [
         (violation.code, f"reports[{i}]: {violation.message}")
@@ -92,7 +93,7 @@ def _plan_findings(reports: list, args: argparse.Namespace, grid: SpectrumGrid |
     ]
 
 
-def _topology_findings(topology: NetworkTopology, args: argparse.Namespace, grid: SpectrumGrid | None) -> list:
+def _topology_findings(topology: NetworkTopology, args: argparse.Namespace) -> list:
     return [(violation.code, violation.message) for violation in validate_topology(topology)]
 
 
@@ -100,7 +101,8 @@ class _Kind(NamedTuple):
     """A row of the table of document kinds: the keys that identify a document
     (for an array, those of its first item), its record class, where its
     records are (the document itself where ``array`` is None, else the items
-    of the array at key ``array``, "" being the document) and validate's check."""
+    of the array at key ``array``, "" being the document) and validate's check,
+    which takes the decoded document and the arguments and returns findings."""
 
     keys: tuple[str, ...]
     cls: type
@@ -297,9 +299,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _thresholds_from(args)
     data = parse_json(_read_text(args.file), label=args.file)
     kind = _identify(data, args.file)
-    grid = _load_grid(args.grid) if kind.check is _plan_findings else None
     document = _decode(kind, data, args.file)
-    findings = kind.check(document, args, grid) if kind.check else []
+    findings = kind.check(document, args) if kind.check else []
     if findings:
         for code, message in findings:
             sys.stdout.write(f"{code}: {message}\n")

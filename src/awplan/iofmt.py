@@ -13,7 +13,7 @@ import math
 from . import _schema
 from ._schema import _text, format_real, parse_json
 from .errors import SchemaError
-from .perfmodel import DEFAULT_THRESHOLDS, QModel, Thresholds, estimate_q
+from .perfmodel import QModel, estimate_q
 from .spectrum import Modulation, NeighborConfig
 from .topology import PathMetrics
 
@@ -111,7 +111,6 @@ def export_q_vs_distance(
     modulation: Modulation,
     neighbors: NeighborConfig,
     distances: list[float] | tuple[float, ...],
-    thresholds: Thresholds | None = None,
 ) -> PlotSeries:
     """Predicted Q across distances for one modulation and neighbor context,
     sorted ascending by distance."""
@@ -128,8 +127,7 @@ def export_q_vs_distance(
             roadm_count=0,
             raman_span_count=0,
         )
-        estimate = estimate_q(model, metrics, modulation, neighbors, thresholds or DEFAULT_THRESHOLDS)
-        points.append((float(distance), estimate.value_db))
+        points.append((float(distance), estimate_q(model, metrics, modulation, neighbors).value_db))
     return PlotSeries(
         label=f"{modulation.value} ({_neighbor_label(neighbors)})",
         points=tuple(points),

@@ -147,6 +147,14 @@ def _zero_neighbors(point: CalibrationPoint) -> bool:
     return cfg.guarded_native_count == 0 and cfg.unguarded_native_count == 0
 
 
+# the roles that each modulation's points at the reference distance must cover
+_REFERENCE_ROLES = (
+    ("zero-neighbor baseline", _zero_neighbors),
+    ("guarded-neighbor", lambda p: p.neighbor_config.guarded_native_count > 0),
+    ("unguarded-neighbor", lambda p: p.neighbor_config.unguarded_native_count > 0),
+)
+
+
 def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], int]:
     """Least-squares solution of ``rows · x = rhs`` and the numerical rank of
     ``rows``, by Householder QR with column pivoting. The solution is only
@@ -207,21 +215,10 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
         by_modulation[point.modulation].append(point)
 
     for modulation, group in by_modulation.items():
-        name = modulation.value
-        if not any(_at_reference(p, l_ref_km) and _zero_neighbors(p) for p in group):
-            raise CalibrationError(
-                f"{name}: missing zero-neighbor baseline point at {l_ref_km} km"
-            )
-        if not any(
-            _at_reference(p, l_ref_km) and p.neighbor_config.guarded_native_count > 0
-            for p in group
-        ):
-            raise CalibrationError(f"{name}: missing guarded-neighbor point at {l_ref_km} km")
-        if not any(
-            _at_reference(p, l_ref_km) and p.neighbor_config.unguarded_native_count > 0
-            for p in group
-        ):
-            raise CalibrationError(f"{name}: missing unguarded-neighbor point at {l_ref_km} km")
+        at_reference = [p for p in group if _at_reference(p, l_ref_km)]
+        for role, test in _REFERENCE_ROLES:
+            if not any(test(p) for p in at_reference):
+                raise CalibrationError(f"{modulation.value}: missing {role} point at {l_ref_km} km")
 
     has_long = {
         m: any(not _at_reference(p, l_ref_km) and _zero_neighbors(p) for p in group)

@@ -237,37 +237,46 @@ def enumerate_options(
     flagged rather than dropped."""
     mixed_neighbors = context.mixed_neighbors if context.mixed_neighbors is not None else NeighborConfig()
     dedicated_neighbors = NeighborConfig(in_dedicated_partition=True)
-    within_reach = metrics.distance_km <= policy.qpsk_mixed_reach_limit_km
+    dedicated_active = MAX_CARRIERS - policy.dedicated_edge_carrier_sacrifice
 
-    def mixed_option(modulation: Modulation) -> PlanOption:
+    def option(strategy: Strategy, modulation: Modulation, neighbors: NeighborConfig, active: int) -> PlanOption:
         pairs = _uniform(modulation)
-        q = estimate_q(model, metrics, modulation, mixed_neighbors, policy.thresholds)
-        feasible = (
-            context.mixed_available
-            and q.feasibility is not Feasibility.INFEASIBLE
-            and (modulation is Modulation.BPSK or within_reach)
-        )
+        q = estimate_q(model, metrics, modulation, neighbors, policy.thresholds)
         return PlanOption(
-            strategy=Strategy.MIXED_SPECTRUM,
+            strategy=strategy,
             pair_modulations=pairs,
-            active_carriers=MAX_CARRIERS,
-            capacity_gbps=superchannel_capacity(pairs, MAX_CARRIERS),
+            active_carriers=active,
+            capacity_gbps=superchannel_capacity(pairs, active),
             q=q,
-            feasible=feasible,
+            feasible=_unfit(strategy, modulation, q, metrics, context, policy) is None,
         )
 
-    active = MAX_CARRIERS - policy.dedicated_edge_carrier_sacrifice
-    q_dedicated = estimate_q(model, metrics, Modulation.QPSK, dedicated_neighbors, policy.thresholds)
-    dedicated = PlanOption(
-        strategy=Strategy.DEDICATED_PARTITION,
-        pair_modulations=_uniform(Modulation.QPSK),
-        active_carriers=active,
-        capacity_gbps=superchannel_capacity(_uniform(Modulation.QPSK), active),
-        q=q_dedicated,
-        feasible=context.dedicated_available
-        and q_dedicated.feasibility is not Feasibility.INFEASIBLE,
-    )
-    return [mixed_option(Modulation.BPSK), mixed_option(Modulation.QPSK), dedicated]
+    return [
+        option(Strategy.MIXED_SPECTRUM, Modulation.BPSK, mixed_neighbors, MAX_CARRIERS),
+        option(Strategy.MIXED_SPECTRUM, Modulation.QPSK, mixed_neighbors, MAX_CARRIERS),
+        option(Strategy.DEDICATED_PARTITION, Modulation.QPSK, dedicated_neighbors, dedicated_active),
+    ]
+
+
+def _unfit(
+    strategy: Strategy, modulation: Modulation, q: QEstimate,
+    metrics: PathMetrics, context: GridContext, policy: PlannerPolicy,
+) -> str | None:
+    """Why an option cannot be deployed, or None when it can: the one
+    feasibility test, whose text the rationale quotes."""
+    if q.feasibility is Feasibility.INFEASIBLE:
+        return f"Q {q.value_db:.2f} dB is at or below the {policy.thresholds.hard_min_db:g} dB floor"
+    if strategy is Strategy.DEDICATED_PARTITION:
+        return None if context.dedicated_available else "no dedicated partition available or carvable"
+    if not context.mixed_available:
+        return "no mixed-spectrum window available"
+    if modulation is Modulation.QPSK and metrics.distance_km > policy.qpsk_mixed_reach_limit_km:
+        return (
+            f"distance {metrics.distance_km:.0f} km exceeds the "
+            f"{policy.qpsk_mixed_reach_limit_km:g} km reach limit for QPSK "
+            f"beside IM-DD neighbors"
+        )
+    return None
 
 
 def _option_key(option: PlanOption) -> tuple:
@@ -292,30 +301,14 @@ def _rejection_reason(
     policy: PlannerPolicy,
 ) -> str:
     if not option.feasible:
-        if option.q.feasibility is Feasibility.INFEASIBLE:
-            return (
-                f"Q {option.q.value_db:.2f} dB is at or below the "
-                f"{policy.thresholds.hard_min_db:g} dB floor"
-            )
-        if option.strategy is Strategy.MIXED_SPECTRUM:
-            if not context.mixed_available:
-                return "no mixed-spectrum window available"
-            return (
-                f"distance {metrics.distance_km:.0f} km exceeds the "
-                f"{policy.qpsk_mixed_reach_limit_km:g} km reach limit for QPSK "
-                f"beside IM-DD neighbors"
-            )
-        return "no dedicated partition available or carvable"
+        return _unfit(option.strategy, option.pair_modulations[0], option.q, metrics, context, policy)
+    # a feasible option lost on _option_key: a mixed option that tied the
+    # chosen one on capacity and Q would have outranked it
     if option.capacity_gbps < chosen.capacity_gbps:
-        return (
-            f"lower capacity ({option.capacity_gbps:.0f} vs "
-            f"{chosen.capacity_gbps:.0f} Gbps)"
-        )
+        return f"lower capacity ({option.capacity_gbps:.0f} vs {chosen.capacity_gbps:.0f} Gbps)"
     if option.q.value_db < chosen.q.value_db:
         return f"lower Q margin ({option.q.value_db:.2f} vs {chosen.q.value_db:.2f} dB)"
-    if option.strategy is Strategy.DEDICATED_PARTITION:
-        return "would carve a dedicated partition for no capacity or margin gain"
-    return "tied with the chosen option"
+    return "would carve a dedicated partition for no capacity or margin gain"
 
 
 def plan_link(
@@ -402,19 +395,16 @@ def validate_plan(
                 f"{expected_class.value}, report says {chosen.q.feasibility.value}",
             )
         )
-    try:
-        expected_capacity = superchannel_capacity(chosen.pair_modulations, chosen.active_carriers)
-    except PlanningError as err:
-        violations.append(Violation("CAPACITY_MISMATCH", str(err)))
-    else:
-        if abs(expected_capacity - chosen.capacity_gbps) > 1e-9:
-            violations.append(
-                Violation(
-                    "CAPACITY_MISMATCH",
-                    f"capacity {chosen.capacity_gbps:.0f} Gbps does not match "
-                    f"{expected_capacity:.0f} Gbps implied by the pair modulations",
-                )
+    # PlanOption refuses the inputs that make superchannel_capacity raise
+    expected_capacity = superchannel_capacity(chosen.pair_modulations, chosen.active_carriers)
+    if abs(expected_capacity - chosen.capacity_gbps) > 1e-9:
+        violations.append(
+            Violation(
+                "CAPACITY_MISMATCH",
+                f"capacity {chosen.capacity_gbps:.0f} Gbps does not match "
+                f"{expected_capacity:.0f} Gbps implied by the pair modulations",
             )
+        )
 
     context = grid_context_for(grid, policy.guard_band_slots)
     if chosen.strategy is Strategy.MIXED_SPECTRUM and not context.mixed_available:

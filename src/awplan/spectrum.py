@@ -44,6 +44,8 @@ MAX_CARRIERS = PAIR_COUNT * CARRIERS_PER_PAIR
 # whatever a file says. The paper's band has 160 slots; C+L at 25 GHz is
 # about 480.
 MAX_SLOT_COUNT = 1024
+# no band holds more natives than this, so no neighbor count exceeds it
+MAX_NEIGHBOR_COUNT = MAX_SLOT_COUNT // NATIVE_WIDTH_SLOTS
 
 
 class Modulation(Enum):
@@ -168,12 +170,6 @@ class SuperChannel:
     def end_slot(self) -> int:
         return self.start_slot + self.width_slots
 
-    def pair_by_index(self, index: int) -> CarrierPair:
-        for pair in self.pairs:
-            if pair.index == index:
-                return pair
-        raise KeyError(index)
-
     # hand-written: pairs are written sorted by index, whatever their tuple order
     def to_dict(self) -> dict:
         return {
@@ -224,6 +220,8 @@ class NeighborConfig:
     def __post_init__(self) -> None:
         if self.guarded_native_count < 0 or self.unguarded_native_count < 0:
             raise ValueError("neighbor counts must be >= 0")
+        if self.guarded_native_count > MAX_NEIGHBOR_COUNT or self.unguarded_native_count > MAX_NEIGHBOR_COUNT:
+            raise ValueError(f"neighbor counts must be at most {MAX_NEIGHBOR_COUNT}")
         if self.in_dedicated_partition and (
             self.guarded_native_count or self.unguarded_native_count
         ):
@@ -303,20 +301,12 @@ class SpectrumGrid:
     def occupant_map(self) -> dict[int, tuple[OccupantKind, str]]:
         """Slot -> owner map; raises if two occupants ever share a slot."""
         owners: dict[int, tuple[OccupantKind, str]] = {}
-        for native in self.natives:
-            for slot in range(native.start_slot, native.end_slot):
-                if slot in owners:
-                    raise SpectrumError(
-                        f"slot {slot} owned by both {owners[slot][1]!r} and {native.id!r}"
-                    )
-                owners[slot] = (OccupantKind.NATIVE, native.id)
-        for sc in self.superchannels:
-            for slot in range(sc.start_slot, sc.end_slot):
-                if slot in owners:
-                    raise SpectrumError(
-                        f"slot {slot} owned by both {owners[slot][1]!r} and {sc.id!r}"
-                    )
-                owners[slot] = (OccupantKind.SUPERCHANNEL, sc.id)
+        for kind, occupants in ((OccupantKind.NATIVE, self.natives), (OccupantKind.SUPERCHANNEL, self.superchannels)):
+            for occupant in occupants:
+                for slot in range(occupant.start_slot, occupant.end_slot):
+                    if slot in owners:
+                        raise SpectrumError(f"slot {slot} owned by both {owners[slot][1]!r} and {occupant.id!r}")
+                    owners[slot] = (kind, occupant.id)
         return owners
 
     def occupant_ids(self) -> frozenset[str]:
@@ -776,4 +766,3 @@ def unique_occupant_id(grid: SpectrumGrid, stem: str) -> str:
         candidate = f"{stem}-{i}"
         if candidate not in existing:
             return candidate
-    raise AssertionError("unreachable")

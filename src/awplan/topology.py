@@ -158,19 +158,16 @@ def validate_topology(topology: NetworkTopology) -> list[Violation]:
     return violations
 
 
-def parse_topology(
-    document: str | dict, *, strict: bool = True, path: str = "topology"
-) -> NetworkTopology:
+def parse_topology(document: str | dict, *, path: str = "topology") -> NetworkTopology:
     """Parse a topology document (JSON text or an already-decoded object).
 
-    With ``strict=True`` (the default) any invariant violation raises
-    :class:`TopologyError`; ``strict=False`` only enforces the structural
-    schema, so the result can be fed to :func:`validate_topology`. Every
-    error message starts with *path*, such as the file name.
+    Any invariant violation raises :class:`TopologyError`; to collect the
+    violations instead, read the document with ``NetworkTopology.from_dict``
+    and pass it to :func:`validate_topology`. Every error message starts
+    with *path*, such as the file name.
     """
     data = _schema.parse_json(document, path) if isinstance(document, str) else document
-    topology = NetworkTopology.from_dict(data, path)
-    return check_topology(topology, path) if strict else topology
+    return check_topology(NetworkTopology.from_dict(data, path), path)
 
 
 def check_topology(topology: NetworkTopology, path: str) -> NetworkTopology:

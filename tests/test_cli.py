@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,25 @@ def test_huge_calibration_number_exits_two_naming_the_point(capsys, fx, fixture_
     assert run(capsys, *argv) == (2, "", f"error: {path}[3]: {field} must be at most {bound}, got 1e+308\n")
 
 
+@pytest.mark.parametrize("field", ["guarded_native_count", "unguarded_native_count"])
+@pytest.mark.parametrize("command", ["calibrate", "estimate", "plan", "export-plot", "validate"])
+def test_huge_neighbor_count_exits_two_naming_the_point(capsys, fx, fixture_dir, tmp_path, command, field):
+    points = json.loads((fixture_dir / CALIB).read_text())
+    points[2]["neighbor_config"][field] = 10**400
+    path = tmp_path / "huge.calib.json"
+    path.write_text(json.dumps(points))
+    argv = {
+        "calibrate": ["calibrate", "--points", str(path)],
+        "estimate": ["estimate", "--calib", str(path), "--distance", "1131", "--modulation", "qpsk"],
+        "plan": ["plan", "--calib", str(path), "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json")],
+        "export-plot": ["export-plot", "--calib", str(path), "--modulation", "qpsk", "--distances", "345"],
+        "validate": ["validate", str(path)],
+    }[command]
+    assert run(capsys, *argv) == (
+        2, "", f"error: {path}[2].neighbor_config: neighbor counts must be at most 512\n"
+    )
+
+
 def test_a_failed_fit_names_the_points_file(capsys, fixture_dir, tmp_path):
     points = [
         point for point in json.loads((fixture_dir / CALIB).read_text())
@@ -233,6 +253,45 @@ class TestEstimate:
         assert payload["error"] == "SchemaError"
 
 
+BAD_NEIGHBORS = {
+    "two": "neighbors must be 'none', 'dedicated', or '<guarded>,<unguarded>', got 'two'",
+    "a,1": "neighbors 'a,1': invalid literal for int() with base 10: 'a'",
+    "-1,0": "neighbors '-1,0': neighbor counts must be >= 0",
+    "600,0": "neighbors '600,0': neighbor counts must be at most 512",
+    "0,513": "neighbors '0,513': neighbor counts must be at most 512",
+    f"{10**400},0": f"neighbors '{10**400},0': neighbor counts must be at most 512",
+}
+
+
+@pytest.mark.parametrize("neighbors", BAD_NEIGHBORS, ids=["word", "not-int", "negative", "600", "513", "400-digits"])
+@pytest.mark.parametrize("command", ["estimate", "export-plot"])
+def test_bad_neighbors_flag_exits_two(capsys, fx, command, neighbors):
+    argv = [command, "--calib", fx(CALIB), "--modulation", "qpsk", f"--neighbors={neighbors}"]
+    argv += ["--distance", "345"] if command == "estimate" else ["--distances", "345"]
+    assert run(capsys, *argv) == (2, "", f"error: {BAD_NEIGHBORS[neighbors]}\n")
+
+
+@pytest.mark.parametrize(
+    ("distances", "message"),
+    [
+        ("345,x", "distances must be comma-separated numbers, got '345,x'"),
+        (",", "distances must be non-empty"),
+    ],
+    ids=["not-a-number", "empty"],
+)
+def test_bad_distances_flag_exits_two(capsys, fx, distances, message):
+    argv = ["export-plot", "--calib", fx(CALIB), "--modulation", "qpsk", "--distances", distances]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_color_on_a_terminal(capsys, fx, monkeypatch):
+    argv = ["estimate", "--distance", "345", "--modulation", "qpsk", "--calib", fx(CALIB)]
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    assert run(capsys, *argv) == (0, "13.77 / Ok\n", "")  # AWPLAN_NO_COLOR is set
+    monkeypatch.delenv("AWPLAN_NO_COLOR")
+    assert run(capsys, *argv) == (0, "13.77 / \x1b[32mOk\x1b[0m\n", "")
+
+
 class TestAllocate:
     def test_trial_requests(self, capsys, fx):
         code, out, _ = run(
@@ -316,6 +375,12 @@ class TestAllocate:
         assert code == 2
         assert out == ""
         assert err == f"error: {grid}.band: slot_count must be at most 1024, got 1000000000000\n"
+
+    def test_requests_that_are_not_an_array_exit_two(self, capsys, fx, tmp_path):
+        requests = tmp_path / "requests.json"
+        requests.write_text('{"kind": "native", "id": "n"}')
+        argv = ["allocate", "--grid", fx("busy.grid.json"), "--requests", str(requests)]
+        assert run(capsys, *argv) == (2, "", f"error: {requests}: expected array, got dict\n")
 
 
 class TestPlan:
@@ -450,6 +515,24 @@ class TestPlan:
             assert code == 2
             assert out == ""
             assert err == f"error: {field} must be finite, got {value}\n"
+
+
+    @pytest.mark.parametrize(
+        ("grid", "reasons"),
+        [
+            (None, ["lower capacity (250 vs 500 Gbps)",
+                    "would carve a dedicated partition for no capacity or margin gain"]),
+            ("busy.grid.json", ["lower capacity (250 vs 500 Gbps)", "lower Q margin (12.62 vs 13.97 dB)"]),
+        ],
+        ids=["empty-grid", "busy-grid"],
+    )
+    def test_without_sacrifice_a_tie_on_capacity_is_explained(self, capsys, fx, grid, reasons):
+        argv = ["plan", "--topology", fx(TOPO), "--demands", fx("bo1-mi1.demands.json"), "--calib", fx(CALIB)]
+        argv += ["--sacrifice", "0"] + (["--grid", fx(grid)] if grid else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rationale = json.loads(out)["reports"][0]["rationale"]
+        assert [clause.split("): ", 1)[1] for clause in rationale.split("; ")[1:]] == reasons
 
 
 class TestExportPlot:
@@ -640,12 +723,52 @@ class TestValidate:
         assert out == ""
         assert err == f"error: {topology}.spans[0]: {message}\n"
 
+    def test_plan_whose_reports_are_not_an_array_exits_two(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"reports": {}}')
+        assert run(capsys, "validate", str(plan)) == (2, "", f"error: {plan}.reports: expected array, got dict\n")
+
     def test_unrecognized_document_exits_two(self, capsys, tmp_path):
         stray = tmp_path / "stray.json"
         stray.write_text('{"weird": true}')
         code, _, err = run(capsys, "validate", str(stray))
         assert code == 2
         assert "unrecognized" in err
+
+
+DEMANDS, GRID, REQUESTS = "rm-mi2.demands.json", "busy.grid.json", "trial.requests.json"
+# every subcommand that reads each kind of input file: the file, and the
+# command line with "{f}" for it and "{plan}" for the output of OUTPUTS["plan"]
+FILE_READERS = {
+    "calibrate": (CALIB, ("calibrate", "--points", "{f}")),
+    "estimate": (CALIB, ("estimate", "--calib", "{f}", "--distance", "345", "--modulation", "qpsk")),
+    "export-plot": (CALIB, ("export-plot", "--calib", "{f}", "--modulation", "qpsk", "--distances", "345")),
+    "plan-calib": (CALIB, ("plan", "--calib", "{f}", "--topology", TOPO, "--demands", DEMANDS)),
+    "plan-topology": (TOPO, ("plan", "--calib", CALIB, "--topology", "{f}", "--demands", DEMANDS)),
+    "plan-demands": (DEMANDS, ("plan", "--calib", CALIB, "--topology", TOPO, "--demands", "{f}")),
+    "plan-grid": (GRID, ("plan", "--calib", CALIB, "--topology", TOPO, "--demands", DEMANDS, "--grid", "{f}")),
+    "allocate-grid": (GRID, ("allocate", "--grid", "{f}", "--requests", REQUESTS)),
+    "allocate-requests": (REQUESTS, ("allocate", "--grid", GRID, "--requests", "{f}")),
+    **{f"validate-{name}": (name, ("validate", "{f}")) for name in (CALIB, TOPO, DEMANDS, GRID, REQUESTS, "plan")},
+    "validate-plan-grid": (GRID, ("validate", "{plan}", "--grid", "{f}")),
+}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+@pytest.mark.parametrize("reader", FILE_READERS)
+def test_an_integer_past_the_digit_limit_exits_two_naming_the_file(capsys, fx, tmp_path, reader):
+    name, argv = FILE_READERS[reader]
+    plan = tmp_path / "plan.json"
+    assert run(capsys, *[fx(a) if a.endswith(".json") else a for a in OUTPUTS["plan"]], "--out", str(plan))[0] == 0
+    huge = tmp_path / "huge.json"
+    text = plan.read_text() if name == "plan" else Path(fx(name)).read_text()
+    # the first number of the document becomes an integer of more digits than int() may read
+    huge.write_text(re.sub(r"(?<=: )\d+(\.\d+)?", "7" * (sys.get_int_max_str_digits() + 700), text, count=1))
+    files = {"{f}": str(huge), "{plan}": str(plan)}
+    argv = [files.get(a) or (fx(a) if a.endswith(".json") else a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {huge}: invalid JSON: Exceeds the limit")
 
 
 class TestErrors:

@@ -13,7 +13,6 @@ from awplan import (
     NeighborConfig,
     PlotSeries,
     SchemaError,
-    Thresholds,
     canonical_json,
     export_q_vs_distance,
     format_real,
@@ -333,6 +332,12 @@ class TestParseJson:
         with pytest.raises(SchemaError, match=r"grid: invalid JSON at line 1"):
             parse_json("{oops", label="grid")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    def test_an_integer_past_the_digit_limit_carries_the_label(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SchemaError, match=r"^grid: invalid JSON: Exceeds the limit"):
+            parse_json(f"[{digits}]", label="grid")
+
 
 class TestRoundTrip:
     def test_model_is_stable_after_one_quantization(self, model):
@@ -408,14 +413,6 @@ class TestExportQVsDistance:
         with pytest.raises(ValueError, match="unique"):
             export_q_vs_distance(model, Modulation.QPSK, NeighborConfig(), [345.0, 345.0])
 
-    def test_thresholds_do_not_change_values(self, model):
-        strict = Thresholds(hard_min_db=1.0, design_min_db=20.0)
-        default = export_q_vs_distance(model, Modulation.QPSK, NeighborConfig(), [345.0])
-        relabeled = export_q_vs_distance(
-            model, Modulation.QPSK, NeighborConfig(), [345.0], thresholds=strict
-        )
-        assert default.points == relabeled.points
-
 
 class TestCsv:
     def series(self) -> PlotSeries:
@@ -452,3 +449,11 @@ class TestCsv:
     def test_empty_document_rejected(self):
         with pytest.raises(SchemaError, match="empty"):
             plot_series_from_csv("")
+
+    def test_header_of_three_columns_rejected(self):
+        with pytest.raises(SchemaError, match="^csv: expected a two-column header, got 'x,y,z'$"):
+            plot_series_from_csv("x,y,z\n1.0,2.0\n")
+
+    def test_points_out_of_order_rejected_by_the_series(self):
+        with pytest.raises(SchemaError, match="^csv: plot points must be strictly ascending in x$"):
+            plot_series_from_csv("x,y\n2.0,1.0\n1.0,1.0\n")

@@ -459,6 +459,11 @@ class TestQModelSerialization:
         with pytest.raises(SchemaError, match="p_guard_db"):
             QModel.from_dict(data)
 
+    def test_negative_roadm_penalty_rejected(self, model):
+        data = {**model.to_dict(), "roadm_penalty_db": -0.1}
+        with pytest.raises(SchemaError, match=r"^model: roadm_penalty_db must be >= 0, got -0\.1$"):
+            QModel.from_dict(data)
+
 
 class TestNativeImpact:
     def test_coherent_block_leaves_natives_untouched(self):

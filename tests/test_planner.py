@@ -26,7 +26,9 @@ from awplan import (
     SpectrumGrid,
     Strategy,
     SuperChannel,
+    Thresholds,
     apply_plan,
+    carve_dedicated_partition,
     empty_grid,
     enumerate_options,
     grid_context_for,
@@ -61,6 +63,22 @@ def line_topology(distance_km: float) -> NetworkTopology:
             ),
         ),
     )
+
+
+def no_mixed_window_grid() -> SpectrumGrid:
+    """A 16-slot band with a partition on [0, 8) and natives on the rest:
+    only a dedicated block fits."""
+    grid = carve_dedicated_partition(empty_grid(BandConfig(slot_count=16)), 0, 8)
+    for start in (8, 10, 12, 14):
+        grid = place_native(grid, NativeChannel(id=f"n{start}", start_slot=start))
+    return grid
+
+
+def no_dedicated_window_grid() -> SpectrumGrid:
+    """A 26-slot band whose blocks on [1, 9) and [17, 25) leave one mixed
+    window, at slot 9, and no even-aligned region to carve."""
+    grid = place_superchannel(empty_grid(BandConfig(slot_count=26)), SuperChannel(id="x1", start_slot=1))
+    return place_superchannel(grid, SuperChannel(id="x2", start_slot=17))
 
 
 def demand_fixture(fixture_dir, name: str) -> Demand:
@@ -391,6 +409,14 @@ class TestValidatePlan:
         codes = [v.code for v in validate_plan(report, full)]
         assert codes == ["PLACEMENT_INFEASIBLE"]
 
+    def test_mixed_placement_checked_against_grid(self, garr, model, fixture_dir):
+        report = plan_link(demand_fixture(fixture_dir, "bo1-mi1.demands.json"), garr, empty_grid(), model)
+        assert report.chosen.strategy is Strategy.MIXED_SPECTRUM
+        violations = validate_plan(report, no_mixed_window_grid())
+        assert [(v.code, v.message) for v in violations] == [
+            ("PLACEMENT_INFEASIBLE", "no mixed-spectrum window on this grid")
+        ]
+
 
 class TestApplyPlan:
     def test_dedicated_plan_carves_and_places(self, garr, model, fixture_dir):
@@ -424,3 +450,158 @@ class TestApplyPlan:
         full = place_superchannel(empty_grid(band), SuperChannel(id="aw", start_slot=0))
         with pytest.raises(PlanningError, match="dedicated"):
             apply_plan(full, report)
+
+    def test_apply_mixed_without_a_window_raises(self, garr, model, fixture_dir):
+        report = plan_link(demand_fixture(fixture_dir, "bo1-mi1.demands.json"), garr, empty_grid(), model)
+        with pytest.raises(PlanningError, match="^no mixed-spectrum window available$"):
+            apply_plan(no_mixed_window_grid(), report)
+
+
+def rejections(report: PlanReport) -> list[str]:
+    """The reason of each rejected option in the rationale, in order."""
+    return [clause.split("): ", 1)[1] for clause in report.rationale.split("; ")[1:]]
+
+
+class TestRejectionReasons:
+    DEMAND = Demand(path=("A", "B"), required_capacity_gbps=400.0)
+
+    def plan(self, model, grid: SpectrumGrid, **policy) -> PlanReport:
+        return plan_link(self.DEMAND, line_topology(300.0), grid, model, PlannerPolicy(**policy))
+
+    def test_no_mixed_window(self, model):
+        report = self.plan(model, no_mixed_window_grid())
+        assert report.chosen.strategy is Strategy.DEDICATED_PARTITION
+        assert rejections(report) == ["no mixed-spectrum window available"] * 2
+
+    def test_no_dedicated_window(self, model):
+        report = self.plan(model, no_dedicated_window_grid())
+        assert report.chosen.strategy is Strategy.MIXED_SPECTRUM
+        assert rejections(report) == [
+            "lower capacity (250 vs 500 Gbps)",
+            "no dedicated partition available or carvable",
+        ]
+
+    def test_lower_q_margin_needs_no_sacrifice(self, model):
+        # a native two slots above the mixed window costs the mixed block Q,
+        # so a dedicated block of the same capacity wins on margin
+        grid = place_native(empty_grid(), NativeChannel(id="n", start_slot=10))
+        report = self.plan(model, grid, dedicated_edge_carrier_sacrifice=0)
+        assert report.chosen.strategy is Strategy.DEDICATED_PARTITION
+        mixed_qpsk = report.alternatives[1]
+        assert rejections(report) == [
+            "lower capacity (250 vs 500 Gbps)",
+            f"lower Q margin ({mixed_qpsk.q.value_db:.2f} vs {report.chosen.q.value_db:.2f} dB)",
+        ]
+
+    def test_carve_for_no_gain_needs_no_sacrifice(self, model):
+        report = self.plan(model, empty_grid(), dedicated_edge_carrier_sacrifice=0)
+        assert report.chosen.strategy is Strategy.MIXED_SPECTRUM
+        assert report.alternatives[1].q == report.chosen.q
+        assert rejections(report) == [
+            "lower capacity (250 vs 500 Gbps)",
+            "would carve a dedicated partition for no capacity or margin gain",
+        ]
+
+
+def _garr_path(data, topology: NetworkTopology) -> tuple[str, ...]:
+    """A random walk of up to 7 distinct nodes along the spans of *topology*."""
+    path = [data.draw(st.sampled_from([node.id for node in topology.nodes]))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        steps = sorted(
+            {b for span in topology.spans for a, b in ((span.from_node, span.to_node), (span.to_node, span.from_node))
+             if a == path[-1] and b not in path}
+        )
+        if not steps:
+            break
+        path.append(data.draw(st.sampled_from(steps)))
+    return tuple(path)
+
+
+class TestRationaleOracle:
+    """Every option's feasible flag and every clause of the rationale,
+    re-derived naively: the grid's windows from the slot-array probe, the
+    distance by summing spans, the class from the floors, and the choice by
+    sorting the options."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=slot_oracle.random_grids(),
+        guard=st.integers(0, 5),
+        sacrifice=st.integers(0, 1),
+        reach=st.one_of(st.sampled_from([0.0, 600.0, 1000.0, float("inf")]), st.floats(0.0, 3000.0)),
+        hard_min=st.sampled_from([6.5, 10.0, 12.5, 14.0]),
+        data=st.data(),
+    )
+    def test_rationale_matches_a_naive_rederivation(
+        self, garr, model, grid, guard, sacrifice, reach, hard_min, data
+    ):
+        path = _garr_path(data, garr)
+        thresholds = Thresholds(hard_min_db=hard_min, design_min_db=hard_min + 2.0)
+        policy = PlannerPolicy(
+            guard_band_slots=guard,
+            qpsk_mixed_reach_limit_km=reach,
+            dedicated_edge_carrier_sacrifice=sacrifice,
+            thresholds=thresholds,
+        )
+        report = plan_link(Demand(path=path, required_capacity_gbps=400.0), garr, grid, model, policy)
+
+        mixed_start, _, dedicated_start, _ = slot_oracle.grid_context(grid, guard)
+        distance = sum(
+            span.length_km for a, b in zip(path, path[1:]) for span in garr.spans
+            if {span.from_node, span.to_node} == {a, b}
+        )
+
+        def why_not(option: PlanOption) -> str | None:
+            q = option.q.value_db
+            if q <= hard_min:
+                return f"Q {q:.2f} dB is at or below the {hard_min:g} dB floor"
+            if option.strategy is Strategy.DEDICATED_PARTITION:
+                return None if dedicated_start is not None else "no dedicated partition available or carvable"
+            if mixed_start is None:
+                return "no mixed-spectrum window available"
+            if option.pair_modulations == ALL_QPSK and not distance <= reach:
+                return (
+                    f"distance {distance:.0f} km exceeds the {reach:g} km reach limit "
+                    f"for QPSK beside IM-DD neighbors"
+                )
+            return None
+
+        def describe(option: PlanOption) -> str:
+            q = option.q.value_db
+            label = "Infeasible" if q <= hard_min else "Marginal" if q <= hard_min + 2.0 else "Ok"
+            assert option.q.feasibility.value == label
+            return (
+                f"{option.strategy.value} all-{option.pair_modulations[0].value} with {option.active_carriers} "
+                f"carriers at {option.capacity_gbps:.0f} Gbps (Q {q:.2f} dB, {label})"
+            )
+
+        options = [report.chosen, *report.alternatives]
+        assert sorted((o.strategy.value, o.pair_modulations[0].value, o.active_carriers) for o in options) == [
+            ("DedicatedPartition", "QPSK", 10 - sacrifice),
+            ("MixedSpectrum", "BPSK", 10),
+            ("MixedSpectrum", "QPSK", 10),
+        ]
+        for option in options:
+            assert option.feasible == (why_not(option) is None)
+        feasible = [o for o in options if why_not(o) is None]
+        best = sorted(
+            feasible or options,
+            key=lambda o: (-o.capacity_gbps, -o.q.value_db, o.strategy is not Strategy.MIXED_SPECTRUM),
+        )[0]
+        assert report.chosen is best
+
+        clauses = [f"chose {describe(best)}"]
+        for option in report.alternatives:
+            reason = why_not(option)
+            if reason is None:
+                if option.capacity_gbps < best.capacity_gbps:
+                    reason = f"lower capacity ({option.capacity_gbps:.0f} vs {best.capacity_gbps:.0f} Gbps)"
+                elif option.q.value_db < best.q.value_db:
+                    reason = f"lower Q margin ({option.q.value_db:.2f} vs {best.q.value_db:.2f} dB)"
+                else:
+                    # a mixed option level with the chosen one would have been chosen
+                    assert option.strategy is Strategy.DEDICATED_PARTITION
+                    reason = "would carve a dedicated partition for no capacity or margin gain"
+            clauses.append(f"rejected {describe(option)}: {reason}")
+        assert report.rationale == "; ".join(clauses)
+        assert "tied" not in report.rationale

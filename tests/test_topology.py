@@ -126,7 +126,7 @@ class TestParseTopology:
 
     def test_lenient_defers_invariants_to_validate(self):
         doc = {"nodes": [node("A").to_dict()], "spans": [span("A", "B").to_dict()]}
-        t = parse_topology(doc, strict=False)
+        t = NetworkTopology.from_dict(doc)
         assert [v.code for v in validate_topology(t)] == [VIOLATION_DANGLING_ENDPOINT]
 
     def test_garr_fixture_is_strictly_valid(self, garr):
