@@ -96,13 +96,6 @@ def _missing(path: str, key: str) -> SchemaError:
     return SchemaError(f"{path}.{key}: missing required field")
 
 
-def require(mapping: Any, key: str, path: str) -> Any:
-    obj = get_object(mapping, path)
-    if key not in obj:
-        raise _missing(path, key)
-    return obj[key]
-
-
 # -- writing ------------------------------------------------------------------
 
 
@@ -283,7 +276,8 @@ class Kind(NamedTuple):
     keep their type test, so a nullable variant can be derived. ``form``
     and ``arg`` tell the compilers what to inline: ``"scalar"`` (the exact
     type), ``"member"`` and ``"enum"`` (the value -> member map), ``"nested"``
-    (the class) and ``"tuple"`` (the item kind); ``""`` inlines nothing."""
+    (the class), ``"tuple"`` (the item kind) and ``"fixed"`` (the item kinds,
+    which only the writer inlines); ``""`` inlines nothing."""
 
     decode: Callable[[Any, str, str], Any]
     encode: Callable[[Any], Any] | None = None
@@ -312,10 +306,6 @@ INT = _scalar("integer", int, lambda v: isinstance(v, int) and not isinstance(v,
 # an integer is a valid real; reals are read as float
 REAL = _scalar("number", float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
 _SCALARS = {str: STR, bool: BOOL, int: INT, float: REAL}
-
-
-def require_str(mapping: Any, key: str, path: str) -> str:
-    return STR.decode(require(mapping, key, path), path, key)
 
 
 def _nullable(kind: Kind) -> Kind:
@@ -370,6 +360,19 @@ def _tuple_of(item: Kind) -> Kind:
     return Kind(decode, form="tuple", arg=item)
 
 
+def _fixed(items: tuple[Kind, ...]) -> Kind:
+    """A JSON array of one value per item kind, read as a tuple; items report ``<key>[j]``."""
+
+    def decode(value: Any, path: str, key: str) -> tuple:
+        if not isinstance(value, list):
+            raise _expected("array", value, path, key)
+        if len(value) != len(items):
+            raise SchemaError(f"{path}.{key}: expected {len(items)} items, got {len(value)}")
+        return tuple([item.decode(v, path, f"{key}[{j}]") for j, (item, v) in enumerate(zip(items, value))])
+
+    return Kind(decode, form="fixed", arg=items)
+
+
 def _enum_map(enum_cls: type[Enum], value: Kind) -> Kind:
     """An object keyed by every member value of an enum; written in key order."""
     members = tuple(enum_cls)
@@ -396,6 +399,8 @@ def _kind_of(annotation: Any) -> Kind:
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return _tuple_of(_kind_of(args[0]))
+    if origin is tuple:
+        return _fixed(tuple([_kind_of(arg) for arg in args]))
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         return _nullable(_kind_of(next(arg for arg in args if arg is not type(None))))
     if origin is dict and isinstance(args[0], type) and issubclass(args[0], Enum):
@@ -578,6 +583,9 @@ def _write_expr(kind: Kind, value: str, tag: str, namespace: dict[str, Any]) -> 
     if kind.form == "tuple":
         item = _write_expr(kind.arg, "x", tag, namespace)
         return f"list({value})" if item == "x" else f"[{item} for x in {value}]"
+    if kind.form == "fixed":
+        items = [_write_expr(item, f"{value}[{j}]", f"{tag}_{j}", namespace) for j, item in enumerate(kind.arg)]
+        return f"[{', '.join(items)}]"
     if kind.encode is not None:
         namespace[tag] = kind.encode
         return f"{tag}({value})"

@@ -24,7 +24,7 @@ from .perfmodel import (
     DEFAULT_L_REF_KM, DESIGN_MIN_DB, HARD_MIN_DB, CalibrationPoint, Feasibility, QEstimate, QModel, Thresholds,
     calibrate, check_l_ref, estimate_q,
 )
-from .planner import DEFAULT_POLICY, Demand, PlannerPolicy, PlanReport, plan_link, validate_plan
+from .planner import DEFAULT_POLICY, Demand, ModelProvenance, PlanDocument, PlannerPolicy, plan_link, validate_plan
 from .spectrum import (
     AllocationResult, Modulation, NeighborConfig, PlacementRequest, SpectrumGrid, empty_grid, first_fit_allocate,
 )
@@ -83,12 +83,12 @@ def _calibration_findings(points: list, args: argparse.Namespace) -> list:
     return []
 
 
-def _plan_findings(reports: list, args: argparse.Namespace) -> list:
+def _plan_findings(plan: PlanDocument, args: argparse.Namespace) -> list:
     grid = _load_grid(args.grid)
     policy = PlannerPolicy(thresholds=_thresholds_from(args))
     return [
         (violation.code, f"reports[{i}]: {violation.message}")
-        for i, report in enumerate(reports)
+        for i, report in enumerate(plan.reports)
         for violation in validate_plan(report, grid, policy)
     ]
 
@@ -99,26 +99,25 @@ def _topology_findings(topology: NetworkTopology, args: argparse.Namespace) -> l
 
 class _Kind(NamedTuple):
     """A row of the table of document kinds: the keys that identify a document
-    (for an array, those of its first item), its record class, where its
-    records are (the document itself where ``array`` is None, else the items
-    of the array at key ``array``, "" being the document) and validate's check,
-    which takes the decoded document and the arguments and returns findings."""
+    (for a listed kind, an array of records, those of its first item), its
+    record class, whether it is listed, and validate's check, which takes the
+    decoded document and the arguments and returns findings."""
 
     keys: tuple[str, ...]
     cls: type
-    array: str | None = None
+    listed: bool = False
     check: Callable | None = None
 
 
 # validate takes the first row whose keys a document has: the order matters
 _KINDS = {
-    "calibration points": _Kind(("distance_km", "measured_q_db"), CalibrationPoint, "", _calibration_findings),
-    "plan": _Kind(("reports",), PlanReport, "reports", _plan_findings),
+    "calibration points": _Kind(("distance_km", "measured_q_db"), CalibrationPoint, True, _calibration_findings),
+    "plan": _Kind(("reports",), PlanDocument, check=_plan_findings),
     "topology": _Kind(("nodes", "spans"), NetworkTopology, check=_topology_findings),
     "grid": _Kind(("band",), SpectrumGrid),
     "allocation": _Kind(("assignments",), AllocationResult),
-    "demands": _Kind(("path", "required_capacity_gbps"), Demand, ""),
-    "requests": _Kind(("kind", "id"), PlacementRequest, ""),
+    "demands": _Kind(("path", "required_capacity_gbps"), Demand, True),
+    "requests": _Kind(("kind", "id"), PlacementRequest, True),
     "model": _Kind(("l_ref_km", "q_ref_db"), QModel),
     "estimate": _Kind(("value_db", "class"), QEstimate),
     "plot series": _Kind(("label", "points"), PlotSeries),
@@ -132,7 +131,7 @@ def _identify(data, path: str) -> _Kind:
     points."""
     array = isinstance(data, list)
     head = data[0] if array and data else data
-    rows = [kind for kind in _KINDS.values() if (kind.array == "") == array]
+    rows = [kind for kind in _KINDS.values() if kind.listed == array]
     if isinstance(head, dict):
         for test in (all, any):
             for kind in rows:
@@ -145,10 +144,8 @@ def _identify(data, path: str) -> _Kind:
 
 def _decode(kind: _Kind, data, path: str):
     """The record, or the list of records, that a document of *kind* holds."""
-    if kind.array is None:
+    if not kind.listed:
         return kind.cls.from_dict(data, path)
-    if kind.array:
-        data, path = data[kind.array], f"{path}.{kind.array}"
     return [kind.cls.from_dict(item, f"{path}[{i}]") for i, item in enumerate(_schema.get_list(data, path))]
 
 
@@ -270,11 +267,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             reports.append(plan_link(demand, topology, grid, model, policy))
         except TopologyError as err:
             raise TopologyError(f"{args.demands}[{i}]: {err}") from None
-    document = {
-        "model_provenance": {"calibration_sha256": digest},
-        "reports": [report.to_dict() for report in reports],
-    }
-    _write_output(canonical_json(_stamped(document, args)), args.out)
+    document = PlanDocument(ModelProvenance(digest), tuple(reports))
+    _write_output(canonical_json(_stamped(document.to_dict(), args)), args.out)
     return 0 if all(report.chosen.feasible for report in reports) else 1
 
 
@@ -300,6 +294,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     data = parse_json(_read_text(args.file), label=args.file)
     kind = _identify(data, args.file)
     document = _decode(kind, data, args.file)
+    if args.grid is not None and kind is not _KINDS["plan"]:
+        raise SchemaError("--grid applies only to a plan document")
     findings = kind.check(document, args) if kind.check else []
     if findings:
         for code, message in findings:

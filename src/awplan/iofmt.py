@@ -45,14 +45,14 @@ def round_trip(value):
     return rebuilt
 
 
-@_schema.record
+@_schema.document("series")
 class PlotSeries:
     """An x-sorted series of finite points ready for any plotting tool."""
 
     label: str
-    points: tuple[tuple[float, float], ...]
     x_name: str
     y_name: str
+    points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         for x, y in self.points:
@@ -61,38 +61,6 @@ class PlotSeries:
         xs = [x for x, _ in self.points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("plot points must be strictly ascending in x")
-
-    # hand-written: points are [x, y] pairs, written after the names
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "x_name": self.x_name,
-            "y_name": self.y_name,
-            "points": [[float(x), float(y)] for x, y in self.points],
-        }
-
-    # hand-written: each point is checked as an [x, y] pair of numbers
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "series") -> "PlotSeries":
-        points_raw = _schema.get_list(_schema.require(data, "points", path), f"{path}.points")
-        points = []
-        for i, item in enumerate(points_raw):
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in item)
-            ):
-                raise SchemaError(f"{path}.points[{i}]: expected a [x, y] pair of numbers")
-            points.append((float(item[0]), float(item[1])))
-        try:
-            return cls(
-                label=_schema.require_str(data, "label", path),
-                points=tuple(points),
-                x_name=_schema.require_str(data, "x_name", path),
-                y_name=_schema.require_str(data, "y_name", path),
-            )
-        except ValueError as err:
-            raise SchemaError(f"{path}: {err}") from None
 
 
 def _neighbor_label(neighbors: NeighborConfig) -> str:

@@ -151,6 +151,25 @@ class PlanReport:
     native_impact_db: float
 
 
+@_schema.document("model_provenance")
+class ModelProvenance:
+    """The calibration a plan used: the SHA-256 of its points file's text."""
+
+    calibration_sha256: str
+
+    def __post_init__(self) -> None:
+        if len(self.calibration_sha256) != 64 or self.calibration_sha256.strip("0123456789abcdef"):
+            raise ValueError(f"calibration_sha256 must be 64 lowercase hex digits, got {self.calibration_sha256!r}")
+
+
+@_schema.document("plan")
+class PlanDocument:
+    """What ``awplan plan`` writes: one report per demand and their calibration."""
+
+    model_provenance: ModelProvenance
+    reports: tuple[PlanReport, ...]
+
+
 @_schema.record
 class GridContext:
     """What the current spectrum offers a new block: the lowest mixed window

@@ -16,6 +16,10 @@ from functools import cached_property
 from . import _schema
 from .errors import TopologyError
 
+# The Q model multiplies path counts as floats, which past 2**53 are no longer
+# exact; no real path comes near it.
+MAX_PATH_COUNT = 2**53
+
 VIOLATION_DUPLICATE_NODE = "DUPLICATE_NODE"
 VIOLATION_EMPTY_NODE_ID = "EMPTY_NODE_ID"
 VIOLATION_NEGATIVE_LENGTH = "NEGATIVE_LENGTH"
@@ -117,6 +121,8 @@ class PathMetrics:
             value = getattr(self, field_name)
             if value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
+            if value > MAX_PATH_COUNT:
+                raise ValueError(f"{field_name} must be at most {MAX_PATH_COUNT}")
 
 
 def validate_topology(topology: NetworkTopology) -> list[Violation]:

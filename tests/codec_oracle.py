@@ -3,7 +3,8 @@
 ``read(cls, data, where)`` is the generic field loop the codec ran for every
 document before its readers were compiled: it walks the fields in order and
 sends every value through its kind's ``decode``. A nested document is read
-by this loop again, never by compiled code, and a grid is rebuilt by
+by this loop again, never by compiled code, a fixed-length array by a loop
+of its own, not by the codec's kind, and a grid is rebuilt by
 replaying its placements one by one. ``SpectrumGrid.from_dict`` loads a grid
 in one mask pass instead and replays only to word an error, so this replay is
 the oracle for both the grid it loads and the error it raises.
@@ -45,6 +46,8 @@ def kind_of(annotation: typing.Any) -> _schema.Kind:
     """The codec's kind of a field annotation, except that a nested document
     is read by :func:`read`."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return _schema.Kind(_fixed_decode([kind_of(arg) for arg in args]))
     if origin is tuple:
         return _schema._tuple_of(kind_of(args[0]))
     if origin in (typing.Union, types.UnionType):
@@ -57,6 +60,22 @@ def kind_of(annotation: typing.Any) -> _schema.Kind:
 
         return _schema.Kind(decode)
     return _schema._kind_of(annotation)  # a scalar, an enum or a literal
+
+
+def _fixed_decode(items: list[_schema.Kind]):
+    """The reader of an array of exactly one value per item kind, item by item."""
+
+    def decode(value, path, key):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}.{key}: expected array, got {_schema._type_name(value)}")
+        if len(value) != len(items):
+            raise SchemaError(f"{path}.{key}: expected {len(items)} items, got {len(value)}")
+        values = []
+        for j, item in enumerate(items):
+            values.append(item.decode(value[j], path, f"{key}[{j}]"))
+        return tuple(values)
+
+    return decode
 
 
 def read(cls: type, data, where: str):

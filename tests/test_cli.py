@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from awplan import perfmodel, planner
+from awplan import canonical_json, cli, perfmodel, planner
 from awplan.cli import _build_parser, main
 from conftest import FIXTURE_DIR
 
@@ -240,6 +240,14 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: distance_km must be finite")
+
+    def test_huge_roadm_count_exits_two(self, capsys, fx):
+        code, out, err = run(
+            capsys,
+            "estimate", "--calib", fx(CALIB), "--distance", "345", "--modulation", "qpsk",
+            "--roadm-count", "9" * 400,
+        )
+        assert (code, out, err) == (2, "", "error: roadm_count must be at most 9007199254740992\n")
 
     def test_json_errors_flag(self, capsys, fx):
         code, _, err = run(
@@ -579,6 +587,10 @@ OUTPUTS = {
     "allocate": ("allocate", "--grid", "busy.grid.json", "--requests", "trial.requests.json"),
     "export-plot": ("export-plot", "--calib", CALIB, "--modulation", "qpsk", "--distances", "345,1131", "--format", "json"),
 }
+# the row of cli._KINDS that reads each output
+OUTPUT_KINDS = {
+    "calibrate": "model", "estimate": "estimate", "plan": "plan", "allocate": "allocation", "export-plot": "plot series",
+}
 
 
 class TestValidate:
@@ -594,6 +606,20 @@ class TestValidate:
         assert run(capsys, *stamp, *argv, "--out", str(output)) == (0, "", "")
         assert ("_meta" in json.loads(output.read_text())) == bool(stamp)
         assert run(capsys, "validate", str(output)) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("stamp", [(), ("--stamp",)], ids=["plain", "stamped"])
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_every_output_reads_back_through_its_row_to_the_same_bytes(self, capsys, fx, name, stamp):
+        argv = [fx(arg) if arg.endswith(".json") else arg for arg in OUTPUTS[name]]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        _, out, _ = run(capsys, *stamp, *argv)
+        data = json.loads(out)
+        kind = cli._KINDS[OUTPUT_KINDS[name]]
+        assert cli._identify(data, "out") is kind
+        assert canonical_json(kind.cls.from_dict(data, "out").to_dict()) == plain
+        data.pop("_meta", None)
+        assert canonical_json(data) == plain
 
     def test_empty_array_is_read_as_calibration_points(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
@@ -693,6 +719,58 @@ class TestValidate:
         assert code == 1
         assert "CAPACITY_MISMATCH" in out
 
+    @pytest.mark.parametrize(
+        "provenance, message",
+        [
+            pytest.param(None, ".model_provenance: missing required field", id="dropped"),
+            pytest.param(5, ".model_provenance: expected object, got integer", id="number"),
+            pytest.param({}, ".model_provenance.calibration_sha256: missing required field", id="empty"),
+            pytest.param({"calibration_sha256": 5}, ".model_provenance.calibration_sha256: expected string, got integer",
+                         id="digest-number"),
+            pytest.param({"calibration_sha256": "z" * 64},
+                         f".model_provenance: calibration_sha256 must be 64 lowercase hex digits, got '{'z' * 64}'",
+                         id="not-hex"),
+            pytest.param({"calibration_sha256": "AB" * 32},
+                         f".model_provenance: calibration_sha256 must be 64 lowercase hex digits, got '{'AB' * 32}'",
+                         id="upper-case"),
+            pytest.param({"calibration_sha256": "ab" * 31},
+                         f".model_provenance: calibration_sha256 must be 64 lowercase hex digits, got '{'ab' * 31}'",
+                         id="short"),
+        ],
+    )
+    def test_plan_without_a_valid_provenance_exits_two_naming_the_field(
+        self, capsys, fx, tmp_path, provenance, message
+    ):
+        plan_file = tmp_path / "plan.json"
+        run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), "--out", str(plan_file),
+        )
+        document = json.loads(plan_file.read_text())
+        if provenance is None:
+            del document["model_provenance"]
+        else:
+            document["model_provenance"] = provenance
+        plan_file.write_text(json.dumps(document))
+        assert run(capsys, "validate", str(plan_file)) == (2, "", f"error: {plan_file}{message}\n")
+
+    @pytest.mark.parametrize("grid", ["missing.grid.json", "busy.grid.json"])
+    def test_grid_is_refused_for_a_document_that_is_not_a_plan(self, capsys, fx, tmp_path, grid):
+        grid_path = str(tmp_path / grid) if grid.startswith("missing") else fx(grid)
+        assert run(capsys, "validate", fx(TOPO), "--grid", grid_path) == (
+            2, "", "error: --grid applies only to a plan document\n"
+        )
+
+    def test_a_bad_document_is_reported_before_a_refused_grid(self, capsys, fixture_dir, tmp_path):
+        topology = json.loads((fixture_dir / TOPO).read_text())
+        del topology["nodes"]
+        path = tmp_path / "no-nodes.topo.json"
+        path.write_text(json.dumps(topology))
+        assert run(capsys, "validate", str(path), "--grid", str(tmp_path / "missing.grid.json")) == (
+            2, "", f"error: {path}.nodes: missing required field\n"
+        )
+
     def test_invalid_topology_lists_violations(self, capsys, tmp_path):
         bad = tmp_path / "bad.topo.json"
         bad.write_text(
@@ -725,7 +803,7 @@ class TestValidate:
 
     def test_plan_whose_reports_are_not_an_array_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
-        plan.write_text('{"reports": {}}')
+        plan.write_text('{"model_provenance": {"calibration_sha256": "%s"}, "reports": {}}' % ("0" * 64))
         assert run(capsys, "validate", str(plan)) == (2, "", f"error: {plan}.reports: expected array, got dict\n")
 
     def test_unrecognized_document_exits_two(self, capsys, tmp_path):

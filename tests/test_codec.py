@@ -30,11 +30,13 @@ from awplan import (
     Demand,
     NativeChannel,
     PlanOption,
+    PlotSeries,
     SuperChannel,
     _schema,
     round_trip,
     serialize,
 )
+from awplan.planner import ModelProvenance
 
 import codec_oracle
 
@@ -78,6 +80,8 @@ def raw_value(annotation) -> st.SearchStrategy:
         return st.integers(0, 12) | st.sampled_from([10, 40, 160])
     if annotation is float:
         return st.floats(0, 1000, allow_nan=False) | st.integers(0, 1000)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return st.tuples(*map(raw_value, args)).map(list)
     if origin is tuple:
         return st.lists(raw_value(args[0]), max_size=5)
     if origin in (typing.Union, types.UnionType):
@@ -113,6 +117,10 @@ FIELD_VALUES = {
     (SuperChannel, "pairs"): st.permutations(range(5)).flatmap(lambda order: st.tuples(*map(_pair, order)).map(list)),
     (SuperChannel, "active_carriers"): st.sampled_from([10, 9]),
     (PlanOption, "pair_modulations"): st.lists(_MODULATIONS, min_size=5, max_size=5),
+    (ModelProvenance, "calibration_sha256"): st.text("0123456789abcdef", min_size=64, max_size=64),
+    (PlotSeries, "points"): st.lists(st.integers(-50, 50), unique=True, max_size=4).map(
+        lambda xs: [[x, x / 2] for x in sorted(xs)]
+    ),
 }
 
 
@@ -173,7 +181,7 @@ def test_reader_matches_oracle_on_faulty_documents(cls, data):
 
 
 def test_every_document_type_is_covered():
-    assert len(DOCUMENT_TYPES) == 27
+    assert len(DOCUMENT_TYPES) == 30
 
 
 # -- objects --------------------------------------------------------------------
@@ -197,6 +205,9 @@ def loose_value(annotation) -> st.SearchStrategy:
             | st.booleans()
             | st.sampled_from([-0.0, float("nan"), float("inf")])
         )
+    if origin is tuple and args[-1] is not Ellipsis:
+        fixed = st.tuples(*map(loose_value, args))
+        return fixed | fixed.map(list)
     if origin is tuple:
         items = st.lists(loose_value(args[0]), max_size=4)
         return items.map(tuple) | items
@@ -264,4 +275,4 @@ def test_import_builds_no_codec_function():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout == "27 []\n"
+    assert result.stdout == "30 []\n"

@@ -103,6 +103,7 @@ VALID = {
     ("PlanOption", "pair_modulations"): st.tuples(*[_MODULATIONS] * 5),
     ("PlannerPolicy", "dedicated_edge_carrier_sacrifice"): st.integers(0, 1),
     ("PlotSeries", "points"): _ascending_points(),
+    ("ModelProvenance", "calibration_sha256"): st.text("0123456789abcdef", min_size=64, max_size=64),
 }
 
 
@@ -165,7 +166,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 30
+    assert len(RECORDS) == 32
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
@@ -272,4 +273,4 @@ def test_import_compiles_only_the_records_it_builds():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout == "30 ['BandConfig', 'CarrierPair', 'PlannerPolicy', 'Thresholds'] True\n"
+    assert result.stdout == "32 ['BandConfig', 'CarrierPair', 'PlannerPolicy', 'Thresholds'] True\n"

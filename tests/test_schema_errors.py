@@ -50,6 +50,7 @@ from awplan import (
     VoaSetting,
     serialize,
 )
+from awplan.planner import ModelProvenance, PlanDocument
 
 DROP = object()
 
@@ -74,6 +75,7 @@ _option = PlanOption(
     strategy=Strategy.MIXED_SPECTRUM, pair_modulations=(Modulation.BPSK,) * 5,
     active_carriers=10, capacity_gbps=250.0, q=_q, feasible=True,
 )
+_report = PlanReport(Demand(("RM", "MI2"), 400.0), _option, (_option,), ("w",), "r", 0.0)
 _point = CalibrationPoint(345.0, Modulation.QPSK, NeighborConfig(), 13.77)
 _voa = VoaSetting(channel_ref="c1", attenuation_db=1.5)
 _summary = NodeEqualizationSummary(
@@ -205,6 +207,15 @@ TABLE = [
         ("wrong type", ("warnings", 0), 5, "doc.warnings[0]: expected string"),
         ("bad enum", ("chosen", "strategy"), "Hybrid", "doc.chosen.strategy: expected"),
     ]),
+    (PlanDocument, PlanDocument(ModelProvenance("ab" * 32), (_report,)), [
+        ("missing", ("model_provenance",), DROP, "doc.model_provenance: missing required field"),
+        ("wrong type", ("model_provenance",), 5, "doc.model_provenance: expected object, got integer"),
+        ("not hex", ("model_provenance", "calibration_sha256"), "AB" * 32,
+         "doc.model_provenance: calibration_sha256 must be 64 lowercase hex digits"),
+        ("too short", ("model_provenance", "calibration_sha256"), "ab",
+         "doc.model_provenance: calibration_sha256 must be 64 lowercase hex digits"),
+        ("nested wrong type", ("reports", 0, "native_impact_db"), "0", "doc.reports[0].native_impact_db: expected number"),
+    ]),
     (PowerReading, PowerReading(channel_ref="c1", power_dbm=-3.0), [
         ("missing", ("power_dbm",), DROP, "doc.power_dbm: missing required field"),
         ("wrong type", ("channel_ref",), 1, "doc.channel_ref: expected string"),
@@ -230,10 +241,12 @@ TABLE = [
         ("wrong type", ("flatness_tolerance_db",), "1", "doc.flatness_tolerance_db: expected number"),
         ("nested wrong type", ("nodes", 0, "max_residual_db"), True, "doc.nodes[0].max_residual_db: expected number"),
     ]),
-    (PlotSeries, PlotSeries("s", ((1.0, 2.0), (3.0, 4.0)), "x", "y"), [
+    (PlotSeries, PlotSeries("s", "x", "y", ((1.0, 2.0), (3.0, 4.0))), [
         ("missing", ("label",), DROP, "doc.label: missing required field"),
         ("wrong type", ("x_name",), 5, "doc.x_name: expected string"),
-        ("bad point", ("points", 1), [3.0], "doc.points[1]: expected a [x, y] pair of numbers"),
+        ("bad point", ("points", 1), [3.0], "doc.points[1]: expected 2 items, got 1"),
+        ("point not an array", ("points", 0), {"x": 1.0}, "doc.points[0]: expected array, got dict"),
+        ("point not a number", ("points", 1, 1), "4", "doc.points[1][1]: expected number, got str"),
         ("invariant", ("points", 1, 0), 0.5, "doc: plot points must be strictly ascending in x"),
     ]),
 ]

@@ -20,6 +20,7 @@ from awplan import (
     validate_topology,
 )
 from awplan.topology import (
+    MAX_PATH_COUNT,
     VIOLATION_DANGLING_ENDPOINT,
     VIOLATION_DUPLICATE_NODE,
     VIOLATION_EMPTY_NODE_ID,
@@ -236,6 +237,16 @@ class TestPathMetrics:
                 roadm_count=-2,
                 raman_span_count=0,
             )
+
+    @pytest.mark.parametrize("field", ["ola_count", "roadm_count", "raman_span_count"])
+    def test_count_past_the_exact_float_range_rejected(self, field):
+        counts = {"ola_count": 0, "roadm_count": 0, "raman_span_count": 0}
+        assert MAX_PATH_COUNT == 2**53 == 9007199254740992
+        metrics = PathMetrics(distance_km=1.0, attenuation_db=0.0, **{**counts, field: MAX_PATH_COUNT})
+        assert getattr(metrics, field) == MAX_PATH_COUNT
+        for value in (MAX_PATH_COUNT + 1, int("9" * 400)):
+            with pytest.raises(ValueError, match=f"^{field} must be at most 9007199254740992$"):
+                PathMetrics(distance_km=1.0, attenuation_db=0.0, **{**counts, field: value})
 
     def test_round_trips_through_dict(self):
         m = PathMetrics(
