@@ -27,14 +27,14 @@ _EXPORTS = {
     ),
     "spectrum": (
         "AllocationResult", "Assignment", "BandConfig", "CarrierPair", "DedicatedPartition",
-        "Modulation", "NativeChannel", "NeighborConfig", "OccupantKind", "PlacementRequest",
-        "SpectrumGrid", "SuperChannel", "carve_dedicated_partition", "default_pairs",
-        "empty_grid", "first_fit_allocate", "neighbor_context", "place_native",
-        "place_superchannel", "unique_occupant_id",
+        "NativeChannel", "OccupantKind", "PlacementRequest", "SpectrumGrid", "SuperChannel",
+        "carve_dedicated_partition", "default_pairs", "empty_grid", "first_fit_allocate",
+        "neighbor_context", "place_native", "place_superchannel", "unique_occupant_id",
     ),
     "perfmodel": (
-        "NATIVE_IMPACT_DB", "CalibrationPoint", "Feasibility", "QEstimate", "QModel",
-        "Thresholds", "calibrate", "classify_q", "estimate_q", "neighbor_penalty",
+        "NATIVE_IMPACT_DB", "CalibrationPoint", "Feasibility", "Modulation", "NeighborConfig",
+        "QEstimate", "QModel", "Thresholds", "calibrate", "classify_q", "estimate_q",
+        "neighbor_penalty",
     ),
     "planner": (
         "Demand", "GridContext", "PlannerPolicy", "PlanOption", "PlanReport", "Strategy",
@@ -50,7 +50,8 @@ _EXPORTS = {
         "PlotSeries", "canonical_json", "export_q_vs_distance", "plot_series_from_csv",
         "plot_series_to_csv", "round_trip", "serialize",
     ),
-    "_schema": ("format_real", "parse_json"),
+    "_schema": ("parse_json",),
+    "_writer": ("format_real",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -2,21 +2,26 @@
 the domain objects are.
 
 Every reader reports the full dotted path of the offending field so that
-parse failures on hand-edited files point at the exact location. Every
-writer emits canonical text: stable key order, two-space indentation, and
-reals fixed at four decimal places.
+parse failures on hand-edited files point at the exact location.
 
-A record is a class decorated with :func:`record`: a frozen dataclass with
-slots (an instance dict only where a ``cached_property`` needs one). Only
-the code that runs hot is compiled with ``exec``, each function on its first
-use: a record's ``__init__``, and per document type ``to_dict()`` and the
+A record is a class decorated with :func:`record`: a frozen class with
+slots (an instance dict only where a ``cached_property`` needs one) that
+behaves as a frozen dataclass. It is built from its class body, whose
+annotations give its field table (name, annotation, default), without the
+``dataclasses`` module: that is imported only when a record refuses a
+write, or on the first access to a record's ``__dataclass_fields__``, which
+is taken from a frozen dataclass twin so that ``dataclasses.fields``,
+``replace``, ``asdict`` and ``is_dataclass`` serve records. Only the code
+that runs hot is compiled with ``exec``, each function on its first use: a
+record's ``__init__``, and per document type ``to_dict()`` and the
 straight-line reader ``from_dict(data, path)``. Every record shares one
-``__eq__``, ``__hash__`` and ``__repr__``. A document type is a record
-decorated with :func:`document`; its field annotations are the schema, each
-one mapping to a :class:`Kind`. Importing the package compiles only the
-constructors of the records it builds. Keys follow the field order. A codec
-method the class defines itself is kept; a class that writes its own
-``from_dict`` gets the compiled reader as ``_read_fields``.
+``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
+``__delattr__``. A document type is a record decorated with
+:func:`document`; its field annotations are the schema, each one mapping
+to a :class:`Kind`. Importing the package compiles only the constructors
+of the records it builds. Keys follow the field order. A codec method the
+class defines itself is kept; a class that writes its own ``from_dict``
+gets the compiled reader as ``_read_fields``.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
@@ -26,20 +31,13 @@ looked up at each call. The items of a list of nested documents are read
 without their paths; on a fault the list is read again by its kind's
 ``decode``, which words it.
 
-Only plain data (dicts, lists, scalars) is written; a document is written
-as its ``to_dict()``. The writers are compiled per dict shape, the tuple of
-a dict's keys, on the shape's first use: one f-string that inlines each
-value of exactly the type it had in that first dict. On any error
-``_write``, the only generic emitter, writes the whole value instead, so
-its messages, the canonical bytes and the deepest value it can write stay
-the same.
+A document is written as its ``to_dict()``, plain data whose canonical
+text ``awplan._writer`` writes; reading a document loads no writer.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 import types
 import typing
 from enum import Enum
@@ -49,22 +47,35 @@ from typing import Any, Callable, NamedTuple
 from .errors import SchemaError
 
 _REQUIRED = object()
-REAL_DECIMALS = 4
 
 
 # -- reading ------------------------------------------------------------------
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")  # RFC 8259 section 6
+
+
+# one decoder for every document: json.loads builds a new one per call when
+# given a parse_constant
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def parse_json(text: str, label: str = "document"):
+    """The plain data of the JSON *text*. Bad JSON, including the ``NaN``,
+    ``Infinity`` and ``-Infinity`` tokens that ``json.loads`` takes, raises
+    ``SchemaError`` naming *label*."""
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise SchemaError(
             f"{label}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
     except RecursionError:
         raise SchemaError(f"{label}: invalid JSON: nested too deeply") from None
-    except ValueError as err:  # such as an integer past the interpreter's digit limit
+    except ValueError as err:  # a refused constant, or an integer past the interpreter's digit limit
         raise SchemaError(f"{label}: invalid JSON: {err}") from None
 
 
@@ -94,173 +105,6 @@ def get_list(value: Any, path: str) -> list:
 
 def _missing(path: str, key: str) -> SchemaError:
     return SchemaError(f"{path}.{key}: missing required field")
-
-
-# -- writing ------------------------------------------------------------------
-
-
-def format_real(value: float) -> str:
-    """Fixed 4-decimal rendering; negative zero normalizes to zero."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite real {value!r}")
-    text = f"{value:.{REAL_DECIMALS}f}"
-    return "0.0000" if text == "-0.0000" else text
-
-
-_quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
-
-
-def _array(texts: list[str], pad: str) -> str:
-    """An array from the texts of its items (at least one), each written at
-    ``pad + "  "``."""
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(texts) + pad + "]"
-
-
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the canonical text of plain data *value* to *out*. *pad* is a
-    newline and the indentation of the line the value ends on."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        lead = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"document keys must be strings, got {type(key).__name__}")
-            out.append(lead + _quote(key) + ": ")
-            _write(item, inner, out)
-            lead = "," + inner
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        lead = "[" + inner
-        for item in value:
-            out.append(lead)
-            _write(item, inner, out)
-            lead = "," + inner
-        out.append(pad + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_real(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} into a document")
-
-
-def _written(value, pad: str) -> str:
-    out: list[str] = []
-    _write(value, pad, out)
-    return "".join(out)
-
-
-def _text(value, pad: str) -> str:
-    """The canonical text of plain data *value*, from the writers compiled
-    per dict shape. On any error the generic emitter runs over the whole
-    value instead, so that it raises, in its own order, and so that a value
-    nested as deeply as the generic emitter can write is still written."""
-    try:
-        return _plain(value, pad)
-    except (TypeError, ValueError, RecursionError):
-        out: list[str] = []
-        _write(value, pad, out)  # called from here, so it gets as deep a stack as ever
-        return "".join(out)
-
-
-# A dict's shape is the tuple of its keys, in order. Past the cap, dicts of
-# a new shape take the generic emitter, and so does a dict of more keys than
-# a record has: a map keyed by data, whose writer would take far longer to
-# compile (tens of µs a key) than to use once. Two threads may both compile
-# a shape; either writer is right.
-SHAPE_CAP = 256
-SHAPE_MAX_KEYS = 32
-_shape_writers: dict[tuple, Callable[[dict, str], str]] = {}
-
-
-def _plain(value, pad: str) -> str:
-    """The compiled path of :func:`_text`: a value not of exactly a JSON
-    type goes to the generic emitter, alone."""
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        return (_shape_writers.get(tuple(value)) or _shape_writer(value))(value, pad)
-    if kind is list or kind is tuple:
-        return _items(value, pad)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return str(value)
-    if kind is float:
-        return format_real(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return _written(value, pad)
-
-
-def _items(value: list | tuple, pad: str) -> str:
-    if not value:
-        return "[]"
-    inner = pad + "  "
-    first = value[0]
-    if type(first) is dict and first:
-        # a list of records: every item of the first one's shape is written
-        # by that shape's writer
-        keys = tuple(first)
-        writer = _shape_writers.get(keys) or _shape_writer(first)
-        texts = [writer(x, inner) if type(x) is dict and tuple(x) == keys else _plain(x, inner) for x in value]
-        return _array(texts, pad)
-    return _array([_plain(x, inner) for x in value], pad)
-
-
-_SCALAR_TEXT = {str: "_quote({})", int: "str({})", float: "format_real({})", bool: "('true' if {} else 'false')"}
-
-
-def _shape_writer(sample: dict) -> Callable[[dict, str], str]:
-    """The writer of dicts of *sample*'s shape, compiled to one f-string
-    that inlines each value of exactly the type it has in *sample*."""
-    keys = tuple(sample)
-    if len(_shape_writers) >= SHAPE_CAP or len(keys) > SHAPE_MAX_KEYS or any(type(key) is not str for key in keys):
-        return _written
-    names = [f"v{i}" for i in range(len(keys))]
-    lines = ["def _shape(d, pad):", f"    {', '.join(names)}, = d.values()", "    inner = pad + '  '"]
-    for i, (v, item) in enumerate(zip(names, sample.values())):
-        kind = type(item)
-        if kind in _SCALAR_TEXT:
-            text = f"{_SCALAR_TEXT[kind].format(v)} if type({v}) is {kind.__name__} else _plain({v}, inner)"
-        elif item is None:
-            text = f"'null' if {v} is None else _plain({v}, inner)"
-        elif kind is list:
-            text = f"_items({v}, inner) if type({v}) is list else _plain({v}, inner)"
-        else:
-            text = f"_plain({v}, inner)"
-        lines.append(f"    t{i} = {text}")
-    lines.append(f"    return f{_template(keys)!r}")
-    namespace = {"_quote": _quote, "format_real": format_real, "_plain": _plain, "_items": _items}
-    exec(compile("\n".join(lines) + "\n", "<codec dict shape>", "exec"), namespace)
-    _shape_writers[keys] = writer = namespace["_shape"]
-    return writer
-
-
-def _template(keys) -> str:
-    """An f-string body of a dict of at least one key whose value texts are
-    ``t0``, ``t1``, …, written at ``pad`` with its keys at ``inner``."""
-    rows = [f"{{inner}}{_quote(key).replace('{', '{{').replace('}', '}}')}: {{t{i}}}" for i, key in enumerate(keys)]
-    return "{{" + ",".join(rows) + "{pad}}}"
 
 
 # -- kinds --------------------------------------------------------------------
@@ -418,8 +262,9 @@ def _kind_of(annotation: Any) -> Kind:
 
 
 class _Unbuilt:
-    """A class attribute standing in for one compiled method until its first
-    use, which compiles the method and puts it in the stand-in's place."""
+    """A class attribute standing in for one compiled method, or for
+    ``__dataclass_fields__``, until its first use, which builds it and puts
+    it in the stand-in's place."""
 
     def __init__(self, cls: type, name: str, build: Callable[[type], Any]) -> None:
         self.cls, self.name, self.build = cls, name, build
@@ -451,23 +296,74 @@ def _record_repr(self):
     return f"{self.__class__.__qualname__}({shown})"
 
 
+def _frozen(message: str) -> Exception:
+    from dataclasses import FrozenInstanceError  # only a refused write pays the import
+
+    return FrozenInstanceError(message)
+
+
+def _record_setattr(self, name, value):
+    raise _frozen(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise _frozen(f"cannot delete field {name!r}")
+
+
+def _record_setstate(self, state):
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)
+
+
 def record(cls: type) -> type:
-    """Class decorator making *cls* a frozen record: a dataclass with
-    ``__slots__`` (with an instance dict instead where a ``cached_property``
-    needs one) and an ``__init__`` compiled on first use from its fields.
-    Every record shares one ``__eq__``, ``__hash__`` and ``__repr__``, which
-    read the field names from ``__match_args__``.
+    """Class decorator making *cls* a frozen record. Each annotation of the
+    class body is a field, in order, and a value assigned to it is its
+    default; ``_record_fields`` keeps (name, annotation, default) of each,
+    ``_REQUIRED`` standing for no default. A class without a
+    ``cached_property`` is rebuilt with ``__slots__`` and its original
+    ``__qualname__``. ``__init__`` is compiled on first use. Every record
+    shares one ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
+    ``__delattr__``, and every slotted one ``__getstate__`` and
+    ``__setstate__``; they read the field names from ``__match_args__``.
 
     They behave as those of ``@dataclass(frozen=True)``, with one choice
     where Python versions differ: ``__eq__`` compares the tuples of the
     fields, as 3.10-3.12 do, so a field that holds the same NaN object on
     both sides compares equal (3.13 compares field by field, and it does not).
+    ``__dataclass_fields__`` is built on first access from a frozen dataclass
+    twin, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
+    ``is_dataclass`` serve records.
     """
-    slots = not any(isinstance(value, cached_property) for value in vars(cls).values())
-    cls = dataclasses.dataclass(frozen=True, slots=slots, init=False, repr=False, eq=False)(cls)
+    body = vars(cls)
+    fields = tuple((name, annotation, body.get(name, _REQUIRED)) for name, annotation in cls.__annotations__.items())
+    names = tuple(name for name, _, _ in fields)
+    if not any(isinstance(value, cached_property) for value in body.values()):
+        # the defaults leave the body, as do the instance dict and weakref of the class without slots
+        namespace = {key: value for key, value in body.items() if key not in (*names, "__dict__", "__weakref__")}
+        namespace.update(__slots__=names, __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+        cls.__getstate__, cls.__setstate__ = _values, _record_setstate  # the state is the field values
+    cls._record_fields, cls.__match_args__ = fields, names
     cls.__init__ = _Unbuilt(cls, "__init__", _init)
     cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    cls.__dataclass_fields__ = _Unbuilt(cls, "__dataclass_fields__", _dataclass_fields)
     return cls
+
+
+def _dataclass_fields(cls: type) -> dict:
+    """The ``__dataclass_fields__`` of a frozen dataclass built from the
+    record's fields. Its ``__dataclass_params__`` go on the record too, for
+    the readers of a dataclass's parameters, such as ``pprint``."""
+    import dataclasses
+
+    specs = [
+        (name, annotation) if default is _REQUIRED else (name, annotation, dataclasses.field(default=default))
+        for name, annotation, default in cls._record_fields
+    ]
+    twin = dataclasses.make_dataclass(cls.__name__, specs, init=False, repr=False, eq=False, frozen=True)
+    cls.__dataclass_params__ = twin.__dataclass_params__
+    return twin.__dataclass_fields__
 
 
 def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:
@@ -479,17 +375,16 @@ def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) 
 
 
 def _init(cls: type) -> Callable:
-    """``__init__`` compiled from the dataclass fields: each argument is
+    """``__init__`` compiled from the record's fields: each argument is
     stored through its slot's member descriptor (or by
     ``object.__setattr__``, into an instance dict), and ``__post_init__``
     runs last."""
-    fields, slotted = dataclasses.fields(cls), "__slots__" in vars(cls)
+    fields, slotted = cls._record_fields, "__slots__" in vars(cls)
     namespace: dict[str, Any] = {"_setattr": object.__setattr__}
     params, body = ["self"], []
-    for i, field in enumerate(fields):
-        name = field.name
-        if field.default is not dataclasses.MISSING:
-            namespace[f"_default{i}"] = field.default
+    for i, (name, _, default) in enumerate(fields):
+        if default is not _REQUIRED:
+            namespace[f"_default{i}"] = default
             params.append(f"{name}=_default{i}")
         else:
             params.append(name)
@@ -501,8 +396,8 @@ def _init(cls: type) -> Callable:
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     function = _compile(cls, "__init__", [f"def __init__({', '.join(params)}):", *body], namespace)
-    # the annotations of the __init__ dataclasses writes, for inspect.signature
-    function.__annotations__ = {**{field.name: field.type for field in fields}, "return": None}
+    # the annotations of the __init__ of a dataclass, for inspect.signature
+    function.__annotations__ = {**{name: annotation for name, annotation, _ in fields}, "return": None}
     return function
 
 
@@ -524,13 +419,12 @@ class _Codec:
         cls = self.cls
         hints = typing.get_type_hints(cls)
         fields = []
-        for field in dataclasses.fields(cls):
-            default = _REQUIRED
-            if field.name in self.optional:
-                if field.default is dataclasses.MISSING:
-                    raise TypeError(f"optional field {cls.__name__}.{field.name} has no default")
-                default = field.default
-            fields.append((field.name, self.keys.get(field.name, field.name), _kind_of(hints[field.name]), default))
+        for name, _, default in cls._record_fields:
+            if name not in self.optional:
+                default = _REQUIRED
+            elif default is _REQUIRED:
+                raise TypeError(f"optional field {cls.__name__}.{name} has no default")
+            fields.append((name, self.keys.get(name, name), _kind_of(hints[name]), default))
         return fields
 
 
@@ -544,7 +438,7 @@ def document(
     ``from_dict(data, path=<path>)`` from its field annotations.
 
     ``keys`` renames fields in the document. A field in ``optional`` may be
-    absent and then takes its dataclass default. A ``ValueError`` from the
+    absent and then takes its default. A ``ValueError`` from the
     constructor becomes ``SchemaError("<path>: ...")``.
     The field-by-field reader stays available as ``_read_fields`` to a class
     that writes its own ``from_dict``. Nothing is compiled until first use.

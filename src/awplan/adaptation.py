@@ -45,6 +45,9 @@ class VoaSetting:
 
 @_schema.document("equalization")
 class EqualizationResult:
+    """The attenuator settings that level a node's channels, with the worst
+    shortfall left and the channels clipped at zero attenuation."""
+
     settings: tuple[VoaSetting, ...]
     max_residual_db: float
     clipped_channels: tuple[str, ...]
@@ -87,6 +90,8 @@ def compute_voa_settings(
 
 @_schema.document("node_summary")
 class NodeEqualizationSummary:
+    """One node's equalization outcome against the flatness tolerance."""
+
     node_id: str
     passed: bool
     max_residual_db: float
@@ -96,6 +101,8 @@ class NodeEqualizationSummary:
 
 @_schema.document("equalization_report")
 class EqualizationReport:
+    """The equalization outcome of every node of a grid."""
+
     flatness_tolerance_db: float
     nodes: tuple[NodeEqualizationSummary, ...]
 

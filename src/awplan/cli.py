@@ -9,11 +9,9 @@ but without a feasible result, 2 unusable input.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,13 +19,11 @@ from . import __version__, _schema
 from .errors import AwplanError, CalibrationError, SchemaError, TopologyError
 from .iofmt import PlotSeries, canonical_json, export_q_vs_distance, parse_json, plot_series_to_csv
 from .perfmodel import (
-    DEFAULT_L_REF_KM, DESIGN_MIN_DB, HARD_MIN_DB, CalibrationPoint, Feasibility, QEstimate, QModel, Thresholds,
-    calibrate, check_l_ref, estimate_q,
+    DEFAULT_L_REF_KM, DESIGN_MIN_DB, HARD_MIN_DB, CalibrationPoint, Feasibility, Modulation, NeighborConfig, QEstimate,
+    QModel, Thresholds, calibrate, check_l_ref, estimate_q,
 )
 from .planner import DEFAULT_POLICY, Demand, ModelProvenance, PlanDocument, PlannerPolicy, plan_link, validate_plan
-from .spectrum import (
-    AllocationResult, Modulation, NeighborConfig, PlacementRequest, SpectrumGrid, empty_grid, first_fit_allocate,
-)
+from .spectrum import AllocationResult, PlacementRequest, SpectrumGrid, empty_grid, first_fit_allocate
 from .topology import NetworkTopology, PathMetrics, check_topology, validate_topology
 
 _CLASS_COLORS = {
@@ -68,6 +64,8 @@ def _write_output(text: str, out: str | None) -> None:
 def _stamped(document: dict, args: argparse.Namespace) -> dict:
     if not getattr(args, "stamp", False):
         return document
+    from datetime import datetime, timezone  # only --stamp pays the import
+
     meta = {
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "generator": f"awplan {__version__}",
@@ -158,6 +156,7 @@ def _load_grid(path: str | None) -> SpectrumGrid:
 
 
 def _load_model(path: str, l_ref_km: float):
+    """The model calibrated from the points file at *path*, and the file's text."""
     check_l_ref(l_ref_km)  # a bad flag is no fault of the file
     text = _read_text(path)
     points = _decode(_KINDS["calibration points"], parse_json(text, label=path), path)
@@ -165,7 +164,14 @@ def _load_model(path: str, l_ref_km: float):
         model = calibrate(points, l_ref_km)
     except CalibrationError as err:
         raise CalibrationError(f"{path}: {err}") from None
-    return model, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return model, text
+
+
+def _digest(text: str) -> str:
+    """The SHA-256 of a calibration file's text, which only a plan records."""
+    import hashlib  # only plan pays the import
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_modulation(text: str) -> Modulation:
@@ -257,7 +263,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     topology = check_topology(_load("topology", args.topology), args.topology)
-    model, digest = _load_model(args.calib, args.l_ref)
+    model, calibration_text = _load_model(args.calib, args.l_ref)
     grid = _load_grid(args.grid)
     demands = _load("demands", args.demands)
     policy = _policy_from(args)
@@ -267,7 +273,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             reports.append(plan_link(demand, topology, grid, model, policy))
         except TopologyError as err:
             raise TopologyError(f"{args.demands}[{i}]: {err}") from None
-    document = PlanDocument(ModelProvenance(digest), tuple(reports))
+    document = PlanDocument(ModelProvenance(_digest(calibration_text)), tuple(reports))
     _write_output(canonical_json(_stamped(document.to_dict(), args)), args.out)
     return 0 if all(report.chosen.feasible for report in reports) else 1
 

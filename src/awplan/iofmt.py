@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 
 from . import _schema
-from ._schema import _text, format_real, parse_json
+from ._schema import parse_json
+from ._writer import _text, format_real
 from .errors import SchemaError
-from .perfmodel import QModel, estimate_q
-from .spectrum import Modulation, NeighborConfig
+from .perfmodel import Modulation, NeighborConfig, QModel, estimate_q
 from .topology import PathMetrics
 
 

@@ -8,6 +8,10 @@ and makes no physics claims beyond them; reports label it empirical.
 
 Feasibility classification uses two floors: a hard minimum below which a
 signal is unworkable, and a design minimum that good practice stays above.
+
+The model's inputs, a block's modulation and its native neighbors
+(``Modulation``, ``NeighborConfig``), are defined here; ``spectrum`` takes
+them from this module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from enum import Enum
 
 from . import _schema
 from .errors import CalibrationError
-from .spectrum import Modulation, NeighborConfig
 from .topology import PathMetrics
 
 DEFAULT_L_REF_KM = 345.0
@@ -37,6 +40,20 @@ MAX_MEASURED_Q_DB = 100.0
 
 # residual ceiling for an exactly-determined calibration solve
 _SOLVE_TOLERANCE = 1e-9
+
+NATIVE_WIDTH_SLOTS = 2
+# Every slot mask is an int of up to slot_count bits, and a guard band adds
+# its width to a shifted mask, so both are bounded to keep each mask small
+# whatever a file says. The paper's band has 160 slots; C+L at 25 GHz is
+# about 480.
+MAX_SLOT_COUNT = 1024
+# no band holds more natives than this, so no neighbor count exceeds it
+MAX_NEIGHBOR_COUNT = MAX_SLOT_COUNT // NATIVE_WIDTH_SLOTS
+
+
+class Modulation(Enum):
+    BPSK = "BPSK"
+    QPSK = "QPSK"
 
 
 class Feasibility(Enum):
@@ -65,6 +82,25 @@ class Thresholds:
 
 
 DEFAULT_THRESHOLDS = Thresholds()
+
+
+@_schema.document("neighbors")
+class NeighborConfig:
+    """Native channels adjacent to a super-channel, split by guard-band status."""
+
+    guarded_native_count: int = 0
+    unguarded_native_count: int = 0
+    in_dedicated_partition: bool = False
+
+    def __post_init__(self) -> None:
+        if self.guarded_native_count < 0 or self.unguarded_native_count < 0:
+            raise ValueError("neighbor counts must be >= 0")
+        if self.guarded_native_count > MAX_NEIGHBOR_COUNT or self.unguarded_native_count > MAX_NEIGHBOR_COUNT:
+            raise ValueError(f"neighbor counts must be at most {MAX_NEIGHBOR_COUNT}")
+        if self.in_dedicated_partition and (
+            self.guarded_native_count or self.unguarded_native_count
+        ):
+            raise ValueError("a super-channel in a dedicated partition has no native neighbors")
 
 
 def classify_q(value_db: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> Feasibility:

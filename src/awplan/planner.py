@@ -19,6 +19,8 @@ from .perfmodel import (
     DEFAULT_THRESHOLDS,
     NATIVE_IMPACT_DB,
     Feasibility,
+    Modulation,
+    NeighborConfig,
     QEstimate,
     QModel,
     Thresholds,
@@ -30,8 +32,6 @@ from .spectrum import (
     MAX_CARRIERS,
     PAIR_COUNT,
     CarrierPair,
-    Modulation,
-    NeighborConfig,
     SpectrumGrid,
     SuperChannel,
     WorkingGrid,

@@ -31,26 +31,14 @@ from typing import Literal
 
 from . import _schema
 from .errors import SchemaError, SpectrumError
+from .perfmodel import MAX_SLOT_COUNT, NATIVE_WIDTH_SLOTS, Modulation, NeighborConfig
 
 SLOT_WIDTH_GHZ = 25.0
-NATIVE_WIDTH_SLOTS = 2
 NATIVE_FORMAT = "IM-DD"
 NATIVE_BITRATES_GBPS = (10, 40)
 PAIR_COUNT = 5
 CARRIERS_PER_PAIR = 2
 MAX_CARRIERS = PAIR_COUNT * CARRIERS_PER_PAIR
-# Every slot mask is an int of up to slot_count bits, and a guard band adds
-# its width to a shifted mask, so both are bounded to keep each mask small
-# whatever a file says. The paper's band has 160 slots; C+L at 25 GHz is
-# about 480.
-MAX_SLOT_COUNT = 1024
-# no band holds more natives than this, so no neighbor count exceeds it
-MAX_NEIGHBOR_COUNT = MAX_SLOT_COUNT // NATIVE_WIDTH_SLOTS
-
-
-class Modulation(Enum):
-    BPSK = "BPSK"
-    QPSK = "QPSK"
 
 
 class OccupantKind(Enum):
@@ -207,25 +195,6 @@ class DedicatedPartition:
 
     def overlaps(self, start: int, end: int) -> bool:
         return start < self.end_slot and self.start_slot < end
-
-
-@_schema.document("neighbors")
-class NeighborConfig:
-    """Native channels adjacent to a super-channel, split by guard-band status."""
-
-    guarded_native_count: int = 0
-    unguarded_native_count: int = 0
-    in_dedicated_partition: bool = False
-
-    def __post_init__(self) -> None:
-        if self.guarded_native_count < 0 or self.unguarded_native_count < 0:
-            raise ValueError("neighbor counts must be >= 0")
-        if self.guarded_native_count > MAX_NEIGHBOR_COUNT or self.unguarded_native_count > MAX_NEIGHBOR_COUNT:
-            raise ValueError(f"neighbor counts must be at most {MAX_NEIGHBOR_COUNT}")
-        if self.in_dedicated_partition and (
-            self.guarded_native_count or self.unguarded_native_count
-        ):
-            raise ValueError("a super-channel in a dedicated partition has no native neighbors")
 
 
 def check_guard_band(guard: int, error: type[Exception] = SpectrumError) -> None:

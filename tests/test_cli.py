@@ -34,20 +34,24 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def garr_with_bo1_mi1_span(tmp_path: Path, fixture_dir: Path, field: str, value: float) -> Path:
-    """A copy of the bundled topology with one field of the first BO1-MI1 span replaced."""
+def garr_with_bo1_mi1_span(tmp_path: Path, fixture_dir: Path, field: str, text: str) -> Path:
+    """A copy of the bundled topology with one field of the first BO1-MI1 span
+    replaced by the JSON *text*."""
     document = json.loads((fixture_dir / TOPO).read_text())
     assert (document["spans"][0]["from"], document["spans"][0]["to"]) == ("BO1", "MI1")
-    document["spans"][0][field] = value
+    document["spans"][0][field] = "<value>"
     path = tmp_path / "garr.topo.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(document).replace('"<value>"', text, 1))
     return path
 
 
+# JSON has no NaN or infinity. A real too large for a float is read as an
+# infinity, which the span's own check refuses, naming the span; the token
+# NaN is refused by the reader, naming the file.
 NON_FINITE_SPANS = [
-    pytest.param("length_km", float("nan"), "length_km must be finite, got nan", id="length-NaN"),
-    pytest.param("length_km", float("inf"), "length_km must be finite, got inf", id="length-Infinity"),
-    pytest.param("attenuation_db", float("-inf"), "attenuation_db must be finite, got -inf",
+    pytest.param("length_km", "NaN", ": invalid JSON: NaN is not a JSON number", id="length-NaN"),
+    pytest.param("length_km", "1e999", ".spans[0]: length_km must be finite, got inf", id="length-Infinity"),
+    pytest.param("attenuation_db", "-1e999", ".spans[0]: attenuation_db must be finite, got -inf",
                  id="attenuation-minus-Infinity"),
 ]
 
@@ -92,14 +96,15 @@ class TestCalibrate:
 @pytest.mark.parametrize("command", [("calibrate", "--points"), ("validate",)], ids=["calibrate", "validate"])
 def test_non_finite_calibration_point_exits_two_naming_the_point(capsys, fixture_dir, tmp_path, command):
     points = json.loads((fixture_dir / CALIB).read_text())
-    points[0]["measured_q_db"] = float("nan")
-    path = tmp_path / "nan.calib.json"
-    path.write_text(json.dumps(points))  # the JSON token NaN
-    assert "NaN" in path.read_text()
+    points[0]["measured_q_db"] = "<value>"
+    path = tmp_path / "inf.calib.json"
+    # a real too large for a float, read as an infinity (the token NaN is refused
+    # by the reader: test_a_non_finite_constant_exits_two_naming_the_file)
+    path.write_text(json.dumps(points).replace('"<value>"', "1e999"))
     code, out, err = run(capsys, *command, str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}[0]: measured_q_db must be finite, got nan\n"
+    assert err == f"error: {path}[0]: measured_q_db must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("field", ["distance_km", "measured_q_db"])
@@ -458,11 +463,11 @@ class TestPlan:
         assert report["chosen"]["feasible"] is False
         assert any("no feasible option" in w for w in report["warnings"])
 
-    @pytest.mark.parametrize("field, value, message", NON_FINITE_SPANS)
+    @pytest.mark.parametrize("field, text, message", NON_FINITE_SPANS)
     def test_non_finite_span_exits_two_naming_the_span(
-        self, capsys, fx, fixture_dir, tmp_path, field, value, message
+        self, capsys, fx, fixture_dir, tmp_path, field, text, message
     ):
-        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, value)
+        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, text)
         code, out, err = run(
             capsys,
             "plan", "--topology", str(topology), "--demands", fx("bo1-mi1.demands.json"),
@@ -470,7 +475,7 @@ class TestPlan:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: {topology}.spans[0]: {message}\n"
+        assert err == f"error: {topology}{message}\n"
 
     def test_guard_wider_than_any_band_exits_two(self, capsys, fx):
         code, out, err = run(
@@ -791,15 +796,15 @@ class TestValidate:
         assert code == 1
         assert "DANGLING_ENDPOINT" in out
 
-    @pytest.mark.parametrize("field, value, message", NON_FINITE_SPANS)
+    @pytest.mark.parametrize("field, text, message", NON_FINITE_SPANS)
     def test_non_finite_span_exits_two_naming_the_span(
-        self, capsys, fixture_dir, tmp_path, field, value, message
+        self, capsys, fixture_dir, tmp_path, field, text, message
     ):
-        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, value)
+        topology = garr_with_bo1_mi1_span(tmp_path, fixture_dir, field, text)
         code, out, err = run(capsys, "validate", str(topology))
         assert code == 2
         assert out == ""
-        assert err == f"error: {topology}.spans[0]: {message}\n"
+        assert err == f"error: {topology}{message}\n"
 
     def test_plan_whose_reports_are_not_an_array_exits_two(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
@@ -832,21 +837,34 @@ FILE_READERS = {
 }
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
-@pytest.mark.parametrize("reader", FILE_READERS)
-def test_an_integer_past_the_digit_limit_exits_two_naming_the_file(capsys, fx, tmp_path, reader):
+def run_with_first_number(capsys, fx, tmp_path, reader: str, replacement: str):
+    """Run *reader* on a copy of its file whose first number is replaced by
+    the text *replacement*; the path of the copy and the run's result."""
     name, argv = FILE_READERS[reader]
     plan = tmp_path / "plan.json"
     assert run(capsys, *[fx(a) if a.endswith(".json") else a for a in OUTPUTS["plan"]], "--out", str(plan))[0] == 0
-    huge = tmp_path / "huge.json"
+    bad = tmp_path / "bad.json"
     text = plan.read_text() if name == "plan" else Path(fx(name)).read_text()
-    # the first number of the document becomes an integer of more digits than int() may read
-    huge.write_text(re.sub(r"(?<=: )\d+(\.\d+)?", "7" * (sys.get_int_max_str_digits() + 700), text, count=1))
-    files = {"{f}": str(huge), "{plan}": str(plan)}
-    argv = [files.get(a) or (fx(a) if a.endswith(".json") else a) for a in argv]
-    code, out, err = run(capsys, *argv)
+    bad.write_text(re.sub(r"(?<=: )\d+(\.\d+)?", replacement, text, count=1))
+    files = {"{f}": str(bad), "{plan}": str(plan)}
+    return bad, run(capsys, *[files.get(a) or (fx(a) if a.endswith(".json") else a) for a in argv])
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+@pytest.mark.parametrize("reader", FILE_READERS)
+def test_an_integer_past_the_digit_limit_exits_two_naming_the_file(capsys, fx, tmp_path, reader):
+    digits = "7" * (sys.get_int_max_str_digits() + 700)  # more than int() may read
+    huge, (code, out, err) = run_with_first_number(capsys, fx, tmp_path, reader, digits)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {huge}: invalid JSON: Exceeds the limit")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("reader", FILE_READERS)
+def test_a_non_finite_constant_exits_two_naming_the_file(capsys, fx, tmp_path, reader, token):
+    # a token json.loads takes and JSON does not
+    bad, result = run_with_first_number(capsys, fx, tmp_path, reader, token)
+    assert result == (2, "", f"error: {bad}: invalid JSON: {token} is not a JSON number\n")
 
 
 class TestErrors:

@@ -33,6 +33,7 @@ from awplan import (
     PlotSeries,
     SuperChannel,
     _schema,
+    _writer,
     round_trip,
     serialize,
 )
@@ -233,7 +234,7 @@ def loose_object(draw, cls: type):
 
 
 def _generic_text(obj) -> str:
-    return _schema._written(obj.to_dict(), "\n") + "\n"
+    return _writer._written(obj.to_dict(), "\n") + "\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awplan import _schema
+from awplan import _writer
 from awplan import (
     Modulation,
     NeighborConfig,
@@ -244,16 +245,16 @@ _SHAPED = st.recursive(
 
 def _generic(value):
     """canonical_json by the generic emitter alone, from as deep a frame."""
-    return _schema._written(value, "\n") + "\n"
+    return _writer._written(value, "\n") + "\n"
 
 
 @pytest.fixture(scope="class")
 def shape_cache():
     """Empties the shape cache on each call; puts it back afterwards."""
-    saved = dict(_schema._shape_writers)
-    yield _schema._shape_writers.clear
-    _schema._shape_writers.clear()
-    _schema._shape_writers.update(saved)
+    saved = dict(_writer._shape_writers)
+    yield _writer._shape_writers.clear
+    _writer._shape_writers.clear()
+    _writer._shape_writers.update(saved)
 
 
 def _nested(kind: str, depth: int):
@@ -298,18 +299,18 @@ class TestShapeWriters:
 
     def test_past_the_cap_output_is_unchanged(self, shape_cache):
         shape_cache()
-        for i in range(_schema.SHAPE_CAP):
+        for i in range(_writer.SHAPE_CAP):
             canonical_json({f"k{i}": i})
-        assert len(_schema._shape_writers) == _schema.SHAPE_CAP
+        assert len(_writer._shape_writers) == _writer.SHAPE_CAP
         data = [{"late": 1.5, "shape": [{"x": None}]}, {"late": True, "shape": []}]
         assert canonical_json(data) == _generic(data)
-        assert len(_schema._shape_writers) == _schema.SHAPE_CAP
+        assert len(_writer._shape_writers) == _writer.SHAPE_CAP
 
     def test_a_map_of_many_keys_is_written_but_not_compiled(self, shape_cache):
         shape_cache()
-        data = {f"node-{i}": i for i in range(_schema.SHAPE_MAX_KEYS + 1)}
+        data = {f"node-{i}": i for i in range(_writer.SHAPE_MAX_KEYS + 1)}
         assert canonical_json(data) == _generic(data)
-        assert not _schema._shape_writers
+        assert not _writer._shape_writers
 
     @pytest.mark.parametrize("kind", ["list", "dict", "mixed"])
     def test_deepest_document_is_the_generic_emitters(self, shape_cache, kind):
@@ -331,6 +332,17 @@ class TestParseJson:
     def test_error_carries_label_and_position(self):
         with pytest.raises(SchemaError, match=r"grid: invalid JSON at line 1"):
             parse_json("{oops", label="grid")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_constant_is_refused_by_name(self, token):
+        # json.loads takes these tokens; RFC 8259 section 6 does not
+        with pytest.raises(SchemaError, match=f"^grid: invalid JSON: {token} is not a JSON number$"):
+            parse_json(f'{{"a": [1, {token}]}}', label="grid")
+
+    def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it(self):
+        message = "grid: invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_json("\ufeff[1]", label="grid")
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
     def test_an_integer_past_the_digit_limit_carries_the_label(self):

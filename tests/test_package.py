@@ -61,18 +61,69 @@ def test_unknown_name_raises_attribute_error():
         awplan.no_such_name  # noqa: B018
 
 
+# what a fresh interpreter does before its first plan: calibrate the reference
+# points and parse a topology. The probe counts only the modules loaded after
+# importlib.resources, which fixture_path uses and whose imports vary with
+# the Python version.
+SETUP_PROBE = """\
+import json, sys, importlib.resources
+before = set(sys.modules)
+from awplan import CalibrationPoint, calibrate, fixture_path, parse_topology
+points = json.loads(fixture_path("reference.calib.json").read_text(encoding="utf-8"))
+calibrate([CalibrationPoint.from_dict(p) for p in points])
+parse_topology(fixture_path("garr.topo.json").read_text(encoding="utf-8"))
+print(sorted({"awplan._writer", "awplan.spectrum", "dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+
+
 @pytest.mark.parametrize(
     ("probe", "expected"),
     [
         ("import sys, awplan; print(sorted(m for m in sys.modules if m.startswith('awplan.')))", "[]\n"),
         ("import sys, awplan.cli; print('awplan.adaptation' in sys.modules)", "False\n"),
+        (
+            "import sys, awplan.cli; print(sorted({'dataclasses', 'inspect', 'hashlib', 'datetime'} & set(sys.modules)))",
+            "[]\n",
+        ),
+        (SETUP_PROBE, "[]\n"),
     ],
-    ids=["package", "cli"],
+    ids=["package", "cli", "cli-stdlib", "calibrate-and-parse"],
 )
 def test_import_loads_only_what_is_used(probe, expected):
+    assert _output(probe) == expected
+
+
+def test_a_record_refuses_a_write_before_dataclasses_is_loaded():
+    probe = (
+        "import sys, awplan.perfmodel as p\n"
+        "record = p.Thresholds()\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "for write in (lambda: setattr(record, 'hard_min_db', 1.0), lambda: delattr(record, 'hard_min_db')):\n"
+        "    try:\n"
+        "        write()\n"
+        "    except Exception as err:\n"
+        "        print(type(err).__module__, type(err).__name__, err)\n"
+        "print(record)"
+    )
+    assert _output(probe) == (
+        "dataclasses FrozenInstanceError cannot assign to field 'hard_min_db'\n"
+        "dataclasses FrozenInstanceError cannot delete field 'hard_min_db'\n"
+        "Thresholds(hard_min_db=6.5, design_min_db=8.5)\n"
+    )
+
+
+def _output(probe: str) -> str:
+    """The standard output of *probe* run by a fresh interpreter on this source tree."""
     src = str(Path(awplan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout == expected
+    return result.stdout
+
+
+def test_spectrum_takes_the_model_inputs_from_perfmodel():
+    from awplan import perfmodel, spectrum
+
+    for name in ("Modulation", "NeighborConfig", "NATIVE_WIDTH_SLOTS", "MAX_SLOT_COUNT"):
+        assert getattr(spectrum, name) is getattr(perfmodel, name)
