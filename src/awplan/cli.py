@@ -91,6 +91,28 @@ def _plan_findings(plan: PlanDocument, args: argparse.Namespace) -> list:
     ]
 
 
+def _allocation_findings(allocation: AllocationResult, args: argparse.Namespace) -> list:
+    """Each placed assignment names an occupant of its request's kind at its
+    start slot (a native at its bitrate), and no id is placed twice."""
+    grid, findings, placed = allocation.grid, [], set()
+    held = {n.id: ("native", n.start_slot, n.bitrate_gbps) for n in grid.natives}
+    held.update((sc.id, ("superchannel", sc.start_slot, None)) for sc in grid.superchannels)
+    for i, assignment in enumerate(allocation.assignments):
+        request, start = assignment.request, assignment.start_slot
+        if start is None:
+            continue
+        kind = request.kind.value
+        rate = request.bitrate_gbps if kind == "native" else None
+        if request.id in placed:
+            findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {request.id!r} is placed twice"))
+        elif held.get(request.id) != (kind, start, rate):
+            at = f" at {rate} Gbps" if rate else ""
+            message = f"the grid holds no {kind} {request.id!r} at slot {start}{at}"
+            findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
+        placed.add(request.id)
+    return findings
+
+
 def _topology_findings(topology: NetworkTopology, args: argparse.Namespace) -> list:
     return [(violation.code, violation.message) for violation in validate_topology(topology)]
 
@@ -113,7 +135,7 @@ _KINDS = {
     "plan": _Kind(("reports",), PlanDocument, check=_plan_findings),
     "topology": _Kind(("nodes", "spans"), NetworkTopology, check=_topology_findings),
     "grid": _Kind(("band",), SpectrumGrid),
-    "allocation": _Kind(("assignments",), AllocationResult),
+    "allocation": _Kind(("assignments",), AllocationResult, check=_allocation_findings),
     "demands": _Kind(("path", "required_capacity_gbps"), Demand, True),
     "requests": _Kind(("kind", "id"), PlacementRequest, True),
     "model": _Kind(("l_ref_km", "q_ref_db"), QModel),

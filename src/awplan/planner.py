@@ -34,7 +34,7 @@ from .spectrum import (
     CarrierPair,
     SpectrumGrid,
     SuperChannel,
-    WorkingGrid,
+    block_windows,
     blocked_starts,
     carve_dedicated_partition,
     check_guard_band,
@@ -208,22 +208,22 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
 
 
 def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
+    # occupied_mask first: it raises on a double-booked grid, naming both owners
+    occupied, natives = grid.occupied_mask, grid.native_mask
+    width = grid.band.superchannel_width_slots
     # the windows first fit searches: a mixed block lies outside every
     # partition, a dedicated one inside one
-    working = WorkingGrid(grid)
-    width, occupied = working.width, working.occupied_mask
+    inside, outside = block_windows(grid.band, grid.partition_mask, grid.partitions)
     free = ~blocked_starts(occupied, width)
 
-    mixed_start = lowest_start(
-        working.outside_starts & free & ~blocked_starts(working.native_mask, width, guard_band_slots)
-    )
+    mixed_start = lowest_start(outside & free & ~blocked_starts(natives, width, guard_band_slots))
     mixed_neighbors: NeighborConfig | None = None
     if mixed_start is not None:
         mixed_neighbors = window_neighbors(
-            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~working.native_mask
+            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~natives
         )
 
-    dedicated_start = lowest_start(working.inside_starts & free)
+    dedicated_start = lowest_start(inside & free)
     needs_carve = False
     if dedicated_start is None:
         carve = _carve_width(width)

@@ -7,17 +7,19 @@ partitions reserve a region for coherent carriers and exclude natives.
 
 Occupancy is held as ``int`` bitmasks on the grid (bit i is slot i) of
 native, occupied and partition slots, and each occupancy question is an AND
-of a slot window with them. ``place_native``, ``place_superchannel`` and
-``carve_dedicated_partition`` are the single validators; the grid each
-returns extends its parent's masks and id set by the one addition, so a
-replay of n placements builds no mask from every occupant. A window search
-(``blocked_starts``) tests every start of a block at once by ORing shifted
-masks. First fit searches on working masks (``WorkingGrid``): it reads the
-grid's masks once, takes the lowest start each search leaves, adds the
-placement to the working masks, and builds its result grid once per call.
-The search is exact, so first fit does not call the validators.
-A grid document is loaded in one pass over its occupants (``_seed_loaded``);
-the placements are replayed only to word an error.
+of a slot window with them. One mutable state, ``WorkingGrid``, holds a
+grid's masks and id set and the occupants added to it; its ``carve`` and
+``place`` state each placement rule once. ``place_native``,
+``place_superchannel``, ``carve_dedicated_partition`` and
+``SpectrumGrid.from_dict`` all run through them: a grid document is loaded
+by carving its partitions and placing its occupants, in order, on an empty
+state, so an error names the first placement that breaks a rule. A window
+search (``blocked_starts``) tests every start of a block at once by ORing
+shifted masks. First fit reads a grid's masks once into a working grid,
+takes the lowest start each search leaves and adds the placement there
+unchecked, since the search is exact. A result grid is built once, its
+masks and id set seeded from the working state, so no mask is rebuilt from
+every occupant.
 
 All operations are pure: they take a grid and return an updated copy.
 """
@@ -178,8 +180,7 @@ class DedicatedPartition:
     width_slots: int
 
     def __post_init__(self) -> None:
-        if self.width_slots <= 0:
-            raise ValueError(f"partition width must be > 0, got {self.width_slots}")
+        check_partition_width(self.width_slots, ValueError)
         if self.start_slot % 2 != 0 or (self.start_slot + self.width_slots) % 2 != 0:
             raise ValueError(
                 f"partition boundaries must align to the 50GHz grid, "
@@ -206,16 +207,19 @@ def check_guard_band(guard: int, error: type[Exception] = SpectrumError) -> None
         raise error(f"guard_band_slots must be at most {MAX_SLOT_COUNT}, got {guard}")
 
 
+def check_partition_width(width: int, error: type[Exception] = SpectrumError) -> None:
+    """Raise *error* unless *width* is a positive partition width."""
+    if width <= 0:
+        raise error(f"partition width must be > 0, got {width}")
+
+
 def slot_span(start: int, end: int) -> int:
     """Bitmask of the slots [start, end)."""
     return ((1 << (end - start)) - 1) << start
 
 
-def _outside_band(block, slot_count: int) -> SpectrumError:
-    name = "partition" if isinstance(block, DedicatedPartition) else f"occupant {block.id!r}"
-    return SpectrumError(
-        f"{name}: slots [{block.start_slot}, {block.end_slot}) fall outside the {slot_count}-slot band"
-    )
+def _outside_band(name: str, start: int, end: int, slot_count: int) -> SpectrumError:
+    return SpectrumError(f"{name}: slots [{start}, {end}) fall outside the {slot_count}-slot band")
 
 
 def _spans(blocks, slot_count: int) -> int:
@@ -224,7 +228,8 @@ def _spans(blocks, slot_count: int) -> int:
     for block in blocks:
         start, end = block.start_slot, block.end_slot
         if start < 0 or end > slot_count:
-            raise _outside_band(block, slot_count)
+            name = "partition" if isinstance(block, DedicatedPartition) else f"occupant {block.id!r}"
+            raise _outside_band(name, start, end, slot_count)
         mask |= slot_span(start, end)
     return mask
 
@@ -232,8 +237,8 @@ def _spans(blocks, slot_count: int) -> int:
 @_schema.document("grid")
 class SpectrumGrid:
     """The band and its occupants. The slot masks and the id set are cached
-    on first use, or seeded by the placement that made the grid, and so are
-    the planner's probes; they are not fields, so equality, repr and
+    on first use, or seeded by the working state that built the grid, and so
+    are the planner's probes; they are not fields, so equality, repr and
     serialization ignore them."""
 
     band: BandConfig = BandConfig()
@@ -296,146 +301,192 @@ class SpectrumGrid:
     # hand-written: a grid's placement rules span its occupants, not one field
     @classmethod
     def from_dict(cls, data: dict, path: str = "grid") -> "SpectrumGrid":
-        """Load a grid, checking every placement rule on load. All occupants
-        are checked at once on slot masks, and the grid read from *data* is
-        returned with its masks and id set seeded. Only when a rule fails are
-        the placements replayed one by one, so that the error names the first
-        placement that breaks a rule, worded as that placement words it."""
-        parsed = cls._read_fields(data, path)
-        if _seed_loaded(parsed):
-            return parsed
-        grid = cls(band=parsed.band)
+        """Load a grid: its partitions are carved, then its natives and blocks
+        placed, in order, on an empty working state, so an error names the
+        first placement that breaks a rule, worded as that placement words
+        it. The grid read from *data* is returned with its state seeded."""
+        grid = cls._read_fields(data, path)
         try:
-            for part in parsed.partitions:
-                grid = carve_dedicated_partition(grid, part.start_slot, part.width_slots)
-            for native in parsed.natives:
-                grid = place_native(grid, native)
-            for sc in parsed.superchannels:
-                grid = place_superchannel(grid, sc)
+            working = WorkingGrid.empty(grid.band).carve(grid.partitions).place(grid.natives, grid.superchannels)
         except SpectrumError as err:
             raise SchemaError(f"{path}: {err}") from None
-        return grid
-
-
-def _seed_loaded(grid: SpectrumGrid) -> bool:
-    """Check a grid's occupants against every rule that replaying their
-    placements would check, all at once, and seed its masks and id set.
-    False, with nothing seeded, when any rule fails."""
-    count, width = grid.band.slot_count, grid.band.superchannel_width_slots
-    natives, blocks, partitions = grid.natives, grid.superchannels, grid.partitions
-    if any(native.start_slot % 2 for native in natives) or any(sc.width_slots != width for sc in blocks):
-        return False
-    try:  # each block is tested against the band before a mask is shifted to it
-        partition_mask = _spans(partitions, count)
-        native_mask = _spans(natives, count)
-        block_mask = _spans(blocks, count)
-    except SpectrumError:
-        return False
-    occupied_mask = native_mask | block_mask
-    ids = frozenset([native.id for native in natives] + [sc.id for sc in blocks])
-    if (
-        partition_mask.bit_count() != sum(part.width_slots for part in partitions)
-        or occupied_mask.bit_count() != NATIVE_WIDTH_SLOTS * len(natives) + width * len(blocks)
-        or native_mask & partition_mask
-        or len(ids) != len(natives) + len(blocks)
-        # a block meets no partition, or lies wholly inside one
-        or block_mask & partition_mask
-        and any(
-            slot_span(sc.start_slot, sc.end_slot) & partition_mask
-            and grid.partition_containing(sc.start_slot, sc.end_slot) is None
-            for sc in blocks
-        )
-    ):
-        return False
-    grid.__dict__.update(
-        native_mask=native_mask,
-        occupied_mask=occupied_mask,
-        partition_mask=partition_mask,
-        _occupant_ids=ids,
-    )
-    return True
-
-
-def _seeded(
-    child: SpectrumGrid, parent: SpectrumGrid, *, native: int = 0, occupied: int = 0,
-    partition: int = 0, new_ids: set[str] | frozenset[str] = frozenset(),
-) -> SpectrumGrid:
-    """*child* is *parent* plus validated additions. Seed its masks and id
-    set with *parent*'s plus the added slots and ids, instead of a rebuild
-    from every occupant."""
-    ids = parent.occupant_ids()
-    child.__dict__.update(
-        native_mask=parent.native_mask | native,
-        occupied_mask=parent.occupied_mask | occupied,
-        partition_mask=parent.partition_mask | partition,
-        _occupant_ids=ids | new_ids if new_ids else ids,
-    )
-    return child
+        return working.seed(grid)
 
 
 def empty_grid(band: BandConfig | None = None) -> SpectrumGrid:
     return SpectrumGrid(band=band or BandConfig())
 
 
-def _check_occupancy(grid: SpectrumGrid, start: int, end: int, occupant_id: str) -> None:
-    if occupant_id in grid.occupant_ids():
-        raise SpectrumError(f"occupant id {occupant_id!r} already present in grid")
-    clash = grid.occupied_mask & slot_span(start, end)
-    if clash:
-        slot = (clash & -clash).bit_length() - 1
-        owner = grid.occupant_map()[slot][1]
-        raise SpectrumError(f"{occupant_id!r} would overlap {owner!r} at slot {slot}")
+class WorkingGrid:
+    """The one mutable occupancy state: a grid's masks and id set, and the
+    occupants added to it (the grid's own are read, not copied). ``carve``
+    and ``place`` check every placement rule, in order; a state that raised
+    is discarded. First fit adds what its exact search finds unchecked."""
+
+    __slots__ = (
+        "base", "band", "width", "native_mask", "occupied_mask", "partition_mask", "ids", "new_ids",
+        "natives", "blocks", "partitions", "starts",
+    )
+
+    def __init__(self, base: SpectrumGrid, native: int, occupied: int, partition: int, ids: frozenset[str]) -> None:
+        self.base, self.band, self.width = base, base.band, base.band.superchannel_width_slots
+        self.native_mask, self.occupied_mask, self.partition_mask, self.ids = native, occupied, partition, ids
+        self.new_ids: set[str] = set()
+        self.natives, self.blocks, self.partitions = [], [], []  # added, in order
+        self.starts: tuple[int, int, int] | None = None  # read at first fit's first search
+
+    @classmethod
+    def of(cls, grid: SpectrumGrid) -> WorkingGrid:
+        # occupied_mask first: it raises on a double-booked grid, naming both owners
+        occupied = grid.occupied_mask
+        return cls(grid, grid.native_mask, occupied, grid.partition_mask, grid.occupant_ids())
+
+    @classmethod
+    def empty(cls, band: BandConfig) -> WorkingGrid:
+        """The state of an empty grid over *band*, which has no mask to build."""
+        return cls(SpectrumGrid(band), 0, 0, 0, frozenset())
+
+    def carve(self, partitions) -> WorkingGrid:
+        """Reserve each partition, in order. The region must lie in the band,
+        meet no other partition and hold no native; super-channels wholly
+        inside it become in-partition occupants, but none may cross its
+        boundary."""
+        count, mask, natives = self.band.slot_count, self.partition_mask, self.native_mask
+        for partition in partitions:
+            start, end = partition.start_slot, partition.end_slot
+            if start < 0 or end > count:
+                raise SpectrumError(f"partition [{start}, {end}) falls outside the {count}-slot band")
+            span = slot_span(start, end)
+            if mask & span:
+                existing = self._meeting(start, end)
+                raise SpectrumError(
+                    f"partition [{start}, {end}) overlaps existing partition "
+                    f"[{existing.start_slot}, {existing.end_slot})"
+                )
+            if natives & span:
+                native = next(n for n in self.result().natives if partition.overlaps(n.start_slot, n.end_slot))
+                raise SpectrumError(f"partition [{start}, {end}) region contains native {native.id!r}")
+            for sc in itertools.chain(self.base.superchannels, self.blocks):
+                if sc.start_slot < start < sc.end_slot or sc.start_slot < end < sc.end_slot:
+                    raise SpectrumError(
+                        f"partition [{start}, {end}) would cut super-channel {sc.id!r} "
+                        f"at [{sc.start_slot}, {sc.end_slot})"
+                    )
+            mask |= span
+            self.partitions.append(partition)
+        self.partition_mask = mask
+        self.starts = None  # read from the partitions
+        return self
+
+    def place(self, natives, blocks) -> WorkingGrid:
+        """Place each native, then each block, in order. A native lies on the
+        50 GHz grid, in the band and outside every partition; a block has the
+        band's width and lies in the band, wholly inside one partition or
+        wholly outside every partition. Each takes a fresh id and free slots."""
+        count, width, partitions = self.band.slot_count, self.width, self.partition_mask
+        occupied, ids, new_ids, added = self.occupied_mask, self.ids, self.new_ids, self.natives
+        native_width, native_fill, block_fill = NATIVE_WIDTH_SLOTS, (1 << NATIVE_WIDTH_SLOTS) - 1, (1 << width) - 1
+        for channel in natives:
+            name, start = channel.id, channel.start_slot
+            if start % 2:
+                raise SpectrumError(f"native {name!r}: start_slot {start} is not aligned to the 50GHz native grid")
+            if not 0 <= start <= count - native_width:
+                raise _outside_band(f"native {name!r}", start, start + native_width, count)
+            span = native_fill << start
+            if partitions & span:
+                partition = self._meeting(start, start + native_width)
+                raise SpectrumError(
+                    f"native {name!r}: placement inside dedicated partition "
+                    f"[{partition.start_slot}, {partition.end_slot})"
+                )
+            if occupied & span or name in new_ids or name in ids:
+                raise self._collision(name, occupied & span)
+            occupied |= span
+            new_ids.add(name)
+            added.append(channel)
+        # the slots the natives took are the new ones
+        self.native_mask |= occupied ^ self.occupied_mask
+        added = self.blocks
+        for sc in blocks:
+            name, start = sc.id, sc.start_slot
+            if sc.width_slots != width:
+                raise SpectrumError(
+                    f"super-channel {name!r}: width {sc.width_slots} does not match the "
+                    f"configured block width {width}"
+                )
+            if not 0 <= start <= count - width:
+                raise _outside_band(f"super-channel {name!r}", start, start + width, count)
+            span = block_fill << start
+            if partitions & span and not any(p.contains(start, start + width) for p in self._partitions()):
+                partition = self._meeting(start, start + width)
+                raise SpectrumError(
+                    f"super-channel {name!r}: straddles the partition boundary at "
+                    f"[{partition.start_slot}, {partition.end_slot})"
+                )
+            if occupied & span or name in new_ids or name in ids:
+                raise self._collision(name, occupied & span)
+            occupied |= span
+            new_ids.add(name)
+            added.append(sc)
+        self.occupied_mask = occupied
+        return self
+
+    def _partitions(self):
+        return itertools.chain(self.base.partitions, self.partitions)
+
+    # errors are worded from the occupants so far, built as a grid whose masks go unread
+    def _meeting(self, start: int, end: int) -> DedicatedPartition:
+        """The first partition that meets the slots [start, end)."""
+        return next(p for p in self.result().partitions if p.overlaps(start, end))
+
+    def _collision(self, name: str, clash: int) -> SpectrumError:
+        """The error of an occupant whose id is taken, or else whose slots
+        *clash* with another occupant's."""
+        if name in self.ids or name in self.new_ids:
+            return SpectrumError(f"occupant id {name!r} already present in grid")
+        slot = lowest_start(clash)
+        return SpectrumError(f"{name!r} would overlap {self.result().occupant_map()[slot][1]!r} at slot {slot}")
+
+    def search_starts(self) -> tuple[int, int, int]:
+        """The starts first fit searches before occupancy is applied: those of
+        a native, of a block inside a partition, and of any block. They are
+        kept in ``starts`` until a carve."""
+        # natives are kept out of partitions
+        native = fitting_starts(self.band.slot_count, NATIVE_WIDTH_SLOTS, even=True)
+        native &= ~blocked_starts(self.partition_mask, NATIVE_WIDTH_SLOTS)
+        inside, outside = block_windows(self.band, self.partition_mask, self._partitions())
+        self.starts = native, inside, inside | outside
+        return self.starts
+
+    def seed(self, grid: SpectrumGrid) -> SpectrumGrid:
+        """*grid*, whose occupants are this state's, with its masks and id set seeded."""
+        ids = self.ids | self.new_ids if self.new_ids else self.ids
+        native, occupied, partition = self.native_mask, self.occupied_mask, self.partition_mask
+        grid.__dict__.update(native_mask=native, occupied_mask=occupied, partition_mask=partition, _occupant_ids=ids)
+        return grid
+
+    def result(self) -> SpectrumGrid:
+        """The grid this state holds, built once and seeded; the grid it was
+        read from when nothing was added."""
+        base = self.base
+        if not (self.natives or self.blocks or self.partitions):
+            return base
+        return self.seed(SpectrumGrid(
+            base.band, base.natives + tuple(self.natives), base.superchannels + tuple(self.blocks),
+            base.partitions + tuple(self.partitions),
+        ))
 
 
 def place_native(grid: SpectrumGrid, channel: NativeChannel) -> SpectrumGrid:
     """Place a native channel; rejects misalignment, overlap, partition
     intrusion, and out-of-band positions."""
-    if channel.start_slot % 2 != 0:
-        raise SpectrumError(
-            f"native {channel.id!r}: start_slot {channel.start_slot} is not aligned "
-            f"to the 50GHz native grid"
-        )
-    if channel.start_slot < 0 or channel.end_slot > grid.band.slot_count:
-        raise SpectrumError(
-            f"native {channel.id!r}: slots [{channel.start_slot}, {channel.end_slot}) "
-            f"fall outside the {grid.band.slot_count}-slot band"
-        )
-    if grid.partition_mask & slot_span(channel.start_slot, channel.end_slot):
-        partition = next(p for p in grid.partitions if p.overlaps(channel.start_slot, channel.end_slot))
-        raise SpectrumError(
-            f"native {channel.id!r}: placement inside dedicated partition "
-            f"[{partition.start_slot}, {partition.end_slot})"
-        )
-    _check_occupancy(grid, channel.start_slot, channel.end_slot, channel.id)
-    span = slot_span(channel.start_slot, channel.end_slot)
-    child = SpectrumGrid(grid.band, grid.natives + (channel,), grid.superchannels, grid.partitions)
-    return _seeded(child, grid, native=span, occupied=span, new_ids={channel.id})
+    return WorkingGrid.of(grid).place((channel,), ()).result()
 
 
 def place_superchannel(grid: SpectrumGrid, sc: SuperChannel) -> SpectrumGrid:
     """Place a super-channel block; it must lie fully inside or fully outside
     every dedicated partition."""
-    if sc.width_slots != grid.band.superchannel_width_slots:
-        raise SpectrumError(
-            f"super-channel {sc.id!r}: width {sc.width_slots} does not match the "
-            f"configured block width {grid.band.superchannel_width_slots}"
-        )
-    if sc.start_slot < 0 or sc.end_slot > grid.band.slot_count:
-        raise SpectrumError(
-            f"super-channel {sc.id!r}: slots [{sc.start_slot}, {sc.end_slot}) "
-            f"fall outside the {grid.band.slot_count}-slot band"
-        )
-    if grid.partition_mask & slot_span(sc.start_slot, sc.end_slot) and (
-        grid.partition_containing(sc.start_slot, sc.end_slot) is None
-    ):
-        partition = next(p for p in grid.partitions if p.overlaps(sc.start_slot, sc.end_slot))
-        raise SpectrumError(
-            f"super-channel {sc.id!r}: straddles the partition boundary at "
-            f"[{partition.start_slot}, {partition.end_slot})"
-        )
-    _check_occupancy(grid, sc.start_slot, sc.end_slot, sc.id)
-    child = SpectrumGrid(grid.band, grid.natives, grid.superchannels + (sc,), grid.partitions)
-    return _seeded(child, grid, occupied=slot_span(sc.start_slot, sc.end_slot), new_ids={sc.id})
+    return WorkingGrid.of(grid).place((), (sc,)).result()
 
 
 def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: int) -> SpectrumGrid:
@@ -445,39 +496,12 @@ def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: 
     wholly inside it are allowed and become in-partition occupants, but none
     may cross its boundary.
     """
-    if width_slots <= 0:
-        raise SpectrumError(f"partition width must be > 0, got {width_slots}")
+    check_partition_width(width_slots)
     end_slot = start_slot + width_slots
     if start_slot % 2 != 0 or end_slot % 2 != 0:
-        raise SpectrumError(
-            f"partition [{start_slot}, {end_slot}) is not aligned to the 50GHz grid"
-        )
-    if start_slot < 0 or end_slot > grid.band.slot_count:
-        raise SpectrumError(
-            f"partition [{start_slot}, {end_slot}) falls outside the "
-            f"{grid.band.slot_count}-slot band"
-        )
-    span = slot_span(start_slot, end_slot)
-    if grid.partition_mask & span:
-        existing = next(p for p in grid.partitions if p.overlaps(start_slot, end_slot))
-        raise SpectrumError(
-            f"partition [{start_slot}, {end_slot}) overlaps existing partition "
-            f"[{existing.start_slot}, {existing.end_slot})"
-        )
-    if grid.native_mask & span:
-        native = next(n for n in grid.natives if start_slot < n.end_slot and n.start_slot < end_slot)
-        raise SpectrumError(
-            f"partition [{start_slot}, {end_slot}) region contains native {native.id!r}"
-        )
-    for sc in grid.superchannels:
-        if sc.start_slot < start_slot < sc.end_slot or sc.start_slot < end_slot < sc.end_slot:
-            raise SpectrumError(
-                f"partition [{start_slot}, {end_slot}) would cut super-channel {sc.id!r} "
-                f"at [{sc.start_slot}, {sc.end_slot})"
-            )
+        raise SpectrumError(f"partition [{start_slot}, {end_slot}) is not aligned to the 50GHz grid")
     partition = DedicatedPartition(start_slot=start_slot, width_slots=width_slots)
-    child = SpectrumGrid(grid.band, grid.natives, grid.superchannels, grid.partitions + (partition,))
-    return _seeded(child, grid, partition=span)
+    return WorkingGrid.of(grid).carve((partition,)).result()
 
 
 def _mirror(mask: int, width: int) -> int:
@@ -533,7 +557,7 @@ def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> N
     if sc is None:
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
     if sc.start_slot < 0 or sc.end_slot > grid.band.slot_count:
-        raise _outside_band(sc, grid.band.slot_count)
+        raise _outside_band(f"occupant {sc_id!r}", sc.start_slot, sc.end_slot, grid.band.slot_count)
     if grid.partition_containing(sc.start_slot, sc.end_slot) is not None:
         return NeighborConfig(in_dedicated_partition=True)
     others = _spans(
@@ -607,46 +631,22 @@ def fitting_starts(slot_count: int, width: int, even: bool = False) -> int:
     return starts & (((1 << slot_count) - 1) // 3) if even else starts
 
 
-def partition_starts(grid: SpectrumGrid, width: int) -> int:
-    """Bitmask of the starts at which a *width*-slot block lies wholly inside
-    one partition."""
-    starts = 0
-    for partition in grid.partitions:
+def block_windows(band: BandConfig, partition_mask: int, partitions) -> tuple[int, int]:
+    """Bitmasks of the starts at which a block of the band's width lies in
+    the band and wholly inside one of *partitions*, and of those at which it
+    lies wholly outside every partition (*partition_mask*)."""
+    width = band.superchannel_width_slots
+    fits = fitting_starts(band.slot_count, width)
+    inside = 0
+    for partition in partitions:
         if partition.width_slots >= width:
-            starts |= slot_span(partition.start_slot, partition.end_slot - width + 1)
-    return starts
+            inside |= slot_span(partition.start_slot, partition.end_slot - width + 1)
+    return fits & inside, fits & ~blocked_starts(partition_mask, width)
 
 
 def lowest_start(starts: int) -> int | None:
     """The lowest start set in *starts*, or None when it is empty."""
     return (starts & -starts).bit_length() - 1 if starts else None
-
-
-class WorkingGrid:
-    """The occupancy of a grid during one first fit or one planner probe, as
-    masks that take each placement in place, with the search constants of
-    its band and partitions (partitions are fixed during a call)."""
-
-    __slots__ = (
-        "native_mask", "occupied_mask", "width", "native_starts", "block_starts", "inside_starts", "outside_starts",
-    )
-
-    def __init__(self, grid: SpectrumGrid) -> None:
-        # occupied_mask first: it raises on a double-booked grid, naming both owners
-        self.occupied_mask = grid.occupied_mask
-        self.native_mask = grid.native_mask
-        partitions = grid.partition_mask
-        count = grid.band.slot_count
-        self.width = width = grid.band.superchannel_width_slots
-        # natives are kept out of partitions
-        self.native_starts = fitting_starts(count, NATIVE_WIDTH_SLOTS, even=True)
-        self.native_starts &= ~blocked_starts(partitions, NATIVE_WIDTH_SLOTS)
-        # a block lies wholly inside one partition, or (unless it must sit in
-        # one) wholly outside every partition
-        fits = fitting_starts(count, width)
-        self.inside_starts = fits & partition_starts(grid, width)
-        self.outside_starts = fits & ~blocked_starts(partitions, width)
-        self.block_starts = self.inside_starts | self.outside_starts
 
 
 def _first_fit_start(grid: WorkingGrid, request: PlacementRequest) -> int | None:
@@ -658,12 +658,13 @@ def _first_fit_start(grid: WorkingGrid, request: PlacementRequest) -> int | None
         return None  # natives are kept out of partitions
     guard = request.guard_band_slots
     occupied = grid.occupied_mask
+    native_starts, inside_starts, block_starts = grid.starts or grid.search_starts()
     # the guard band separates natives from super-channels
     if native:
-        starts = grid.native_starts & ~blocked_starts(occupied, NATIVE_WIDTH_SLOTS)
+        starts = native_starts & ~blocked_starts(occupied, NATIVE_WIDTH_SLOTS)
         return lowest_start(starts & ~blocked_starts(occupied & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard))
     width = grid.width
-    starts = grid.inside_starts if request.partition_only else grid.block_starts
+    starts = inside_starts if request.partition_only else block_starts
     starts &= ~blocked_starts(occupied, width)
     return lowest_start(starts & ~blocked_starts(grid.native_mask, width, guard))
 
@@ -680,16 +681,13 @@ def first_fit_allocate(
     Occupancy only grows during a call and partitions are fixed, so once a
     shape (kind, guard band, partition-only) finds no start, no later
     request of that shape is searched. The search is exact, so placements
-    go straight onto working masks, and the result grid is built once, with
-    its masks and id set seeded; with nothing placed it is *grid* itself.
+    go onto a working grid unchecked, and the result grid is built once,
+    with its masks and id set seeded; with nothing placed it is *grid* itself.
     """
     assignments: list[Assignment] = []
     failed: set[tuple[bool, int, bool]] = set()
-    ids = grid.occupant_ids()
-    placed: set[str] = set()
-    natives: list[NativeChannel] = []
-    blocks: list[SuperChannel] = []
-    working = None  # read from the grid at the first search
+    working = WorkingGrid.of(grid)
+    ids, placed = working.ids, working.new_ids
     # the kind as a bool: an Enum member is looked up and hashed in Python
     native_kind = OccupantKind.NATIVE
     for request in requests:
@@ -698,8 +696,6 @@ def first_fit_allocate(
         if request.id in ids or request.id in placed or shape in failed:
             start = None
         else:
-            if working is None:
-                working = WorkingGrid(grid)
             start = _first_fit_start(working, request)
             if start is None:
                 failed.add(shape)
@@ -708,22 +704,15 @@ def first_fit_allocate(
             continue
         placed.add(request.id)
         if native:
-            natives.append(NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps))
+            working.natives.append(NativeChannel(id=request.id, start_slot=start, bitrate_gbps=request.bitrate_gbps))
             span = slot_span(start, start + NATIVE_WIDTH_SLOTS)
             working.native_mask |= span
         else:
-            blocks.append(SuperChannel(id=request.id, start_slot=start, width_slots=working.width))
+            working.blocks.append(SuperChannel(id=request.id, start_slot=start, width_slots=working.width))
             span = slot_span(start, start + working.width)
         working.occupied_mask |= span
         assignments.append(Assignment(request=request, start_slot=start))
-    if placed:
-        child = SpectrumGrid(
-            grid.band, grid.natives + tuple(natives), grid.superchannels + tuple(blocks), grid.partitions
-        )
-        grid = _seeded(
-            child, grid, native=working.native_mask, occupied=working.occupied_mask, new_ids=placed
-        )
-    return AllocationResult(assignments=tuple(assignments), grid=grid)
+    return AllocationResult(assignments=tuple(assignments), grid=working.result())
 
 
 def unique_occupant_id(grid: SpectrumGrid, stem: str) -> str:

@@ -3,9 +3,13 @@
 Every slot holds at most one owner and every question is answered by walking
 slots one at a time, so these functions share no code or representation with
 ``awplan.spectrum``. ``first_fit`` is the slot-by-slot allocator that first
-fit's mask search must match. ``random_grids`` draws grids built through the public
-placement calls: odd block widths, abutting partitions, and now and then a
-second block that reuses an existing block id, placed before the natives.
+fit's mask search must match. ``place`` and ``carve`` state the placement
+rules slot by slot: each returns the message of the first rule a placement
+breaks, or the new slot owners and partition flags, and ``load`` folds them
+over a grid's partitions, natives and blocks as a grid document is loaded.
+``random_grids`` draws grids built through the public placement calls: odd
+block widths, abutting partitions, and now and then a second block that
+reuses an existing block id, placed before the natives.
 """
 
 from __future__ import annotations
@@ -227,3 +231,112 @@ def random_grids(draw) -> SpectrumGrid:
             except SpectrumError:
                 pass
     return grid
+
+
+# The placement rules, slot by slot. A slot state is a pair of lists with
+# one entry per slot: the owner as (kind, order, id, start, end), where
+# order is the occupant's index among the grid's occupants of its kind, and
+# the partition as (order, start, end); None where there is none.
+
+
+def slot_state(grid: SpectrumGrid) -> tuple[list, list]:
+    owners: list = [None] * grid.band.slot_count
+    regions: list = [None] * grid.band.slot_count
+    for order, partition in enumerate(grid.partitions):
+        for slot in range(partition.start_slot, partition.end_slot):
+            regions[slot] = (order, partition.start_slot, partition.end_slot)
+    for kind, occupants in (("native", grid.natives), ("sc", grid.superchannels)):
+        for order, occupant in enumerate(occupants):
+            for slot in range(occupant.start_slot, occupant.end_slot):
+                owners[slot] = (kind, order, occupant.id, occupant.start_slot, occupant.end_slot)
+    return owners, regions
+
+
+def state_masks(owners: list, regions: list) -> tuple:
+    """(native, occupied, partition) slot masks and the id set of a slot state."""
+    native = sum(1 << slot for slot, owner in enumerate(owners) if owner and owner[0] == "native")
+    occupied = sum(1 << slot for slot, owner in enumerate(owners) if owner)
+    partition = sum(1 << slot for slot, region in enumerate(regions) if region)
+    return native, occupied, partition, frozenset(owner[2] for owner in owners if owner)
+
+
+def place(band: BandConfig, owners: list, regions: list, occupant) -> str | tuple[list, list]:
+    """Place a NativeChannel or a SuperChannel."""
+    count, start, name = band.slot_count, occupant.start_slot, occupant.id
+    native = isinstance(occupant, NativeChannel)
+    label = f"native {name!r}" if native else f"super-channel {name!r}"
+    width = 2 if native else occupant.width_slots
+    if native and start % 2 == 1:
+        return f"{label}: start_slot {start} is not aligned to the 50GHz native grid"
+    if not native and width != band.superchannel_width_slots:
+        return f"{label}: width {width} does not match the configured block width {band.superchannel_width_slots}"
+    end = start + width
+    if start < 0 or end > count:
+        return f"{label}: slots [{start}, {end}) fall outside the {count}-slot band"
+    window = range(start, end)
+    met = sorted({regions[slot] for slot in window if regions[slot] is not None})
+    if met:
+        _, first, last = met[0]
+        if native:
+            return f"{label}: placement inside dedicated partition [{first}, {last})"
+        if len(met) > 1 or any(regions[slot] is None for slot in window):
+            return f"{label}: straddles the partition boundary at [{first}, {last})"
+    if any(owner is not None and owner[2] == name for owner in owners):
+        return f"occupant id {name!r} already present in grid"
+    for slot in window:
+        if owners[slot] is not None:
+            return f"{name!r} would overlap {owners[slot][2]!r} at slot {slot}"
+    kind = "native" if native else "sc"
+    order = 1 + max((owner[1] for owner in owners if owner and owner[0] == kind), default=-1)
+    owners = list(owners)
+    for slot in window:
+        owners[slot] = (kind, order, name, start, end)
+    return owners, regions
+
+
+def carve(band: BandConfig, owners: list, regions: list, start: int, width: int) -> str | tuple[list, list]:
+    count, end = band.slot_count, start + width
+    if width <= 0:
+        return f"partition width must be > 0, got {width}"
+    if start % 2 == 1 or end % 2 == 1:
+        return f"partition [{start}, {end}) is not aligned to the 50GHz grid"
+    if start < 0 or end > count:
+        return f"partition [{start}, {end}) falls outside the {count}-slot band"
+    window = range(start, end)
+    met = sorted({regions[slot] for slot in window if regions[slot] is not None})
+    if met:
+        return f"partition [{start}, {end}) overlaps existing partition [{met[0][1]}, {met[0][2]})"
+    natives = sorted({owners[slot] for slot in window if owners[slot] and owners[slot][0] == "native"})
+    if natives:
+        return f"partition [{start}, {end}) region contains native {natives[0][2]!r}"
+    # a block is cut at a boundary when it owns the slots on both sides of it
+    cut = sorted(
+        {
+            owners[edge]
+            for edge in (start, end)
+            if 0 < edge < count and owners[edge] and owners[edge][0] == "sc" and owners[edge] == owners[edge - 1]
+        }
+    )
+    if cut:
+        _, _, name, first, last = cut[0]
+        return f"partition [{start}, {end}) would cut super-channel {name!r} at [{first}, {last})"
+    order = 1 + max((region[0] for region in regions if region), default=-1)
+    regions = list(regions)
+    for slot in window:
+        regions[slot] = (order, start, end)
+    return owners, regions
+
+
+def load(grid: SpectrumGrid) -> str | tuple[list, list]:
+    """Carve *grid*'s partitions, then place its natives and blocks, in
+    order, from an empty band."""
+    state: str | tuple[list, list] = ([None] * grid.band.slot_count, [None] * grid.band.slot_count)
+    for partition in grid.partitions:
+        state = carve(grid.band, *state, partition.start_slot, partition.width_slots)
+        if isinstance(state, str):
+            return state
+    for occupant in grid.natives + grid.superchannels:
+        state = place(grid.band, *state, occupant)
+        if isinstance(state, str):
+            return state
+    return state

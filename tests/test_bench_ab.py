@@ -59,3 +59,46 @@ def test_format_names_every_metric():
     text = bench_ab.format_rows("fill_band", bench_ab.summarize(pairs, BETTER))
     assert text.splitlines()[0] == "fill_band:"
     assert "ops_per_s" in text and "+10.00%" in text and "1/1 (higher is better)" in text
+
+
+def _row(base: list[float], change: list[float], better: str = "lower") -> dict:
+    pairs = [(result(m=b), result(m=c)) for b, c in zip(base, change)]
+    (row,) = bench_ab.summarize(pairs, {"m": better})
+    return row
+
+
+TIGHT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+
+
+@pytest.mark.parametrize(
+    "base, change, better, expected",
+    [
+        # lower is better: 30% slower is past a 25% bound
+        (TIGHT, [c * 1.3 for c in TIGHT], "lower", "worse"),
+        # higher is better: 30% fewer is past the bound too
+        (TIGHT, [c * 0.7 for c in TIGHT], "higher", "worse"),
+        # 10% slower is inside the bound
+        (TIGHT, [c * 1.1 for c in TIGHT], "lower", "within"),
+        # faster in every pair by more than the base IQR
+        (TIGHT, [c * 0.9 for c in TIGHT], "lower", "gain"),
+        (TIGHT, [c * 1.1 for c in TIGHT], "higher", "gain"),
+        # faster in only 8 of 10 pairs: no gain
+        (TIGHT, [c * 0.9 for c in TIGHT[:8]] + [c * 1.01 for c in TIGHT[8:]], "lower", "within"),
+        # faster in every pair, but by less than the base IQR
+        ([90.0, 110.0] * 5, [89.0, 109.0] * 5, "lower", "within"),
+        # base runs spread wider than the bound
+        ([80.0, 120.0] * 5, [70.0, 130.0] * 5, "lower", "unresolved"),
+        # ... unless every change run beats every base run; then the other tests apply
+        ([80.0, 120.0] * 5, [30.0, 35.0] * 5, "lower", "gain"),
+        ([80.0, 120.0] * 5, [60.0, 75.0] * 5, "lower", "within"),
+    ],
+)
+def test_verdict(base, change, better, expected):
+    assert bench_ab.verdict(_row(base, change, better), 0.25) == expected
+
+
+def test_verdict_without_a_bound_and_in_the_summary_table():
+    row = _row(TIGHT, TIGHT)
+    assert bench_ab.verdict(row, None) == "-"
+    row["verdict"] = bench_ab.verdict(row, 0.25)
+    assert "within" in bench_ab.format_rows("fill_band", [row])

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from awplan import canonical_json, cli, perfmodel, planner
+import slot_oracle
+from awplan import OccupantKind, PlacementRequest, canonical_json, cli, first_fit_allocate, perfmodel, planner
 from awplan.cli import _build_parser, main
 from conftest import FIXTURE_DIR
 
@@ -865,6 +870,78 @@ def test_a_non_finite_constant_exits_two_naming_the_file(capsys, fx, tmp_path, r
     # a token json.loads takes and JSON does not
     bad, result = run_with_first_number(capsys, fx, tmp_path, reader, token)
     assert result == (2, "", f"error: {bad}: invalid JSON: {token} is not a JSON number\n")
+
+
+def validate_document(document: dict) -> tuple[int, str]:
+    """Exit code and output of ``awplan validate`` on *document*, written to a
+    temporary file (no pytest fixture, so Hypothesis may call it)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(canonical_json(document))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", str(path)])
+    return code, out.getvalue()
+
+
+def _unique_ids(grid) -> bool:
+    ids = [n.id for n in grid.natives] + [sc.id for sc in grid.superchannels]
+    return len(set(ids)) == len(ids)
+
+
+class TestValidateAllocation:
+    """Each placed assignment must name an occupant of the result grid of its
+    request's kind at its start slot, and no id may be placed twice."""
+
+    def test_trial_allocation_with_a_moved_block_is_a_finding(self, capsys, fx):
+        code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
+        document = json.loads(out)
+        assert validate_document(document) == (0, "ok\n")
+        assert document["assignments"][1]["request"]["id"] == "aw-1"
+        document["assignments"][1]["start_slot"] += 2
+        message = "ASSIGNMENT_MISMATCH: assignments[1]: the grid holds no superchannel 'aw-1' at slot 22\n"
+        assert validate_document(document) == (1, message)
+
+    def test_native_at_another_bitrate_and_a_repeated_id_are_findings(self, fx):
+        requests = [PlacementRequest(kind=OccupantKind.NATIVE, id=i) for i in ("a", "b")]
+        document = first_fit_allocate(cli._load("grid", fx("busy.grid.json")), requests).to_dict()
+        document["assignments"][0]["request"]["bitrate_gbps"] = 40
+        document["assignments"][1]["request"]["id"] = "a"
+        code, out = validate_document(document)
+        assert code == 1
+        assert out.splitlines() == [
+            "ASSIGNMENT_MISMATCH: assignments[0]: the grid holds no native 'a' at slot 0 at 40 Gbps",
+            "ASSIGNMENT_MISMATCH: assignments[1]: 'a' is placed twice",
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=slot_oracle.random_grids().filter(_unique_ids),
+        shapes=st.lists(
+            # ids the grid may hold, which first fit leaves unplaced, and fresh ones
+            st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_first_fit_output_validates_and_a_moved_start_does_not(self, grid, shapes, data):
+        requests = [
+            PlacementRequest(
+                kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
+                id=request_id, guard_band_slots=guard, partition_only=partition_only,
+            )
+            for is_native, guard, partition_only, request_id in shapes
+        ]
+        document = first_fit_allocate(grid, requests).to_dict()
+        assert validate_document(document) == (0, "ok\n")
+        placed = [i for i, a in enumerate(document["assignments"]) if a["start_slot"] is not None]
+        if not placed:
+            return
+        i = data.draw(st.sampled_from(placed))
+        document["assignments"][i]["start_slot"] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        code, out = validate_document(document)
+        assert code == 1
+        assert out.startswith(f"ASSIGNMENT_MISMATCH: assignments[{i}]: the grid holds no ")
 
 
 class TestErrors:

@@ -4,7 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codec_oracle
 import slot_oracle
@@ -889,8 +889,11 @@ def _assert_loads_like_the_replay(doc: dict) -> None:
     assert _outcome(lambda: SpectrumGrid.from_dict(doc)) == expected
     if isinstance(expected[0], SpectrumGrid):
         assert expected[1] == _state(_rebuilt(expected[0]))
-        # a valid document is never replayed
-        assert spectrum._seed_loaded(SpectrumGrid._read_fields(doc, "grid"))
+        # a valid document's grid comes with its masks and id set seeded
+        seeded = vars(SpectrumGrid.from_dict(doc))
+        keys = ("native_mask", "occupied_mask", "partition_mask", "_occupant_ids")
+        assert all(key in seeded for key in keys)
+        assert tuple(seeded[key] for key in keys) == expected[1]
 
 
 class TestOnePassLoad:
@@ -923,6 +926,87 @@ class TestOnePassLoad:
         monkeypatch.setattr(SpectrumGrid, "from_dict", wrapped)
         assert AllocationResult.from_dict(result.to_dict(), "doc") == result
         assert seen == ["doc.grid"]
+
+
+# ids that random_grids may hold ("n<i>", "s<i>"), and fresh ones
+_PLACED_IDS = st.sampled_from(["n0", "n1", "s0", "s1", "x", "y"])
+
+
+def _near_grid(data, low: int, high: int) -> int:
+    """A start in [low, high], on the 50 GHz grid four times in five."""
+    return 2 * data.draw(st.integers(low // 2, high // 2)) + data.draw(st.sampled_from([0, 0, 0, 0, 1]))
+
+
+class TestPlacementRules:
+    """The placement calls and the grid load against the slot-by-slot rules
+    of ``slot_oracle.place`` and ``slot_oracle.carve``, which share no code
+    with ``WorkingGrid``: the same message, or the same slots, ids and
+    masks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=slot_oracle.random_grids(), data=st.data())
+    def test_placements_match_the_slot_rules(self, grid, data):
+        band = grid.band
+        count, width = band.slot_count, band.superchannel_width_slots
+        state = slot_oracle.slot_state(grid)
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["native", "superchannel", "carve"]))
+            if kind == "native":
+                channel = native(data.draw(_PLACED_IDS), _near_grid(data, -4, count + 2))
+                expected = slot_oracle.place(band, *state, channel)
+                call = lambda grid: place_native(grid, channel)  # noqa: E731
+            elif kind == "superchannel":
+                size = data.draw(st.sampled_from([width, width, width, width + 1, max(width - 1, 1)]))
+                sc = SuperChannel(data.draw(_PLACED_IDS), data.draw(st.integers(-2, count + 1)), width_slots=size)
+                expected = slot_oracle.place(band, *state, sc)
+                call = lambda grid: place_superchannel(grid, sc)  # noqa: E731
+            else:
+                start, size = _near_grid(data, -4, count + 2), _near_grid(data, -2, 14)
+                expected = slot_oracle.carve(band, *state, start, size)
+                call = lambda grid: carve_dedicated_partition(grid, start, size)  # noqa: E731
+            try:
+                placed = call(grid)
+            except SpectrumError as err:
+                assert str(err) == expected
+                continue
+            assert not isinstance(expected, str), expected
+            grid, state = placed, expected
+            assert slot_oracle.slot_state(grid) == state
+            assert _state(grid) == slot_oracle.state_masks(*state)
+
+    def test_a_carve_drops_the_search_starts(self):
+        band = BandConfig(slot_count=32)
+        working = spectrum.WorkingGrid.of(empty_grid(band))
+        before = working.search_starts()
+        working.carve((DedicatedPartition(8, 8),))
+        assert working.starts is None
+        after = spectrum.WorkingGrid.of(carve_dedicated_partition(empty_grid(band), 8, 8)).search_starts()
+        assert working.search_starts() == after != before
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=grid_documents())
+    # an id repeated within one load, which no single placement call can do
+    @example(doc=_SINGLE_FAULTS["native ids repeat"])
+    @example(doc=_SINGLE_FAULTS["block ids repeat"])
+    @example(doc=_SINGLE_FAULTS["ids repeat across kinds"])
+    def test_load_matches_the_slot_rules(self, doc):
+        try:
+            parsed = SpectrumGrid._read_fields(doc, "grid")
+        except SchemaError as err:  # a record's own fault, before any placement
+            with pytest.raises(SchemaError) as caught:
+                SpectrumGrid.from_dict(doc)
+            assert str(caught.value) == str(err)
+            return
+        expected = slot_oracle.load(parsed)
+        if isinstance(expected, str):
+            with pytest.raises(SchemaError) as caught:
+                SpectrumGrid.from_dict(doc)
+            assert str(caught.value) == f"grid: {expected}"
+            return
+        grid = SpectrumGrid.from_dict(doc)
+        assert grid == parsed
+        assert slot_oracle.slot_state(grid) == expected
+        assert _state(grid) == slot_oracle.state_masks(*expected)
 
 
 class TestPlacementRequest:

@@ -12,9 +12,9 @@ workload and seed, the base's and the working tree's ``bench/run.py --trace
 pair to the next. Each run's last line, its JSON result, is parsed.
 
 The summary gives, per workload and metric, the base median and
-interquartile range, the change median, the relative change of the medians
-and the pairs the change won. A metric's better direction comes from
-``BENCHMARK.json``. The exit code is 1 when any run exits nonzero, reads
+interquartile range, the change median, the relative change of the medians,
+the pairs the change won and a verdict (``verdict``). A metric's better
+direction and its bound come from ``BENCHMARK.json``. The exit code is 1 when any run exits nonzero, reads
 ``correct: false`` or has ``failed > 0``; otherwise it is 0. Standard
 library only.
 """
@@ -71,7 +71,8 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
     """One row per metric of the (base, change) result pairs of a workload:
     base median and quartiles, change median, the change's relative
-    difference of medians and the pairs it won. *better* maps a metric to
+    difference of medians, the pairs it won and whether every change run
+    beat every base run. *better* maps a metric to
     ``"lower"`` or ``"higher"``; an unlisted metric counts lower as better.
     A pair where the metric is missing on either side is left out."""
     names = [name for name in pairs[0][0]["metrics"]] if pairs else []
@@ -88,7 +89,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         q1, base_median, q3 = _quartiles(base_values)
         change_median = statistics.median(change_values)
         higher = better.get(name) == "higher"
-        wins = sum(1 for b, c in both if (c > b if higher else c < b))
+        beats = (lambda c, b: c > b) if higher else (lambda c, b: c < b)
+        wins = sum(1 for b, c in both if beats(c, b))
         rows.append(
             {
                 "metric": name,
@@ -101,18 +103,44 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
                 "relative": change_median / base_median - 1 if base_median else float("nan"),
                 "wins": wins,
                 "pairs": len(both),
+                # every change run beats every base run
+                "separated": all(beats(c, b) for c in change_values for b in base_values),
             }
         )
     return rows
 
 
+def verdict(row: dict, bound: float | None) -> str:
+    """The row's verdict against the metric's relative *bound*: ``worse``
+    when the change's median is worse than the base median by more than the
+    bound; ``unresolved`` when the base interquartile range is wider than the
+    bound, unless every change run beats every base run; ``gain`` when the
+    change won at least nine tenths of the pairs and its median is better by
+    more than the base interquartile range; ``within`` otherwise. ``-`` for a
+    metric without a bound."""
+    if bound is None:
+        return "-"
+    sign = 1 if row["better"] == "higher" else -1
+    base, iqr = row["base_median"], row["base_q3"] - row["base_q1"]
+    if sign * (base - row["change_median"]) > bound * abs(base):
+        return "worse"
+    if iqr > bound * abs(base) and not row["separated"]:
+        return "unresolved"
+    if 10 * row["wins"] >= 9 * row["pairs"] and sign * (row["change_median"] - base) > iqr:
+        return "gain"
+    return "within"
+
+
 def format_rows(workload: str, rows: list[dict]) -> str:
-    lines = [f"{workload}:", f"  {'metric':16s} {'base median':>12s} {'base IQR':>21s} {'change':>12s} {'rel':>8s}  wins"]
+    lines = [
+        f"{workload}:",
+        f"  {'metric':16s} {'base median':>12s} {'base IQR':>21s} {'change':>12s} {'rel':>8s}  {'verdict':10s} wins",
+    ]
     for row in rows:
         iqr = f"[{row['base_q1']:.4g}, {row['base_q3']:.4g}]"
         lines.append(
             f"  {row['metric']:16s} {row['base_median']:12.4g} {iqr:>21s} {row['change_median']:12.4g} "
-            f"{row['relative']:+8.2%}  {row['wins']}/{row['pairs']} ({row['better']} is better)"
+            f"{row['relative']:+8.2%}  {row.get('verdict', '-'):10s} {row['wins']}/{row['pairs']} ({row['better']} is better)"
         )
     return "\n".join(lines)
 
@@ -125,7 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=45.0)
     args = parser.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     faults = []
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
@@ -144,7 +174,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: {'FAULT ' + fault if fault else 'ok'}", file=sys.stderr)
                 if results["base"] is not None and results["change"] is not None:
                     pairs.append((results["base"], results["change"]))
-            print(format_rows(workload, summarize(pairs, better)))
+            rows = summarize(pairs, better)
+            for row in rows:
+                row["verdict"] = verdict(row, bounds.get(row["metric"]))
+            print(format_rows(workload, rows))
     for fault in faults:
         print(f"FAULT {fault}")
     return 1 if faults else 0
