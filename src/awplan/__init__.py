@@ -47,8 +47,8 @@ _EXPORTS = {
         "equalization_report",
     ),
     "iofmt": (
-        "PlotSeries", "canonical_json", "export_q_vs_distance", "plot_series_from_csv",
-        "plot_series_to_csv", "round_trip", "serialize",
+        "PlotSeries", "canonical_json", "export_q_vs_distance", "plot_series_to_csv",
+        "round_trip", "serialize",
     ),
     "_schema": ("parse_json",),
     "_writer": ("format_real",),

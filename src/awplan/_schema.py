@@ -5,23 +5,19 @@ Every reader reports the full dotted path of the offending field so that
 parse failures on hand-edited files point at the exact location.
 
 A record is a class decorated with :func:`record`: a frozen class with
-slots (an instance dict only where a ``cached_property`` needs one) that
-behaves as a frozen dataclass. It is built from its class body, whose
-annotations give its field table (name, annotation, default), without the
-``dataclasses`` module: that is imported only when a record refuses a
-write, or on the first access to a record's ``__dataclass_fields__``, which
-is taken from a frozen dataclass twin so that ``dataclasses.fields``,
-``replace``, ``asdict`` and ``is_dataclass`` serve records. Only the code
-that runs hot is compiled with ``exec``, each function on its first use: a
-record's ``__init__``, and per document type ``to_dict()`` and the
-straight-line reader ``from_dict(data, path)``. Every record shares one
-``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
-``__delattr__``. A document type is a record decorated with
-:func:`document`; its field annotations are the schema, each one mapping
-to a :class:`Kind`. Importing the package compiles only the constructors
-of the records it builds. Keys follow the field order. A codec method the
-class defines itself is kept; a class that writes its own ``from_dict``
-gets the compiled reader as ``_read_fields``.
+slots (an instance dict only where a ``cached_property`` needs one), built
+from its class body, whose annotations give its field table (name,
+annotation, default). It is no dataclass; ``dataclasses`` is imported only
+when a record refuses a write. Only the code that runs hot is compiled with
+``exec``, each function on its first use: a record's ``__init__``, and per
+document type ``to_dict()`` and the straight-line reader ``from_dict(data,
+path)``. Every record shares one ``__eq__``, ``__hash__``, ``__repr__``,
+``__setattr__`` and ``__delattr__``. A document type is a record decorated
+with :func:`document`; its field annotations are the schema, each one
+mapping to a :class:`Kind`. Importing the package compiles only the
+constructors of the records it builds. Keys follow the field order. A codec
+method the class defines itself is kept; a class that writes its own
+``from_dict`` gets the compiled reader as ``_read_fields``.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
@@ -262,9 +258,8 @@ def _kind_of(annotation: Any) -> Kind:
 
 
 class _Unbuilt:
-    """A class attribute standing in for one compiled method, or for
-    ``__dataclass_fields__``, until its first use, which builds it and puts
-    it in the stand-in's place."""
+    """A class attribute standing in for one compiled method until its
+    first use, which builds it and puts it in the stand-in's place."""
 
     def __init__(self, cls: type, name: str, build: Callable[[type], Any]) -> None:
         self.cls, self.name, self.build = cls, name, build
@@ -330,9 +325,8 @@ def record(cls: type) -> type:
     where Python versions differ: ``__eq__`` compares the tuples of the
     fields, as 3.10-3.12 do, so a field that holds the same NaN object on
     both sides compares equal (3.13 compares field by field, and it does not).
-    ``__dataclass_fields__`` is built on first access from a frozen dataclass
-    twin, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
-    ``is_dataclass`` serve records.
+    A record is no dataclass: ``dataclasses.fields``, ``replace``, ``asdict``
+    and ``is_dataclass`` refuse it.
     """
     body = vars(cls)
     fields = tuple((name, annotation, body.get(name, _REQUIRED)) for name, annotation in cls.__annotations__.items())
@@ -347,23 +341,7 @@ def record(cls: type) -> type:
     cls.__init__ = _Unbuilt(cls, "__init__", _init)
     cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
     cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
-    cls.__dataclass_fields__ = _Unbuilt(cls, "__dataclass_fields__", _dataclass_fields)
     return cls
-
-
-def _dataclass_fields(cls: type) -> dict:
-    """The ``__dataclass_fields__`` of a frozen dataclass built from the
-    record's fields. Its ``__dataclass_params__`` go on the record too, for
-    the readers of a dataclass's parameters, such as ``pprint``."""
-    import dataclasses
-
-    specs = [
-        (name, annotation) if default is _REQUIRED else (name, annotation, dataclasses.field(default=default))
-        for name, annotation, default in cls._record_fields
-    ]
-    twin = dataclasses.make_dataclass(cls.__name__, specs, init=False, repr=False, eq=False, frozen=True)
-    cls.__dataclass_params__ = twin.__dataclass_params__
-    return twin.__dataclass_fields__
 
 
 def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) -> Callable:

@@ -107,10 +107,6 @@ class EqualizationReport:
     nodes: tuple[NodeEqualizationSummary, ...]
 
     @property
-    def failing_nodes(self) -> tuple[NodeEqualizationSummary, ...]:
-        return tuple(node for node in self.nodes if not node.passed)
-
-    @property
     def all_passed(self) -> bool:
         return all(node.passed for node in self.nodes)
 

@@ -93,14 +93,21 @@ def _plan_findings(plan: PlanDocument, args: argparse.Namespace) -> list:
 
 def _allocation_findings(allocation: AllocationResult, args: argparse.Namespace) -> list:
     """Each placed assignment names an occupant of its request's kind at its
-    start slot (a native at its bitrate), and no id is placed twice."""
+    start slot (a native at its bitrate) and gives no reason, no id is
+    placed twice, and each unplaced assignment gives its reason."""
     grid, findings, placed = allocation.grid, [], set()
     held = {n.id: ("native", n.start_slot, n.bitrate_gbps) for n in grid.natives}
     held.update((sc.id, ("superchannel", sc.start_slot, None)) for sc in grid.superchannels)
     for i, assignment in enumerate(allocation.assignments):
-        request, start = assignment.request, assignment.start_slot
+        request, start, reason = assignment.request, assignment.start_slot, assignment.reason
         if start is None:
+            if reason is None:
+                message = f"{request.id!r} is unplaced and gives no reason"
+                findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
             continue
+        if reason is not None:
+            message = f"{request.id!r} is placed at slot {start} and gives the reason {reason!r}"
+            findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
         kind = request.kind.value
         rate = request.bitrate_gbps if kind == "native" else None
         if request.id in placed:

@@ -13,7 +13,6 @@ import math
 from . import _schema
 from ._schema import parse_json
 from ._writer import _text, format_real
-from .errors import SchemaError
 from .perfmodel import Modulation, NeighborConfig, QModel, estimate_q
 from .topology import PathMetrics
 
@@ -111,26 +110,3 @@ def plot_series_to_csv(series: PlotSeries) -> str:
         lines.append(f"{format_real(x)},{format_real(y)}")
     return "\n".join(lines) + "\n"
 
-
-def plot_series_from_csv(text: str, label: str = "") -> PlotSeries:
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise SchemaError("csv: empty document")
-    header = lines[0].split(",")
-    if len(header) != 2:
-        raise SchemaError(f"csv: expected a two-column header, got {lines[0]!r}")
-    points = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise SchemaError(f"csv line {i}: expected two cells, got {line!r}")
-        try:
-            points.append((float(cells[0]), float(cells[1])))
-        except ValueError:
-            raise SchemaError(f"csv line {i}: non-numeric cell in {line!r}") from None
-    try:
-        return PlotSeries(
-            label=label, points=tuple(points), x_name=header[0], y_name=header[1]
-        )
-    except ValueError as err:
-        raise SchemaError(f"csv: {err}") from None

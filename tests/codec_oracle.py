@@ -12,7 +12,6 @@ the oracle for both the grid it loads and the error it raises.
 
 from __future__ import annotations
 
-import dataclasses
 import types
 import typing
 
@@ -90,12 +89,12 @@ def read_fields(cls: type, data, where: str):
     hints = typing.get_type_hints(cls)
     obj = _schema.get_object(data, where)
     values = {}
-    for field in dataclasses.fields(cls):
-        key = codec.keys.get(field.name, field.name)
+    for name, _, default in cls._record_fields:
+        key = codec.keys.get(name, name)
         if key in obj:
-            values[field.name] = kind_of(hints[field.name]).decode(obj[key], where, key)
-        elif field.name in codec.optional:
-            values[field.name] = field.default
+            values[name] = kind_of(hints[name]).decode(obj[key], where, key)
+        elif name in codec.optional:
+            values[name] = default
         else:
             raise _schema._missing(where, key)
     try:

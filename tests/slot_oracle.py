@@ -14,9 +14,9 @@ reuses an existing block id, placed before the natives.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import strategies as st
+
+from record_tools import replace
 
 from awplan import (
     BandConfig,

@@ -13,8 +13,9 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
+
+from record_tools import replace
 
 from awplan import (
     AllocationResult,

@@ -889,9 +889,27 @@ def _unique_ids(grid) -> bool:
     return len(set(ids)) == len(ids)
 
 
+# request shapes: ids the grid may hold, which first fit leaves unplaced, and fresh ones
+_SHAPES = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),
+    max_size=8,
+)
+
+
+def _requests(shapes) -> list[PlacementRequest]:
+    return [
+        PlacementRequest(
+            kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
+            id=request_id, guard_band_slots=guard, partition_only=partition_only,
+        )
+        for is_native, guard, partition_only, request_id in shapes
+    ]
+
+
 class TestValidateAllocation:
     """Each placed assignment must name an occupant of the result grid of its
-    request's kind at its start slot, and no id may be placed twice."""
+    request's kind at its start slot and give no reason, no id may be placed
+    twice, and each unplaced assignment must give its reason."""
 
     def test_trial_allocation_with_a_moved_block_is_a_finding(self, capsys, fx):
         code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
@@ -914,25 +932,31 @@ class TestValidateAllocation:
             "ASSIGNMENT_MISMATCH: assignments[1]: 'a' is placed twice",
         ]
 
+    def test_a_placed_assignment_that_gives_a_reason_is_a_finding(self, capsys, fx):
+        code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
+        document = json.loads(out)
+        assert document["assignments"][0]["start_slot"] == 0
+        document["assignments"][0]["reason"] = "no feasible window"
+        message = "ASSIGNMENT_MISMATCH: assignments[0]: 'n-100' is placed at slot 0 and gives the reason 'no feasible window'\n"
+        assert validate_document(document) == (1, message)
+
+    @pytest.mark.parametrize("edit", ["null", "deleted"])
+    def test_an_unplaced_assignment_without_its_reason_is_a_finding(self, fx, edit):
+        # natives are kept out of partitions, so first fit never places this one
+        request = PlacementRequest(kind=OccupantKind.NATIVE, id="p", partition_only=True)
+        document = first_fit_allocate(cli._load("grid", fx("busy.grid.json")), [request]).to_dict()
+        assert validate_document(document) == (0, "ok\n")
+        if edit == "null":
+            document["assignments"][0]["reason"] = None
+        else:
+            del document["assignments"][0]["reason"]
+        message = "ASSIGNMENT_MISMATCH: assignments[0]: 'p' is unplaced and gives no reason\n"
+        assert validate_document(document) == (1, message)
+
     @settings(max_examples=150, deadline=None)
-    @given(
-        grid=slot_oracle.random_grids().filter(_unique_ids),
-        shapes=st.lists(
-            # ids the grid may hold, which first fit leaves unplaced, and fresh ones
-            st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),
-            max_size=8,
-        ),
-        data=st.data(),
-    )
+    @given(grid=slot_oracle.random_grids().filter(_unique_ids), shapes=_SHAPES, data=st.data())
     def test_first_fit_output_validates_and_a_moved_start_does_not(self, grid, shapes, data):
-        requests = [
-            PlacementRequest(
-                kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
-                id=request_id, guard_band_slots=guard, partition_only=partition_only,
-            )
-            for is_native, guard, partition_only, request_id in shapes
-        ]
-        document = first_fit_allocate(grid, requests).to_dict()
+        document = first_fit_allocate(grid, _requests(shapes)).to_dict()
         assert validate_document(document) == (0, "ok\n")
         placed = [i for i, a in enumerate(document["assignments"]) if a["start_slot"] is not None]
         if not placed:
@@ -942,6 +966,22 @@ class TestValidateAllocation:
         code, out = validate_document(document)
         assert code == 1
         assert out.startswith(f"ASSIGNMENT_MISMATCH: assignments[{i}]: the grid holds no ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=slot_oracle.random_grids().filter(_unique_ids), shapes=_SHAPES.filter(bool), data=st.data())
+    def test_first_fit_output_with_its_reason_turned_is_a_finding(self, grid, shapes, data):
+        # a placed assignment given a reason, or an unplaced one stripped of it
+        document = first_fit_allocate(grid, _requests(shapes)).to_dict()
+        i = data.draw(st.integers(0, len(shapes) - 1))
+        assignment = document["assignments"][i]
+        request_id, start = assignment["request"]["id"], assignment["start_slot"]
+        if start is None:
+            assignment["reason"] = None
+            message = f"{request_id!r} is unplaced and gives no reason"
+        else:
+            assignment["reason"] = "no feasible window"
+            message = f"{request_id!r} is placed at slot {start} and gives the reason 'no feasible window'"
+        assert validate_document(document) == (1, f"ASSIGNMENT_MISMATCH: assignments[{i}]: {message}\n")
 
 
 class TestErrors:

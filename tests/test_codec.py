@@ -12,7 +12,6 @@ declared one.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import os
 import subprocess
 import sys
@@ -129,11 +128,11 @@ def raw_document(cls: type) -> st.SearchStrategy:
     hints = typing.get_type_hints(cls)
     codec = cls._codec
     required, optional = {}, {}
-    for field in dataclasses.fields(cls):
-        key = codec.keys.get(field.name, field.name)
-        fixed = (cls, field.name)
-        value = FIELD_VALUES[fixed] if fixed in FIELD_VALUES else raw_value(hints[field.name])
-        (optional if field.name in codec.optional else required)[key] = value
+    for name in cls.__match_args__:
+        key = codec.keys.get(name, name)
+        fixed = (cls, name)
+        value = FIELD_VALUES[fixed] if fixed in FIELD_VALUES else raw_value(hints[name])
+        (optional if name in codec.optional else required)[key] = value
     return st.fixed_dictionaries(required, optional=optional)
 
 
@@ -228,8 +227,8 @@ def loose_object(draw, cls: type):
     """An instance built past its constructor, so any field value goes."""
     hints = typing.get_type_hints(cls)
     obj = object.__new__(cls)
-    for field in dataclasses.fields(cls):
-        object.__setattr__(obj, field.name, draw(loose_value(hints[field.name])))
+    for name in cls.__match_args__:
+        object.__setattr__(obj, name, draw(loose_value(hints[name])))
     return obj
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import sys
@@ -18,7 +20,6 @@ from awplan import (
     export_q_vs_distance,
     format_real,
     parse_json,
-    plot_series_from_csv,
     plot_series_to_csv,
     round_trip,
     serialize,
@@ -435,37 +436,24 @@ class TestCsv:
             y_name="q_db",
         )
 
+    @staticmethod
+    def read(text: str) -> PlotSeries:
+        """The series a CSV holds, read by the csv module; the package writes
+        CSV and does not read it."""
+        header, *rows = csv.reader(io.StringIO(text))
+        points = tuple((float(x), float(y)) for x, y in rows)
+        return PlotSeries(label="", points=points, x_name=header[0], y_name=header[1])
+
     def test_header_and_rows(self):
-        csv = plot_series_to_csv(self.series())
-        assert csv == "distance_km,q_db\n277.0000,13.9716\n345.0000,13.7700\n"
+        text = plot_series_to_csv(self.series())
+        assert text == "distance_km,q_db\n277.0000,13.9716\n345.0000,13.7700\n"
 
     def test_parse_rebuilds_points(self):
-        series = self.series()
-        parsed = plot_series_from_csv(plot_series_to_csv(series), label=series.label)
+        parsed = self.read(plot_series_to_csv(self.series()))
         assert parsed.x_name == "distance_km"
         assert parsed.points == ((277.0, 13.9716), (345.0, 13.77))
 
     def test_csv_round_trip_is_byte_stable(self):
         first = plot_series_to_csv(self.series())
-        second = plot_series_to_csv(plot_series_from_csv(first))
+        second = plot_series_to_csv(self.read(first))
         assert first == second
-
-    def test_malformed_row_rejected(self):
-        with pytest.raises(SchemaError, match="line 2"):
-            plot_series_from_csv("x,y\n1.0\n")
-
-    def test_non_numeric_cell_rejected(self):
-        with pytest.raises(SchemaError, match="non-numeric"):
-            plot_series_from_csv("x,y\n1.0,abc\n")
-
-    def test_empty_document_rejected(self):
-        with pytest.raises(SchemaError, match="empty"):
-            plot_series_from_csv("")
-
-    def test_header_of_three_columns_rejected(self):
-        with pytest.raises(SchemaError, match="^csv: expected a two-column header, got 'x,y,z'$"):
-            plot_series_from_csv("x,y,z\n1.0,2.0\n")
-
-    def test_points_out_of_order_rejected_by_the_series(self):
-        with pytest.raises(SchemaError, match="^csv: plot points must be strictly ascending in x$"):
-            plot_series_from_csv("x,y\n2.0,1.0\n1.0,1.0\n")

@@ -30,7 +30,7 @@ EXPORTED = {
     "export_q_vs_distance", "first_fit_allocate", "fixture_path", "format_real",
     "grid_context_for", "neighbor_context", "neighbor_penalty", "parse_json",
     "parse_topology", "place_native", "place_superchannel", "plan_link",
-    "plot_series_from_csv", "plot_series_to_csv", "round_trip", "serialize",
+    "plot_series_to_csv", "round_trip", "serialize",
     "superchannel_capacity", "unique_occupant_id", "validate_plan", "validate_topology",
 }
 
@@ -91,6 +91,37 @@ print(sorted({"awplan._writer", "awplan.spectrum", "dataclasses", "inspect"} & (
 )
 def test_import_loads_only_what_is_used(probe, expected):
     assert _output(probe) == expected
+
+
+# each subcommand on the bundled fixtures; validate reads every fixture
+FX = Path(awplan.__file__).resolve().parent / "fixtures"
+COMMANDS = {
+    "calibrate": [["calibrate", "--points", f"{FX}/reference.calib.json"]],
+    "estimate": [["estimate", "--calib", f"{FX}/reference.calib.json", "--distance", "1131", "--modulation", "qpsk", "--json"]],
+    "plan": [[
+        "plan", "--calib", f"{FX}/reference.calib.json", "--topology", f"{FX}/garr.topo.json",
+        "--demands", f"{FX}/rm-mi2.demands.json",
+    ]],
+    "allocate": [["allocate", "--grid", f"{FX}/busy.grid.json", "--requests", f"{FX}/trial.requests.json"]],
+    "export-plot": [
+        ["export-plot", "--calib", f"{FX}/reference.calib.json", "--modulation", "qpsk", "--distances", "345,1131", "--format", form]
+        for form in ("json", "csv")
+    ],
+    "validate": [["validate", str(path)] for path in sorted(FX.glob("*.json"))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_subcommand_loads_neither_dataclasses_nor_inspect(command):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from awplan import cli\n"
+        f"for argv in {COMMANDS[command]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _output(probe) == "[]\n"
 
 
 def test_a_record_refuses_a_write_before_dataclasses_is_loaded():

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import slot_oracle
+from record_tools import replace
 
 from awplan import (
     AmplifierType,

@@ -1,12 +1,13 @@
 """The compiled records against plain ``@dataclass(frozen=True)`` twins.
 
-Every record gets a twin built by ``dataclasses`` from the same fields,
-defaults and ``__post_init__``. On Hypothesis values the
+Every record gets a twin built by ``dataclasses`` from its field table
+``_record_fields`` and its ``__post_init__``. On Hypothesis values the
 two must build or refuse alike, and then agree on ``==``, ``hash``,
-``repr``, ``dataclasses.replace`` and frozen assignment and deletion; the
-record must also survive ``copy.deepcopy`` and ``pickle``. Values hold no
-NaN there: records compare the tuples of their fields on every Python
+``repr``, a copy with one field changed and frozen assignment and deletion;
+the record must also survive ``copy.deepcopy`` and ``pickle``. Values hold
+no NaN there: records compare the tuples of their fields on every Python
 version, which ``test_a_record_holding_a_nan_equals_itself`` pins down.
+Records are not dataclasses, and the ``dataclasses`` functions refuse them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from record_tools import replace
+
 import awplan
 from awplan import adaptation, iofmt, perfmodel, planner, spectrum, topology
+from awplan._schema import _REQUIRED
 from awplan.perfmodel import Feasibility, QEstimate
 from awplan.spectrum import DEFAULT_PAIRS, CarrierPair, Modulation, OccupantKind
 
@@ -37,7 +41,7 @@ RECORDS = [
     value
     for module in MODULES
     for value in vars(module).values()
-    if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+    if isinstance(value, type) and "_record_fields" in vars(value) and value.__module__ == module.__name__
 ]
 RECORD_IDS = [cls.__name__ for cls in RECORDS]
 WITH_DICT = {"SpectrumGrid", "NetworkTopology"}  # their cached_property needs an instance dict
@@ -45,15 +49,10 @@ WITH_DICT = {"SpectrumGrid", "NetworkTopology"}  # their cached_property needs a
 
 def twin_of(cls: type) -> type:
     """A plain frozen dataclass with the fields and ``__post_init__`` of *cls*."""
-    specs = []
-    for field in dataclasses.fields(cls):
-        if field.default_factory is not dataclasses.MISSING:
-            spec = dataclasses.field(default_factory=field.default_factory)
-        elif field.default is not dataclasses.MISSING:
-            spec = dataclasses.field(default=field.default)
-        else:
-            spec = dataclasses.field()
-        specs.append((field.name, field.type, spec))
+    specs = [
+        (name, annotation) if default is _REQUIRED else (name, annotation, dataclasses.field(default=default))
+        for name, annotation, default in cls._record_fields
+    ]
     namespace = {"__module__": cls.__module__}
     if "__post_init__" in vars(cls):
         namespace["__post_init__"] = vars(cls)["__post_init__"]
@@ -136,9 +135,9 @@ def value_of(annotation) -> st.SearchStrategy:
 def kwargs_of(cls: type, valid: bool) -> st.SearchStrategy:
     hints = typing.get_type_hints(cls)
     values = {}
-    for field in dataclasses.fields(cls):
-        fixed = (cls.__name__, field.name)
-        values[field.name] = VALID[fixed] if valid and fixed in VALID else value_of(hints[field.name])
+    for name in cls.__match_args__:
+        fixed = (cls.__name__, name)
+        values[name] = VALID[fixed] if valid and fixed in VALID else value_of(hints[name])
     return st.fixed_dictionaries(values)
 
 
@@ -185,11 +184,7 @@ def test_signature_fields_and_defaults_match_the_twin(cls):
     assert str(inspect.signature(cls.__init__)) == str(inspect.signature(twin.__init__))
     for mine, other in zip(ours.parameters.values(), theirs.parameters.values()):
         assert (mine.name, mine.kind, mine.annotation) == (other.name, other.kind, other.annotation)
-        if repr(other.default) != "<factory>":
-            assert mine.default is other.default
-    for mine, other in zip(dataclasses.fields(cls), dataclasses.fields(twin), strict=True):
-        assert (mine.name, mine.type) == (other.name, other.type)
-        assert mine.default is other.default and mine.default_factory is other.default_factory
+        assert mine.default is other.default
 
 
 @settings(max_examples=400, deadline=None)
@@ -211,15 +206,15 @@ def test_record_behaves_as_its_dataclass_twin(cls, data):
     other = data.draw(kwargs_of(cls, valid=True))
     assert _outcome(lambda: ours == cls(**other)) == _outcome(lambda: theirs == twin(**other))
 
-    field = data.draw(st.sampled_from(dataclasses.fields(cls)))
-    new = data.draw(value_of(typing.get_type_hints(cls)[field.name]))
-    changes = {field.name: new}
-    assert _outcome(dataclasses.replace, ours, **changes) == _outcome(dataclasses.replace, theirs, **changes)
+    name = data.draw(st.sampled_from(cls.__match_args__))
+    new = data.draw(value_of(typing.get_type_hints(cls)[name]))
+    changes = {name: new}
+    assert _outcome(replace, ours, **changes) == _outcome(dataclasses.replace, theirs, **changes)
     for target in (ours, theirs):
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field.name}'$"):
-            setattr(target, field.name, new)
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{field.name}'$"):
-            delattr(target, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(target, name, new)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(target, name)
 
     for copied in (copy.deepcopy(ours), pickle.loads(pickle.dumps(ours))):
         assert type(copied) is cls and copied == ours and repr(copied) == repr(ours)
@@ -242,8 +237,8 @@ def test_a_record_default_is_one_shared_frozen_record():
     ]:
         default = getattr(make(), field)
         assert default == fresh()
-        assert getattr(make(), field) is default is make.__dataclass_fields__[field].default
-        name = dataclasses.fields(default)[0].name
+        assert getattr(make(), field) is default is {n: d for n, _, d in make._record_fields}[field]
+        name = default.__match_args__[0]
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
             setattr(default, name, getattr(default, name))
 
@@ -256,6 +251,17 @@ def test_vars_fails_on_a_slotted_record():
         request.__dict__
 
 
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+def test_a_record_is_no_dataclass(cls, data):
+    record = data.draw(instance(cls))
+    assert not dataclasses.is_dataclass(cls) and not dataclasses.is_dataclass(record)
+    for function in (dataclasses.fields, dataclasses.asdict, dataclasses.replace):
+        with pytest.raises(TypeError):
+            function(record)
+
+
 # -- lazy build -------------------------------------------------------------------
 
 
@@ -263,9 +269,9 @@ def test_import_compiles_only_the_records_it_builds():
     src = str(Path(awplan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
-        "import sys, dataclasses, awplan.cli, awplan.adaptation, awplan._schema as s\n"
+        "import sys, awplan.cli, awplan.adaptation, awplan._schema as s\n"
         "records = {c for n, m in list(sys.modules.items()) if n.startswith('awplan.') and n != 'awplan._schema'\n"
-        "           for c in vars(m).values() if isinstance(c, type) and dataclasses.is_dataclass(c)}\n"
+        "           for c in vars(m).values() if isinstance(c, type) and '_record_fields' in vars(c)}\n"
         "built = sorted(c.__name__ for c in records if not isinstance(vars(c)['__init__'], s._Unbuilt))\n"
         "shared = all(vars(c)[n] is getattr(s, '_record_' + n.strip('_')) for c in records for n in ('__eq__', '__hash__', '__repr__'))\n"
         "print(len(records), built, shared)"

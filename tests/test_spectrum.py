@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import codec_oracle
 import slot_oracle
+from record_tools import replace
 
 from awplan import spectrum
 from awplan import (
