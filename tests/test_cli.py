@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import re
@@ -889,23 +890,6 @@ def _unique_ids(grid) -> bool:
     return len(set(ids)) == len(ids)
 
 
-# request shapes: ids the grid may hold, which first fit leaves unplaced, and fresh ones
-_SHAPES = st.lists(
-    st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),
-    max_size=8,
-)
-
-
-def _requests(shapes) -> list[PlacementRequest]:
-    return [
-        PlacementRequest(
-            kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
-            id=request_id, guard_band_slots=guard, partition_only=partition_only,
-        )
-        for is_native, guard, partition_only, request_id in shapes
-    ]
-
-
 class TestValidateAllocation:
     """Each placed assignment must name an occupant of the result grid of its
     request's kind at its start slot and give no reason, no id may be placed
@@ -954,10 +938,39 @@ class TestValidateAllocation:
         assert validate_document(document) == (1, message)
 
     @settings(max_examples=150, deadline=None)
-    @given(grid=slot_oracle.random_grids().filter(_unique_ids), shapes=_SHAPES, data=st.data())
+    @given(
+        grid=slot_oracle.random_grids().filter(_unique_ids),
+        shapes=st.lists(
+            # ids the grid may hold, which first fit leaves unplaced, and fresh ones
+            st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),
+            max_size=8,
+        ),
+        data=st.data(),
+    )
     def test_first_fit_output_validates_and_a_moved_start_does_not(self, grid, shapes, data):
-        document = first_fit_allocate(grid, _requests(shapes)).to_dict()
+        requests = [
+            PlacementRequest(
+                kind=OccupantKind.NATIVE if is_native else OccupantKind.SUPERCHANNEL,
+                id=request_id, guard_band_slots=guard, partition_only=partition_only,
+            )
+            for is_native, guard, partition_only, request_id in shapes
+        ]
+        document = first_fit_allocate(grid, requests).to_dict()
         assert validate_document(document) == (0, "ok\n")
+        if not shapes:
+            return
+        # a placed assignment given a reason, or an unplaced one stripped of it
+        turned = copy.deepcopy(document)
+        j = data.draw(st.integers(0, len(shapes) - 1))
+        assignment = turned["assignments"][j]
+        request_id, start = assignment["request"]["id"], assignment["start_slot"]
+        if start is None:
+            assignment["reason"] = None
+            message = f"{request_id!r} is unplaced and gives no reason"
+        else:
+            assignment["reason"] = "no feasible window"
+            message = f"{request_id!r} is placed at slot {start} and gives the reason 'no feasible window'"
+        assert validate_document(turned) == (1, f"ASSIGNMENT_MISMATCH: assignments[{j}]: {message}\n")
         placed = [i for i, a in enumerate(document["assignments"]) if a["start_slot"] is not None]
         if not placed:
             return
@@ -966,22 +979,6 @@ class TestValidateAllocation:
         code, out = validate_document(document)
         assert code == 1
         assert out.startswith(f"ASSIGNMENT_MISMATCH: assignments[{i}]: the grid holds no ")
-
-    @settings(max_examples=100, deadline=None)
-    @given(grid=slot_oracle.random_grids().filter(_unique_ids), shapes=_SHAPES.filter(bool), data=st.data())
-    def test_first_fit_output_with_its_reason_turned_is_a_finding(self, grid, shapes, data):
-        # a placed assignment given a reason, or an unplaced one stripped of it
-        document = first_fit_allocate(grid, _requests(shapes)).to_dict()
-        i = data.draw(st.integers(0, len(shapes) - 1))
-        assignment = document["assignments"][i]
-        request_id, start = assignment["request"]["id"], assignment["start_slot"]
-        if start is None:
-            assignment["reason"] = None
-            message = f"{request_id!r} is unplaced and gives no reason"
-        else:
-            assignment["reason"] = "no feasible window"
-            message = f"{request_id!r} is placed at slot {start} and gives the reason 'no feasible window'"
-        assert validate_document(document) == (1, f"ASSIGNMENT_MISMATCH: assignments[{i}]: {message}\n")
 
 
 class TestErrors:

@@ -2,13 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/census.py [--seed 1] [--cycles 2]
+    python3 tools/census.py
 
 In one process, with ``sys.setprofile`` recording every Python function
 that runs, it runs the CLI tests (``tests/test_cli.py`` and
 ``tests/test_golden_cli.py``, through pytest) and then the first
-``--cycles`` cycles of each benchmark workload, built by ``bench/run.py``
-and run by its ``run_cycle``; ``bench/`` is imported, never written. It
+two cycles of each benchmark workload, built by ``bench/run.py`` with seed
+1 and run by its ``run_cycle``; ``bench/`` is imported, never written. It
 prints every function and method defined in ``src/awplan`` that never ran,
 one a line as ``file:line qualname``, in file order, after a count.
 Code compiled at run time (the codec's functions) is not in the source and
@@ -17,7 +17,6 @@ is not listed. Standard library only, apart from pytest for the tests.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import os
@@ -27,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "awplan"
 TESTS = ("tests/test_cli.py", "tests/test_golden_cli.py")
+SEED = 1  # the workloads' seed
+CYCLES = 2  # cycles run per workload
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -52,7 +53,7 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def run_everything(seed: int, cycles: int) -> set:
+def run_everything() -> set:
     """The code objects of every Python function called while the CLI tests
     and the workload cycles run."""
     import pytest
@@ -72,9 +73,9 @@ def run_everything(seed: int, cycles: int) -> set:
         import run as bench  # bench/run.py
 
         for name in bench.WORKLOADS:
-            workload, _ = bench.build(name, seed)
+            workload, _ = bench.build(name, SEED)
             book = bench.Book()
-            for cycle in workload.cycles[:cycles]:
+            for cycle in workload.cycles[:CYCLES]:
                 bench.run_cycle(workload, cycle, book, [])
             if book.failed:
                 raise SystemExit(f"{name}: {book.failed} ops failed: {book.errors[:3]}")
@@ -83,17 +84,12 @@ def run_everything(seed: int, cycles: int) -> set:
     return seen
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="the workloads' seed (default 1)")
-    parser.add_argument("--cycles", type=int, default=2, help="cycles run per workload (default 2)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     sys.dont_write_bytecode = True  # nothing is written next to the sources or the bench
     for path in (ROOT / "bench", ROOT / "tests", ROOT / "src"):
         sys.path.insert(0, str(path))
     os.chdir(ROOT)
-    ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in run_everything(args.seed, args.cycles)}
+    ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in run_everything()}
 
     functions = defined_functions()
     unreached = sorted(key for key in functions if (os.path.realpath(key[0]), key[1]) not in ran)
