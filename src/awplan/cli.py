@@ -92,31 +92,28 @@ def _plan_findings(plan: PlanDocument, args: argparse.Namespace) -> list:
 
 
 def _allocation_findings(allocation: AllocationResult, args: argparse.Namespace) -> list:
-    """Each placed assignment names an occupant of its request's kind at its
-    start slot (a native at its bitrate) and gives no reason, no id is
-    placed twice, and each unplaced assignment gives its reason."""
-    grid, findings, placed = allocation.grid, [], set()
-    held = {n.id: ("native", n.start_slot, n.bitrate_gbps) for n in grid.natives}
-    held.update((sc.id, ("superchannel", sc.start_slot, None)) for sc in grid.superchannels)
-    for i, assignment in enumerate(allocation.assignments):
-        request, start, reason = assignment.request, assignment.start_slot, assignment.reason
-        if start is None:
-            if reason is None:
-                message = f"{request.id!r} is unplaced and gives no reason"
-                findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
-            continue
-        if reason is not None:
-            message = f"{request.id!r} is placed at slot {start} and gives the reason {reason!r}"
+    """First fit re-run on the document's requests, from the result grid
+    without the occupants its placed assignments name: each assignment, and
+    the grid, must be what the re-run gives. First fit never places an id
+    the grid already holds and appends what it places, so for its own output
+    this start grid is the one it ran on."""
+    grid = allocation.grid
+    placed = {assignment.request.id for assignment in allocation.assignments if assignment.placed}
+    start = SpectrumGrid(
+        band=grid.band,
+        natives=tuple(native for native in grid.natives if native.id not in placed),
+        superchannels=tuple(sc for sc in grid.superchannels if sc.id not in placed),
+        partitions=grid.partitions,
+    )
+    rerun = first_fit_allocate(start, [assignment.request for assignment in allocation.assignments])
+    where = "start_slot {0.start_slot}, reason {0.reason!r}".format
+    findings = []
+    for i, (ours, theirs) in enumerate(zip(allocation.assignments, rerun.assignments)):
+        if ours != theirs:
+            message = f"{ours.request.id!r} has {where(ours)}; first fit gives {where(theirs)}"
             findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
-        kind = request.kind.value
-        rate = request.bitrate_gbps if kind == "native" else None
-        if request.id in placed:
-            findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {request.id!r} is placed twice"))
-        elif held.get(request.id) != (kind, start, rate):
-            at = f" at {rate} Gbps" if rate else ""
-            message = f"the grid holds no {kind} {request.id!r} at slot {start}{at}"
-            findings.append(("ASSIGNMENT_MISMATCH", f"assignments[{i}]: {message}"))
-        placed.add(request.id)
+    if rerun.grid != grid:
+        findings.append(("ASSIGNMENT_MISMATCH", "grid: differs from the grid first fit gives"))
     return findings
 
 

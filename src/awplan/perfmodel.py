@@ -229,9 +229,12 @@ def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
 
 
 def check_l_ref(l_ref_km: float) -> None:
-    """Raise CalibrationError unless *l_ref_km* is a finite reference distance."""
+    """Raise CalibrationError unless *l_ref_km* is a finite reference
+    distance that a calibration point can lie at."""
     if not math.isfinite(l_ref_km):
         raise CalibrationError(f"l_ref_km must be finite, got {l_ref_km}")
+    if l_ref_km < 0:
+        raise CalibrationError(f"l_ref_km must be >= 0, got {l_ref_km}")
 
 
 def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM) -> QModel:

@@ -12,6 +12,7 @@ higher Q margin, then to mixed spectrum to avoid carving.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 from . import _schema
 from .errors import PlanningError
@@ -190,6 +191,14 @@ class GridContext:
         return self.dedicated_start_slot is not None
 
 
+# each strategy's test for a window on a probed grid, and the phrase for its
+# absence, which _unfit quotes and validate_plan and apply_plan report
+_WINDOWS = {
+    Strategy.MIXED_SPECTRUM: (attrgetter("mixed_available"), "no mixed-spectrum window available"),
+    Strategy.DEDICATED_PARTITION: (attrgetter("dedicated_available"), "no dedicated partition available or carvable"),
+}
+
+
 def _carve_width(width_slots: int) -> int:
     # partition boundaries align to the native grid, so round up to even
     return width_slots if width_slots % 2 == 0 else width_slots + 1
@@ -285,11 +294,11 @@ def _unfit(
     feasibility test, whose text the rationale quotes."""
     if q.feasibility is Feasibility.INFEASIBLE:
         return f"Q {q.value_db:.2f} dB is at or below the {policy.thresholds.hard_min_db:g} dB floor"
-    if strategy is Strategy.DEDICATED_PARTITION:
-        return None if context.dedicated_available else "no dedicated partition available or carvable"
-    if not context.mixed_available:
-        return "no mixed-spectrum window available"
-    if modulation is Modulation.QPSK and metrics.distance_km > policy.qpsk_mixed_reach_limit_km:
+    available, missing = _WINDOWS[strategy]
+    if not available(context):
+        return missing
+    mixed_qpsk = strategy is Strategy.MIXED_SPECTRUM and modulation is Modulation.QPSK
+    if mixed_qpsk and metrics.distance_km > policy.qpsk_mixed_reach_limit_km:
         return (
             f"distance {metrics.distance_km:.0f} km exceeds the "
             f"{policy.qpsk_mixed_reach_limit_km:g} km reach limit for QPSK "
@@ -397,7 +406,8 @@ def validate_plan(
     chosen = report.chosen
     thresholds = policy.thresholds
 
-    if chosen.q.value_db <= thresholds.hard_min_db:
+    expected_class = classify_q(chosen.q.value_db, thresholds)
+    if expected_class is Feasibility.INFEASIBLE:
         violations.append(
             Violation(
                 "Q_BELOW_HARD_MIN",
@@ -405,7 +415,6 @@ def validate_plan(
                 f"{thresholds.hard_min_db:g} dB floor",
             )
         )
-    expected_class = classify_q(chosen.q.value_db, thresholds)
     if expected_class is not chosen.q.feasibility:
         violations.append(
             Violation(
@@ -425,18 +434,9 @@ def validate_plan(
             )
         )
 
-    context = grid_context_for(grid, policy.guard_band_slots)
-    if chosen.strategy is Strategy.MIXED_SPECTRUM and not context.mixed_available:
-        violations.append(
-            Violation("PLACEMENT_INFEASIBLE", "no mixed-spectrum window on this grid")
-        )
-    if chosen.strategy is Strategy.DEDICATED_PARTITION and not context.dedicated_available:
-        violations.append(
-            Violation(
-                "PLACEMENT_INFEASIBLE",
-                "no dedicated partition available or carvable on this grid",
-            )
-        )
+    available, missing = _WINDOWS[chosen.strategy]
+    if not available(grid_context_for(grid, policy.guard_band_slots)):
+        violations.append(Violation("PLACEMENT_INFEASIBLE", f"{missing} on this grid"))
     return violations
 
 
@@ -455,16 +455,14 @@ def apply_plan(
     width = grid.band.superchannel_width_slots
     sc_id = unique_occupant_id(grid, "aw-block")
 
+    available, missing = _WINDOWS[chosen.strategy]
+    if not available(context):
+        raise PlanningError(missing)
+    start = context.mixed_start_slot
     if chosen.strategy is Strategy.DEDICATED_PARTITION:
-        if not context.dedicated_available:
-            raise PlanningError("no dedicated partition available or carvable")
         start = context.dedicated_start_slot
         if context.dedicated_needs_carve:
             grid = carve_dedicated_partition(grid, start, _carve_width(width))
-    else:
-        if not context.mixed_available:
-            raise PlanningError("no mixed-spectrum window available")
-        start = context.mixed_start_slot
 
     block = SuperChannel(
         id=sc_id,

@@ -16,6 +16,7 @@ import slot_oracle
 from awplan import OccupantKind, PlacementRequest, canonical_json, cli, first_fit_allocate, perfmodel, planner
 from awplan.cli import _build_parser, main
 from conftest import FIXTURE_DIR
+from record_tools import replace
 
 CALIB = "reference.calib.json"
 TOPO = "garr.topo.json"
@@ -97,6 +98,19 @@ class TestCalibrate:
         assert code == 2
         assert out == ""
         assert err == "error: l_ref_km must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("command", ["calibrate", "estimate", "plan", "export-plot", "validate"])
+def test_negative_reference_distance_exits_two_naming_the_flag(capsys, fx, command):
+    # no calibration point lies below 0 km, so the flag is at fault, not the file
+    argv = {
+        "calibrate": ["calibrate", "--points", fx(CALIB)],
+        "estimate": ["estimate", "--calib", fx(CALIB), "--distance", "1131", "--modulation", "qpsk"],
+        "plan": ["plan", "--calib", fx(CALIB), "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json")],
+        "export-plot": ["export-plot", "--calib", fx(CALIB), "--modulation", "qpsk", "--distances", "345"],
+        "validate": ["validate", fx(CALIB)],
+    }[command]
+    assert run(capsys, *argv, "--l-ref", "-1") == (2, "", "error: l_ref_km must be >= 0, got -1.0\n")
 
 
 @pytest.mark.parametrize("command", [("calibrate", "--points"), ("validate",)], ids=["calibrate", "validate"])
@@ -890,10 +904,21 @@ def _unique_ids(grid) -> bool:
     return len(set(ids)) == len(ids)
 
 
+def mismatch(i: int, request_id: str, ours: tuple, theirs: tuple) -> str:
+    """validate's line for assignment *i*: its (start_slot, reason), then first fit's."""
+    return (
+        f"ASSIGNMENT_MISMATCH: assignments[{i}]: {request_id!r} has start_slot {ours[0]}, reason {ours[1]!r}; "
+        f"first fit gives start_slot {theirs[0]}, reason {theirs[1]!r}"
+    )
+
+
+GRID_MISMATCH = "ASSIGNMENT_MISMATCH: grid: differs from the grid first fit gives"
+
+
 class TestValidateAllocation:
-    """Each placed assignment must name an occupant of the result grid of its
-    request's kind at its start slot and give no reason, no id may be placed
-    twice, and each unplaced assignment must give its reason."""
+    """validate re-runs first fit on an allocation's requests, from its grid
+    without the occupants that its placed assignments name: each assignment
+    and the grid must be what first fit gives."""
 
     def test_trial_allocation_with_a_moved_block_is_a_finding(self, capsys, fx):
         code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
@@ -901,8 +926,17 @@ class TestValidateAllocation:
         assert validate_document(document) == (0, "ok\n")
         assert document["assignments"][1]["request"]["id"] == "aw-1"
         document["assignments"][1]["start_slot"] += 2
-        message = "ASSIGNMENT_MISMATCH: assignments[1]: the grid holds no superchannel 'aw-1' at slot 22\n"
+        message = mismatch(1, "aw-1", (22, None), (20, None)) + "\n"
         assert validate_document(document) == (1, message)
+
+    def test_a_block_moved_with_its_occupant_is_a_finding(self, capsys, fx):
+        code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
+        document = json.loads(out)
+        assert document["assignments"][2]["request"]["id"] == "aw-2"
+        document["assignments"][2]["start_slot"] = 100
+        (block,) = [sc for sc in document["grid"]["superchannels"] if sc["id"] == "aw-2"]
+        block["start_slot"] = 100
+        assert validate_document(document) == (1, f"{mismatch(2, 'aw-2', (100, None), (28, None))}\n{GRID_MISMATCH}\n")
 
     def test_native_at_another_bitrate_and_a_repeated_id_are_findings(self, fx):
         requests = [PlacementRequest(kind=OccupantKind.NATIVE, id=i) for i in ("a", "b")]
@@ -912,8 +946,8 @@ class TestValidateAllocation:
         code, out = validate_document(document)
         assert code == 1
         assert out.splitlines() == [
-            "ASSIGNMENT_MISMATCH: assignments[0]: the grid holds no native 'a' at slot 0 at 40 Gbps",
-            "ASSIGNMENT_MISMATCH: assignments[1]: 'a' is placed twice",
+            mismatch(1, "a", (2, None), (None, "no feasible window")),
+            GRID_MISMATCH,
         ]
 
     def test_a_placed_assignment_that_gives_a_reason_is_a_finding(self, capsys, fx):
@@ -921,20 +955,21 @@ class TestValidateAllocation:
         document = json.loads(out)
         assert document["assignments"][0]["start_slot"] == 0
         document["assignments"][0]["reason"] = "no feasible window"
-        message = "ASSIGNMENT_MISMATCH: assignments[0]: 'n-100' is placed at slot 0 and gives the reason 'no feasible window'\n"
+        message = mismatch(0, "n-100", (0, "no feasible window"), (0, None)) + "\n"
         assert validate_document(document) == (1, message)
 
-    @pytest.mark.parametrize("edit", ["null", "deleted"])
+    @pytest.mark.parametrize("edit", ["null", "deleted", "placed at slot 4 after all"])
     def test_an_unplaced_assignment_without_its_reason_is_a_finding(self, fx, edit):
         # natives are kept out of partitions, so first fit never places this one
         request = PlacementRequest(kind=OccupantKind.NATIVE, id="p", partition_only=True)
         document = first_fit_allocate(cli._load("grid", fx("busy.grid.json")), [request]).to_dict()
         assert validate_document(document) == (0, "ok\n")
-        if edit == "null":
-            document["assignments"][0]["reason"] = None
-        else:
+        reason = None if edit in ("null", "deleted") else edit
+        if edit == "deleted":
             del document["assignments"][0]["reason"]
-        message = "ASSIGNMENT_MISMATCH: assignments[0]: 'p' is unplaced and gives no reason\n"
+        else:
+            document["assignments"][0]["reason"] = reason
+        message = mismatch(0, "p", (None, reason), (None, "no feasible window")) + "\n"
         assert validate_document(document) == (1, message)
 
     @settings(max_examples=150, deadline=None)
@@ -955,30 +990,51 @@ class TestValidateAllocation:
             )
             for is_native, guard, partition_only, request_id in shapes
         ]
-        document = first_fit_allocate(grid, requests).to_dict()
+        result = first_fit_allocate(grid, requests)
+        document = result.to_dict()
         assert validate_document(document) == (0, "ok\n")
         if not shapes:
             return
-        # a placed assignment given a reason, or an unplaced one stripped of it
+        # a placed assignment given a reason, or an unplaced one given another
         turned = copy.deepcopy(document)
         j = data.draw(st.integers(0, len(shapes) - 1))
         assignment = turned["assignments"][j]
-        request_id, start = assignment["request"]["id"], assignment["start_slot"]
+        request_id, start, reason = assignment["request"]["id"], assignment["start_slot"], assignment["reason"]
         if start is None:
-            assignment["reason"] = None
-            message = f"{request_id!r} is unplaced and gives no reason"
+            assignment["reason"] = data.draw(st.none() | st.text().filter(lambda text: text != reason))
         else:
-            assignment["reason"] = "no feasible window"
-            message = f"{request_id!r} is placed at slot {start} and gives the reason 'no feasible window'"
-        assert validate_document(turned) == (1, f"ASSIGNMENT_MISMATCH: assignments[{j}]: {message}\n")
+            assignment["reason"] = data.draw(st.text())
+        message = mismatch(j, request_id, (start, assignment["reason"]), (start, reason))
+        assert validate_document(turned) == (1, message + "\n")
         placed = [i for i, a in enumerate(document["assignments"]) if a["start_slot"] is not None]
         if not placed:
             return
         i = data.draw(st.sampled_from(placed))
-        document["assignments"][i]["start_slot"] += data.draw(st.sampled_from([-2, -1, 1, 2]))
-        code, out = validate_document(document)
-        assert code == 1
-        assert out.startswith(f"ASSIGNMENT_MISMATCH: assignments[{i}]: the grid holds no ")
+        request_id, start = requests[i].id, document["assignments"][i]["start_slot"]
+        # the occupant moved with it, to another start that the placement rules accept
+        natives, blocks = result.grid.natives, result.grid.superchannels
+        (occupant,) = [o for o in natives + blocks if o.id == request_id]
+        without = replace(
+            result.grid,
+            natives=tuple(o for o in natives if o.id != request_id),
+            superchannels=tuple(o for o in blocks if o.id != request_id),
+        )
+        state = slot_oracle.slot_state(without)
+        accepted = [
+            s for s in range(grid.band.slot_count)
+            if s != start and not isinstance(slot_oracle.place(grid.band, *state, replace(occupant, start_slot=s)), str)
+        ]
+        if accepted:
+            moved, to = copy.deepcopy(document), data.draw(st.sampled_from(accepted))
+            moved["assignments"][i]["start_slot"] = to
+            kind = "natives" if occupant in natives else "superchannels"
+            (held,) = [o for o in moved["grid"][kind] if o["id"] == request_id]
+            held["start_slot"] = to
+            expected = f"{mismatch(i, request_id, (to, None), (start, None))}\n{GRID_MISMATCH}\n"
+            assert validate_document(moved) == (1, expected)
+        shift = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        document["assignments"][i]["start_slot"] += shift
+        assert validate_document(document) == (1, mismatch(i, request_id, (start + shift, None), (start, None)) + "\n")
 
 
 class TestErrors:

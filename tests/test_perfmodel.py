@@ -247,6 +247,13 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match=f"^l_ref_km must be finite, got {l_ref_km}$"):
             calibrate(calib_points, l_ref_km)
 
+    def test_negative_reference_distance_named(self, calib_points):
+        with pytest.raises(CalibrationError, match=r"^l_ref_km must be >= 0, got -1\.0$"):
+            calibrate(calib_points, -1.0)
+        # a point can lie at 0 km, so there the fit fails, not the flag
+        with pytest.raises(CalibrationError, match=r"^BPSK: missing zero-neighbor baseline point at 0\.0 km$"):
+            calibrate(calib_points, 0.0)
+
     def test_missing_long_distance_point_named(self, calib_points):
         remaining = [p for p in calib_points if p.distance_km == 345.0]
         with pytest.raises(CalibrationError, match="long-distance"):

@@ -414,7 +414,7 @@ class TestValidatePlan:
         assert report.chosen.strategy is Strategy.MIXED_SPECTRUM
         violations = validate_plan(report, no_mixed_window_grid())
         assert [(v.code, v.message) for v in violations] == [
-            ("PLACEMENT_INFEASIBLE", "no mixed-spectrum window on this grid")
+            ("PLACEMENT_INFEASIBLE", "no mixed-spectrum window available on this grid")
         ]
 
 
