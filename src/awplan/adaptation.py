@@ -71,21 +71,12 @@ def compute_voa_settings(
     if not math.isfinite(target_dbm):
         raise AdaptationError(f"target_dbm must be finite, got {target_dbm}")
 
-    settings: list[VoaSetting] = []
-    clipped: list[str] = []
-    max_residual = 0.0
-    for reading in readings:
-        power = reading.power_dbm
-        settings.append(VoaSetting(channel_ref=reading.channel_ref, attenuation_db=max(0.0, power - target_dbm)))
-        if power < target_dbm:
-            clipped.append(reading.channel_ref)
-        # a residual is the clipped shortfall: a levelled channel meets the target
-        max_residual = max(max_residual, target_dbm - power)
-    return EqualizationResult(
-        settings=tuple(settings),
-        max_residual_db=max_residual,
-        clipped_channels=tuple(clipped),
-    )
+    settings = tuple(VoaSetting(r.channel_ref, max(0.0, r.power_dbm - target_dbm)) for r in readings)
+    clipped = tuple(r.channel_ref for r in readings if r.power_dbm < target_dbm)
+    # a residual is the clipped shortfall: a levelled channel meets the target,
+    # and float subtraction is monotone, so the worst is the weakest channel's
+    residual = max(0.0, target_dbm - min(r.power_dbm for r in readings))
+    return EqualizationResult(settings, residual, clipped)
 
 
 @_schema.document("node_summary")
@@ -133,8 +124,7 @@ def equalization_report(
     summaries = []
     for node_id in sorted(results_by_node):
         result = results_by_node[node_id]
-        referenced = [setting.channel_ref for setting in result.settings]
-        unknown = tuple(sorted({ref for ref in referenced if ref not in known}))
+        unknown = tuple(sorted({setting.channel_ref for setting in result.settings} - known))
         passed = result.max_residual_db <= flatness_tolerance_db and not result.clipped_channels
         summaries.append(
             NodeEqualizationSummary(

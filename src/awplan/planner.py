@@ -33,15 +33,12 @@ from .spectrum import (
     MAX_CARRIERS,
     PAIR_COUNT,
     CarrierPair,
+    DedicatedPartition,
     SpectrumGrid,
     SuperChannel,
-    block_windows,
-    blocked_starts,
-    carve_dedicated_partition,
+    WorkingGrid,
+    carve_width,
     check_guard_band,
-    fitting_starts,
-    lowest_start,
-    place_superchannel,
     unique_occupant_id,
     window_neighbors,
 )
@@ -199,11 +196,6 @@ _WINDOWS = {
 }
 
 
-def _carve_width(width_slots: int) -> int:
-    # partition boundaries align to the native grid, so round up to even
-    return width_slots if width_slots % 2 == 0 else width_slots + 1
-
-
 def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     """Probe the grid for the lowest feasible mixed placement and the lowest
     dedicated placement a new super-channel could use. The context is kept
@@ -217,29 +209,23 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
 
 
 def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
-    # occupied_mask first: it raises on a double-booked grid, naming both owners
-    occupied, natives = grid.occupied_mask, grid.native_mask
-    width = grid.band.superchannel_width_slots
-    # the windows first fit searches: a mixed block lies outside every
-    # partition, a dedicated one inside one
-    inside, outside = block_windows(grid.band, grid.partition_mask, grid.partitions)
-    free = ~blocked_starts(occupied, width)
+    # WorkingGrid.of raises on a double-booked grid, naming both owners
+    working = WorkingGrid.of(grid)
+    # a mixed block lies outside every partition, a dedicated one inside one
+    _, inside, outside = working.search_starts()
 
-    mixed_start = lowest_start(outside & free & ~blocked_starts(natives, width, guard_band_slots))
+    mixed_start = working.block_start(outside, guard_band_slots)
     mixed_neighbors: NeighborConfig | None = None
     if mixed_start is not None:
         mixed_neighbors = window_neighbors(
-            grid, mixed_start, mixed_start + width, guard_band_slots, occupied & ~natives
+            grid, mixed_start, mixed_start + working.width, guard_band_slots,
+            working.occupied_mask & ~working.native_mask,
         )
 
-    dedicated_start = lowest_start(inside & free)
+    dedicated_start = working.block_start(inside, 0)
     needs_carve = False
     if dedicated_start is None:
-        carve = _carve_width(width)
-        taken = occupied | grid.partition_mask
-        dedicated_start = lowest_start(
-            fitting_starts(grid.band.slot_count, carve, even=True) & ~blocked_starts(taken, carve)
-        )
+        dedicated_start = working.carve_start()
         needs_carve = dedicated_start is not None
 
     return GridContext(
@@ -446,23 +432,25 @@ def apply_plan(
     policy: PlannerPolicy = DEFAULT_POLICY,
 ) -> tuple[SpectrumGrid, str]:
     """Commit a plan's chosen option to the grid: carve if needed, place the
-    block, and return the updated grid with the new occupant id."""
+    block, and return the updated grid with the new occupant id. The carve
+    and the placement go on one working state, which builds the grid once."""
     chosen = report.chosen
     context = grid_context_for(grid, policy.guard_band_slots)
     pairs = tuple(
         CarrierPair(index=i, modulation=chosen.pair_modulations[i]) for i in range(PAIR_COUNT)
     )
-    width = grid.band.superchannel_width_slots
     sc_id = unique_occupant_id(grid, "aw-block")
 
     available, missing = _WINDOWS[chosen.strategy]
     if not available(context):
         raise PlanningError(missing)
+    working = WorkingGrid.of(grid)
+    width = working.width
     start = context.mixed_start_slot
     if chosen.strategy is Strategy.DEDICATED_PARTITION:
         start = context.dedicated_start_slot
         if context.dedicated_needs_carve:
-            grid = carve_dedicated_partition(grid, start, _carve_width(width))
+            working.carve((DedicatedPartition(start, carve_width(width)),))
 
     block = SuperChannel(
         id=sc_id,
@@ -471,4 +459,4 @@ def apply_plan(
         pairs=pairs,
         active_carriers=chosen.active_carriers,
     )
-    return place_superchannel(grid, block), sc_id
+    return working.place((), (block,)).result(), sc_id

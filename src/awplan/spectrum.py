@@ -13,10 +13,13 @@ grid's masks and id set and the occupants added to it; its ``carve`` and
 ``place_superchannel``, ``carve_dedicated_partition`` and
 ``SpectrumGrid.from_dict`` all run through them: a grid document is loaded
 by carving its partitions and placing its occupants, in order, on an empty
-state, so an error names the first placement that breaks a rule. A window
-search (``blocked_starts``) tests every start of a block at once by ORing
-shifted masks. First fit reads a grid's masks once into a working grid,
-takes the lowest start each search leaves and adds the placement there
+state, so an error names the first placement that breaks a rule. The
+working state also answers where a block can go: ``search_starts`` (the
+starts inside and outside partitions), ``block_start`` (the lowest free
+start in a set of windows, a guard band clear of natives) and
+``carve_start`` (the lowest region a partition can be carved in), each
+testing every start at once by ORing shifted masks (``blocked_starts``).
+First fit and the planner's probe ask these; first fit adds each placement
 unchecked, since the search is exact. A result grid is built once, its
 masks and id set seeded from the working state, so no mask is rebuilt from
 every occupant.
@@ -180,7 +183,8 @@ class DedicatedPartition:
     width_slots: int
 
     def __post_init__(self) -> None:
-        check_partition_width(self.width_slots, ValueError)
+        if self.width_slots <= 0:
+            raise ValueError(f"partition width must be > 0, got {self.width_slots}")
         if self.start_slot % 2 != 0 or (self.start_slot + self.width_slots) % 2 != 0:
             raise ValueError(
                 f"partition boundaries must align to the 50GHz grid, "
@@ -205,12 +209,6 @@ def check_guard_band(guard: int, error: type[Exception] = SpectrumError) -> None
         raise error(f"guard_band_slots must be >= 0, got {guard}")
     if guard > MAX_SLOT_COUNT:
         raise error(f"guard_band_slots must be at most {MAX_SLOT_COUNT}, got {guard}")
-
-
-def check_partition_width(width: int, error: type[Exception] = SpectrumError) -> None:
-    """Raise *error* unless *width* is a positive partition width."""
-    if width <= 0:
-        raise error(f"partition width must be > 0, got {width}")
 
 
 def slot_span(start: int, end: int) -> int:
@@ -333,7 +331,7 @@ class WorkingGrid:
         self.native_mask, self.occupied_mask, self.partition_mask, self.ids = native, occupied, partition, ids
         self.new_ids: set[str] = set()
         self.natives, self.blocks, self.partitions = [], [], []  # added, in order
-        self.starts: tuple[int, int, int] | None = None  # read at first fit's first search
+        self.starts: tuple[int, int, int] | None = None  # read at the first search
 
     @classmethod
     def of(cls, grid: SpectrumGrid) -> WorkingGrid:
@@ -448,15 +446,33 @@ class WorkingGrid:
         return SpectrumError(f"{name!r} would overlap {self.result().occupant_map()[slot][1]!r} at slot {slot}")
 
     def search_starts(self) -> tuple[int, int, int]:
-        """The starts first fit searches before occupancy is applied: those of
-        a native, of a block inside a partition, and of any block. They are
-        kept in ``starts`` until a carve."""
-        # natives are kept out of partitions
-        native = fitting_starts(self.band.slot_count, NATIVE_WIDTH_SLOTS, even=True)
-        native &= ~blocked_starts(self.partition_mask, NATIVE_WIDTH_SLOTS)
-        inside, outside = block_windows(self.band, self.partition_mask, self._partitions())
-        self.starts = native, inside, inside | outside
+        """The starts the searches try before occupancy is applied, as three
+        masks: those of a native, which lies outside every partition; of a
+        block wholly inside one partition; and of a block wholly outside every
+        partition. Each lies in the band. They are kept in ``starts`` until a
+        carve."""
+        count, width, partitions = self.band.slot_count, self.width, self.partition_mask
+        native = fitting_starts(count, NATIVE_WIDTH_SLOTS, even=True) & ~blocked_starts(partitions, NATIVE_WIDTH_SLOTS)
+        fits, inside = fitting_starts(count, width), 0
+        for partition in self._partitions():
+            if partition.width_slots >= width:
+                inside |= slot_span(partition.start_slot, partition.end_slot - width + 1)
+        self.starts = native, fits & inside, fits & ~blocked_starts(partitions, width)
         return self.starts
+
+    def block_start(self, windows: int, guard: int) -> int | None:
+        """The lowest start in *windows* at which a block meets no occupant
+        and lies *guard* slots clear of every native."""
+        width = self.width
+        windows &= ~blocked_starts(self.occupied_mask, width)
+        return lowest_start(windows & ~blocked_starts(self.native_mask, width, guard))
+
+    def carve_start(self) -> int | None:
+        """The lowest even start of a free, unreserved region of
+        ``carve_width`` slots, where a partition for a block can be carved."""
+        carve = carve_width(self.width)
+        taken = self.occupied_mask | self.partition_mask
+        return lowest_start(fitting_starts(self.band.slot_count, carve, even=True) & ~blocked_starts(taken, carve))
 
     def seed(self, grid: SpectrumGrid) -> SpectrumGrid:
         """*grid*, whose occupants are this state's, with its masks and id set seeded."""
@@ -496,12 +512,17 @@ def carve_dedicated_partition(grid: SpectrumGrid, start_slot: int, width_slots: 
     wholly inside it are allowed and become in-partition occupants, but none
     may cross its boundary.
     """
-    check_partition_width(width_slots)
-    end_slot = start_slot + width_slots
-    if start_slot % 2 != 0 or end_slot % 2 != 0:
-        raise SpectrumError(f"partition [{start_slot}, {end_slot}) is not aligned to the 50GHz grid")
-    partition = DedicatedPartition(start_slot=start_slot, width_slots=width_slots)
+    try:
+        partition = DedicatedPartition(start_slot, width_slots)
+    except ValueError as err:
+        raise SpectrumError(str(err)) from None
     return WorkingGrid.of(grid).carve((partition,)).result()
+
+
+def carve_width(width: int) -> int:
+    """The width of the partition carved for a *width*-slot block: partition
+    boundaries align to the 50 GHz native grid, so it rounds up to even."""
+    return width + width % 2
 
 
 def _mirror(mask: int, width: int) -> int:
@@ -631,19 +652,6 @@ def fitting_starts(slot_count: int, width: int, even: bool = False) -> int:
     return starts & (((1 << slot_count) - 1) // 3) if even else starts
 
 
-def block_windows(band: BandConfig, partition_mask: int, partitions) -> tuple[int, int]:
-    """Bitmasks of the starts at which a block of the band's width lies in
-    the band and wholly inside one of *partitions*, and of those at which it
-    lies wholly outside every partition (*partition_mask*)."""
-    width = band.superchannel_width_slots
-    fits = fitting_starts(band.slot_count, width)
-    inside = 0
-    for partition in partitions:
-        if partition.width_slots >= width:
-            inside |= slot_span(partition.start_slot, partition.end_slot - width + 1)
-    return fits & inside, fits & ~blocked_starts(partition_mask, width)
-
-
 def lowest_start(starts: int) -> int | None:
     """The lowest start set in *starts*, or None when it is empty."""
     return (starts & -starts).bit_length() - 1 if starts else None
@@ -657,16 +665,13 @@ def _first_fit_start(grid: WorkingGrid, request: PlacementRequest) -> int | None
     if native and request.partition_only:
         return None  # natives are kept out of partitions
     guard = request.guard_band_slots
-    occupied = grid.occupied_mask
-    native_starts, inside_starts, block_starts = grid.starts or grid.search_starts()
+    native_starts, inside, outside = grid.starts or grid.search_starts()
     # the guard band separates natives from super-channels
     if native:
+        occupied = grid.occupied_mask
         starts = native_starts & ~blocked_starts(occupied, NATIVE_WIDTH_SLOTS)
         return lowest_start(starts & ~blocked_starts(occupied & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard))
-    width = grid.width
-    starts = inside_starts if request.partition_only else block_starts
-    starts &= ~blocked_starts(occupied, width)
-    return lowest_start(starts & ~blocked_starts(grid.native_mask, width, guard))
+    return grid.block_start(inside if request.partition_only else inside | outside, guard)
 
 
 def first_fit_allocate(

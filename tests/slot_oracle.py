@@ -299,7 +299,7 @@ def carve(band: BandConfig, owners: list, regions: list, start: int, width: int)
     if width <= 0:
         return f"partition width must be > 0, got {width}"
     if start % 2 == 1 or end % 2 == 1:
-        return f"partition [{start}, {end}) is not aligned to the 50GHz grid"
+        return f"partition boundaries must align to the 50GHz grid, got [{start}, {end})"
     if start < 0 or end > count:
         return f"partition [{start}, {end}) falls outside the {count}-slot band"
     window = range(start, end)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from awplan import (
     AdaptationError,
@@ -90,6 +90,48 @@ class TestComputeVoaSettings:
             assert leveled <= target + 1e-9
             clipped = r.channel_ref in result.clipped_channels
             assert clipped == (r.power_dbm < target)
+
+
+def loop_voa_settings(readings, target_dbm):
+    """The settings, residual and clipped ids of compute_voa_settings, one
+    reading at a time, with the residual as a running maximum."""
+    settings, clipped, max_residual = [], [], 0.0
+    for r in readings:
+        settings.append((r.channel_ref, max(0.0, r.power_dbm - target_dbm)))
+        if r.power_dbm < target_dbm:
+            clipped.append(r.channel_ref)
+        max_residual = max(max_residual, target_dbm - r.power_dbm)
+    return settings, max_residual, clipped
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def powers_and_target(draw):
+    target = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0), _FINITE))
+    # readings equal to the target, its negation and both zeros tie the comparisons
+    power = st.one_of(st.sampled_from([target, -target, 0.0, -0.0]), st.floats(-30.0, 30.0), _FINITE)
+    return draw(st.lists(power, min_size=1, max_size=8)), target
+
+
+class TestVoaSettingsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=powers_and_target())
+    @example(case=([0.0, -0.0, 1.0], -0.0))
+    @example(case=([-0.0, 0.0], 0.0))
+    @example(case=([-1e308, 1e308], 1e308))
+    def test_matches_the_reading_by_reading_loop(self, case):
+        powers, target = case
+        readings = [reading(f"c{i}", p) for i, p in enumerate(powers)]
+        result = compute_voa_settings(readings, target)
+        settings, residual, clipped = loop_voa_settings(readings, target)
+        # float.hex tells -0.0 from 0.0, so the values match bit for bit
+        assert [(s.channel_ref, s.attenuation_db.hex()) for s in result.settings] == [
+            (ref, value.hex()) for ref, value in settings
+        ]
+        assert result.max_residual_db.hex() == residual.hex()
+        assert result.clipped_channels == tuple(clipped)
 
 
 class TestEqualizationReport:

@@ -10,6 +10,7 @@ from record_tools import replace
 
 from awplan import (
     AmplifierType,
+    CarrierPair,
     Demand,
     Feasibility,
     Modulation,
@@ -36,6 +37,7 @@ from awplan import (
     place_superchannel,
     plan_link,
     superchannel_capacity,
+    unique_occupant_id,
     validate_plan,
 )
 from awplan.spectrum import BandConfig, NativeChannel, place_native
@@ -455,6 +457,53 @@ class TestApplyPlan:
         report = plan_link(demand_fixture(fixture_dir, "bo1-mi1.demands.json"), garr, empty_grid(), model)
         with pytest.raises(PlanningError, match="^no mixed-spectrum window available$"):
             apply_plan(no_mixed_window_grid(), report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=slot_oracle.random_grids(),
+        guard=st.integers(0, 5),
+        capacity=st.sampled_from([100.0, 400.0, 500.0]),
+        reach=st.sampled_from([0.0, 1000.0]),  # no reach favours the dedicated option
+        data=st.data(),
+    )
+    def test_matches_a_carve_then_place_reference(self, garr, model, grid, guard, capacity, reach, data):
+        policy = PlannerPolicy(guard_band_slots=guard, qpsk_mixed_reach_limit_km=reach)
+        report = plan_link(Demand(path=_garr_path(data, garr), required_capacity_gbps=capacity), garr, grid, model, policy)
+
+        def outcome(apply):
+            try:
+                placed, sc_id = apply(grid, report, policy)
+            except Exception as err:  # noqa: BLE001 - the type and message are compared
+                return type(err), str(err)
+            masks = placed.native_mask, placed.occupied_mask, placed.partition_mask, placed.occupant_ids()
+            fresh = SpectrumGrid(placed.band, placed.natives, placed.superchannels, placed.partitions)
+            assert masks == (fresh.native_mask, fresh.occupied_mask, fresh.partition_mask, fresh.occupant_ids())
+            return placed, masks, sc_id
+
+        got = outcome(apply_plan)
+        assert got == outcome(carve_then_place)
+        # a feasible report always places; an infeasible one may lack its window
+        assert isinstance(got[0], SpectrumGrid) or not report.chosen.feasible
+
+
+def carve_then_place(grid: SpectrumGrid, report: PlanReport, policy: PlannerPolicy) -> tuple[SpectrumGrid, str]:
+    """apply_plan in two calls, each building its own grid: carve the
+    context's partition if it needs one, then place the block."""
+    chosen, context = report.chosen, grid_context_for(grid, policy.guard_band_slots)
+    width = grid.band.superchannel_width_slots
+    sc_id = unique_occupant_id(grid, "aw-block")
+    if chosen.strategy is Strategy.MIXED_SPECTRUM:
+        if context.mixed_start_slot is None:
+            raise PlanningError("no mixed-spectrum window available")
+        start = context.mixed_start_slot
+    else:
+        if context.dedicated_start_slot is None:
+            raise PlanningError("no dedicated partition available or carvable")
+        start = context.dedicated_start_slot
+        if context.dedicated_needs_carve:
+            grid = carve_dedicated_partition(grid, start, width + width % 2)
+    pairs = tuple(CarrierPair(i, modulation) for i, modulation in enumerate(chosen.pair_modulations))
+    return place_superchannel(grid, SuperChannel(sc_id, start, width, pairs, chosen.active_carriers)), sc_id
 
 
 def rejections(report: PlanReport) -> list[str]:

@@ -287,7 +287,7 @@ class TestCarvePartition:
             carve_dedicated_partition(grid, 18, 4)
 
     def test_alignment_enforced(self):
-        with pytest.raises(SpectrumError, match="aligned"):
+        with pytest.raises(SpectrumError, match=r"^partition boundaries must align to the 50GHz grid, got \[1, 9\)$"):
             carve_dedicated_partition(empty_grid(), 1, 8)
 
 
