@@ -92,19 +92,22 @@ def _plan_findings(plan: PlanDocument, args: argparse.Namespace) -> list:
 
 
 def _allocation_findings(allocation: AllocationResult, args: argparse.Namespace) -> list:
-    """First fit re-run on the document's requests, from the result grid
-    without the occupants its placed assignments name: each assignment, and
-    the grid, must be what the re-run gives. First fit never places an id
-    the grid already holds and appends what it places, so for its own output
-    this start grid is the one it ran on."""
+    """First fit re-run on the document's requests, from the ``--grid`` grid,
+    else from the result grid without the occupants its placed assignments
+    name: each assignment, and the grid, must be what the re-run gives. First
+    fit never places an id the grid already holds and appends what it places,
+    so for its own output the derived grid is the one it ran on."""
     grid = allocation.grid
-    placed = {assignment.request.id for assignment in allocation.assignments if assignment.placed}
-    start = SpectrumGrid(
-        band=grid.band,
-        natives=tuple(native for native in grid.natives if native.id not in placed),
-        superchannels=tuple(sc for sc in grid.superchannels if sc.id not in placed),
-        partitions=grid.partitions,
-    )
+    if args.grid is not None:
+        start = _load("grid", args.grid)
+    else:
+        placed = {assignment.request.id for assignment in allocation.assignments if assignment.placed}
+        start = SpectrumGrid(
+            band=grid.band,
+            natives=tuple(native for native in grid.natives if native.id not in placed),
+            superchannels=tuple(sc for sc in grid.superchannels if sc.id not in placed),
+            partitions=grid.partitions,
+        )
     rerun = first_fit_allocate(start, [assignment.request for assignment in allocation.assignments])
     where = "start_slot {0.start_slot}, reason {0.reason!r}".format
     findings = []
@@ -326,8 +329,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     data = parse_json(_read_text(args.file), label=args.file)
     kind = _identify(data, args.file)
     document = _decode(kind, data, args.file)
-    if args.grid is not None and kind is not _KINDS["plan"]:
-        raise SchemaError("--grid applies only to a plan document")
+    if args.grid is not None and kind not in (_KINDS["plan"], _KINDS["allocation"]):
+        raise SchemaError("--grid applies only to a plan or an allocation document")
     findings = kind.check(document, args) if kind.check else []
     if findings:
         for code, message in findings:
@@ -422,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = subparsers.add_parser("validate", help="validate any file this tool reads or writes")
     val.add_argument("file", help="document to validate")
-    val.add_argument("--grid", help="grid file for plan placement checks")
+    val.add_argument("--grid", help="grid file for plan placement checks, or that an allocation started from")
     _add_calib_args(val, None)
     _add_threshold_args(val)
     val.set_defaults(handler=_cmd_validate)

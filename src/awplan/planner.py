@@ -39,6 +39,7 @@ from .spectrum import (
     WorkingGrid,
     carve_width,
     check_guard_band,
+    fitting_starts,
     unique_occupant_id,
     window_neighbors,
 )
@@ -198,13 +199,13 @@ _WINDOWS = {
 
 def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     """Probe the grid for the lowest feasible mixed placement and the lowest
-    dedicated placement a new super-channel could use. The context is kept
-    on the grid, so each guard band probes a grid once; a guard that raises
-    is never kept."""
-    key = (type(guard_band_slots), guard_band_slots)  # 2.0 raises where 2 does not
-    context = grid._contexts.get(key)
+    dedicated placement a new super-channel could use. The guard is checked
+    first, so only a valid one is kept; the context is kept on the grid, so
+    each guard band probes a grid once."""
+    check_guard_band(guard_band_slots)
+    context = grid._contexts.get(guard_band_slots)
     if context is None:
-        context = grid._contexts[key] = _probe(grid, guard_band_slots)
+        context = grid._contexts[guard_band_slots] = _probe(grid, guard_band_slots)
     return context
 
 
@@ -214,7 +215,7 @@ def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
     # a mixed block lies outside every partition, a dedicated one inside one
     _, inside, outside = working.search_starts()
 
-    mixed_start = working.block_start(outside, guard_band_slots)
+    mixed_start = working.free_start(outside, working.width, guard_band_slots, working.native_mask)
     mixed_neighbors: NeighborConfig | None = None
     if mixed_start is not None:
         mixed_neighbors = window_neighbors(
@@ -222,10 +223,14 @@ def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
             working.occupied_mask & ~working.native_mask,
         )
 
-    dedicated_start = working.block_start(inside, 0)
+    # occupancy covers the natives, and none lies inside a partition
+    dedicated_start = working.free_start(inside, working.width)
     needs_carve = False
     if dedicated_start is None:
-        dedicated_start = working.carve_start()
+        # a partition is carved at an even start, on free slots outside every partition
+        carve = carve_width(working.width)
+        carves = fitting_starts(working.band.slot_count, carve, even=True)
+        dedicated_start = working.free_start(carves, carve, kept_from=working.partition_mask)
         needs_carve = dedicated_start is not None
 
     return GridContext(

@@ -14,15 +14,16 @@ grid's masks and id set and the occupants added to it; its ``carve`` and
 ``SpectrumGrid.from_dict`` all run through them: a grid document is loaded
 by carving its partitions and placing its occupants, in order, on an empty
 state, so an error names the first placement that breaks a rule. The
-working state also answers where a block can go: ``search_starts`` (the
-starts inside and outside partitions), ``block_start`` (the lowest free
-start in a set of windows, a guard band clear of natives) and
-``carve_start`` (the lowest region a partition can be carved in), each
-testing every start at once by ORing shifted masks (``blocked_starts``).
-First fit and the planner's probe ask these; first fit adds each placement
-unchecked, since the search is exact. A result grid is built once, its
-masks and id set seeded from the working state, so no mask is rebuilt from
-every occupant.
+working state also answers where an occupant can go: ``search_starts``
+gives the starts of a native and of a block inside and outside partitions,
+and ``free_start``, the one window search, which first fit and the
+planner's probe ask, gives the lowest start in a set of windows that meets
+no occupant and lies a guard band clear of one mask, testing every start
+at once by ORing shifted masks (``blocked_starts``). A guard band is an
+``int``, checked where it enters. First fit adds each placement unchecked,
+since the search is exact. A result grid is built once, its masks and id
+set seeded from the working state, so no mask is rebuilt from every
+occupant. A super-channel holds its pairs in index order.
 
 All operations are pure: they take a grid and return an updated copy.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Literal
 
 from . import _schema
@@ -148,8 +150,12 @@ class SuperChannel:
         default = self.pairs is DEFAULT_PAIRS
         if not default and len(self.pairs) != PAIR_COUNT:
             raise ValueError(f"a super-channel has exactly {PAIR_COUNT} pairs, got {len(self.pairs)}")
-        if not default and tuple(sorted(p.index for p in self.pairs)) != tuple(range(PAIR_COUNT)):
-            raise ValueError("pair indices must be 0..4 with no duplicates")
+        if not default:
+            # held in index order, so equal blocks compare and write alike
+            pairs = tuple(sorted(self.pairs, key=attrgetter("index")))
+            if tuple(p.index for p in pairs) != tuple(range(PAIR_COUNT)):
+                raise ValueError("pair indices must be 0..4 with no duplicates")
+            object.__setattr__(self, "pairs", pairs)
         if not 0 <= self.active_carriers <= MAX_CARRIERS:
             raise ValueError(f"active_carriers must be in 0..{MAX_CARRIERS}, got {self.active_carriers}")
         full = MAX_CARRIERS if default else CARRIERS_PER_PAIR * sum(1 for p in self.pairs if p.enabled)
@@ -162,16 +168,6 @@ class SuperChannel:
     @property
     def end_slot(self) -> int:
         return self.start_slot + self.width_slots
-
-    # hand-written: pairs are written sorted by index, whatever their tuple order
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "start_slot": self.start_slot,
-            "width_slots": self.width_slots,
-            "pairs": [pair.to_dict() for pair in sorted(self.pairs, key=lambda p: p.index)],
-            "active_carriers": self.active_carriers,
-        }
 
 
 @_schema.document("partition")
@@ -204,7 +200,9 @@ class DedicatedPartition:
 
 def check_guard_band(guard: int, error: type[Exception] = SpectrumError) -> None:
     """Raise *error* unless *guard* is a guard band width of 0 to
-    ``MAX_SLOT_COUNT`` slots."""
+    ``MAX_SLOT_COUNT`` slots, an ``int`` (not a float or a bool)."""
+    if type(guard) is not int:
+        raise error(f"guard_band_slots must be an integer, got {guard!r}")
     if guard < 0:
         raise error(f"guard_band_slots must be >= 0, got {guard}")
     if guard > MAX_SLOT_COUNT:
@@ -460,19 +458,13 @@ class WorkingGrid:
         self.starts = native, fits & inside, fits & ~blocked_starts(partitions, width)
         return self.starts
 
-    def block_start(self, windows: int, guard: int) -> int | None:
-        """The lowest start in *windows* at which a block meets no occupant
-        and lies *guard* slots clear of every native."""
-        width = self.width
+    def free_start(self, windows: int, width: int, guard: int = 0, kept_from: int = 0) -> int | None:
+        """The lowest start in *windows* where a *width*-slot occupant meets no
+        occupant and lies *guard* slots clear of each slot of *kept_from*."""
         windows &= ~blocked_starts(self.occupied_mask, width)
-        return lowest_start(windows & ~blocked_starts(self.native_mask, width, guard))
-
-    def carve_start(self) -> int | None:
-        """The lowest even start of a free, unreserved region of
-        ``carve_width`` slots, where a partition for a block can be carved."""
-        carve = carve_width(self.width)
-        taken = self.occupied_mask | self.partition_mask
-        return lowest_start(fitting_starts(self.band.slot_count, carve, even=True) & ~blocked_starts(taken, carve))
+        if kept_from:
+            windows &= ~blocked_starts(kept_from, width, guard)
+        return lowest_start(windows)
 
     def seed(self, grid: SpectrumGrid) -> SpectrumGrid:
         """*grid*, whose occupants are this state's, with its masks and id set seeded."""
@@ -668,10 +660,9 @@ def _first_fit_start(grid: WorkingGrid, request: PlacementRequest) -> int | None
     native_starts, inside, outside = grid.starts or grid.search_starts()
     # the guard band separates natives from super-channels
     if native:
-        occupied = grid.occupied_mask
-        starts = native_starts & ~blocked_starts(occupied, NATIVE_WIDTH_SLOTS)
-        return lowest_start(starts & ~blocked_starts(occupied & ~grid.native_mask, NATIVE_WIDTH_SLOTS, guard))
-    return grid.block_start(inside if request.partition_only else inside | outside, guard)
+        return grid.free_start(native_starts, NATIVE_WIDTH_SLOTS, guard, grid.occupied_mask & ~grid.native_mask)
+    windows = inside if request.partition_only else inside | outside
+    return grid.free_start(windows, grid.width, guard, grid.native_mask)
 
 
 def first_fit_allocate(

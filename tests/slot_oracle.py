@@ -3,7 +3,8 @@
 Every slot holds at most one owner and every question is answered by walking
 slots one at a time, so these functions share no code or representation with
 ``awplan.spectrum``. ``first_fit`` is the slot-by-slot allocator that first
-fit's mask search must match. ``place`` and ``carve`` state the placement
+fit's mask search must match, and ``free_start`` the slot-by-slot twin of
+``WorkingGrid.free_start``. ``place`` and ``carve`` state the placement
 rules slot by slot: each returns the message of the first rule a placement
 breaks, or the new slot owners and partition flags, and ``load`` folds them
 over a grid's partitions, natives and blocks as a grid document is loaded.
@@ -183,6 +184,21 @@ def first_fit(grid: SpectrumGrid, requests) -> list[int | None]:
                 owners[slot] = ("native", request.id) if native else ("sc", request.id)
         starts.append(found)
     return starts
+
+
+def free_start(occupied: int, windows: int, width: int, guard: int, kept_from: int) -> int | None:
+    """The lowest start s set in *windows* whose slots [s, s + width) hold
+    no bit of *occupied* and whose slots [s - guard, s + width + guard),
+    those below 0 left out, hold no bit of *kept_from*."""
+    for start in range(windows.bit_length()):
+        if not windows >> start & 1:
+            continue
+        if any(occupied >> slot & 1 for slot in range(start, start + width)):
+            continue
+        if any(kept_from >> slot & 1 for slot in range(max(start - guard, 0), start + width + guard)):
+            continue
+        return start
+    return None
 
 
 @st.composite

@@ -784,7 +784,7 @@ class TestValidate:
     def test_grid_is_refused_for_a_document_that_is_not_a_plan(self, capsys, fx, tmp_path, grid):
         grid_path = str(tmp_path / grid) if grid.startswith("missing") else fx(grid)
         assert run(capsys, "validate", fx(TOPO), "--grid", grid_path) == (
-            2, "", "error: --grid applies only to a plan document\n"
+            2, "", "error: --grid applies only to a plan or an allocation document\n"
         )
 
     def test_a_bad_document_is_reported_before_a_refused_grid(self, capsys, fixture_dir, tmp_path):
@@ -957,6 +957,20 @@ class TestValidateAllocation:
         document["assignments"][0]["reason"] = "no feasible window"
         message = mismatch(0, "n-100", (0, "no feasible window"), (0, None)) + "\n"
         assert validate_document(document) == (1, message)
+
+    def test_a_placed_assignment_edited_to_unplaced_is_a_finding_against_its_grid(self, capsys, fx, tmp_path):
+        code, out, _ = run(capsys, "allocate", "--grid", fx("busy.grid.json"), "--requests", fx("trial.requests.json"))
+        path = tmp_path / "trial.alloc.json"
+        path.write_text(out)
+        assert run(capsys, "validate", str(path), "--grid", fx("busy.grid.json")) == (0, "ok\n", "")
+        document = json.loads(out)
+        assert document["assignments"][0]["request"]["id"] == "n-100"
+        document["assignments"][0].update(start_slot=None, reason="no feasible window")
+        # its occupant stays in the result grid, so the start grid derived from it holds n-100
+        assert validate_document(document) == (0, "ok\n")
+        path.write_text(json.dumps(document))
+        message = mismatch(0, "n-100", (None, "no feasible window"), (0, None)) + "\n"
+        assert run(capsys, "validate", str(path), "--grid", fx("busy.grid.json")) == (1, message, "")
 
     @pytest.mark.parametrize("edit", ["null", "deleted", "placed at slot 4 after all"])
     def test_an_unplaced_assignment_without_its_reason_is_a_finding(self, fx, edit):

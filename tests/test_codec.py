@@ -26,13 +26,17 @@ from hypothesis import given, settings, strategies as st
 import awplan
 from awplan import (
     BandConfig,
+    CarrierPair,
     Demand,
+    Modulation,
     NativeChannel,
     PlanOption,
     PlotSeries,
     SuperChannel,
     _schema,
     _writer,
+    empty_grid,
+    place_superchannel,
     round_trip,
     serialize,
 )
@@ -241,6 +245,16 @@ def _generic_text(obj) -> str:
 def test_writer_matches_generic_emitter(cls, data):
     obj = data.draw(loose_object(cls))
     assert _outcome(serialize, obj) == _outcome(_generic_text, obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.permutations(range(5)), modulations=st.lists(st.sampled_from(list(Modulation)), min_size=5, max_size=5))
+def test_a_block_round_trips_whatever_the_order_of_its_pairs(order, modulations):
+    pairs = tuple(CarrierPair(index=i, modulation=modulations[i]) for i in order)
+    block = SuperChannel("aw", 4, pairs=pairs)
+    assert round_trip(block) == block
+    grid = place_superchannel(empty_grid(), block)
+    assert round_trip(grid) == grid
 
 
 def test_round_trip_still_rejects_an_int_in_a_real_field():

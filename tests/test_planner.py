@@ -238,8 +238,11 @@ class TestGridContext:
 
     def test_a_float_guard_is_not_served_by_its_int_twin(self):
         grid = empty_grid()
+        message = r"^guard_band_slots must be an integer, got 2\.0$"
+        with pytest.raises(SpectrumError, match=message):
+            grid_context_for(grid, 2.0)
         grid_context_for(grid, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(SpectrumError, match=message):
             grid_context_for(grid, 2.0)
 
 

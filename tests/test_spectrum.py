@@ -106,6 +106,8 @@ class TestSuperChannel:
     def test_pairs_written_in_index_order(self):
         sc = SuperChannel(id="aw", start_slot=0, pairs=tuple(reversed(default_pairs())))
         assert [pair["index"] for pair in sc.to_dict()["pairs"]] == [0, 1, 2, 3, 4]
+        # and held so: the block equals one given its pairs in order
+        assert sc.pairs == default_pairs() and sc == SuperChannel(id="aw", start_slot=0, pairs=default_pairs())
 
     def test_default_block(self):
         sc = superchannel("aw", 0)
@@ -456,6 +458,21 @@ class TestGuardBound:
         with pytest.raises(ValueError, match=message):
             PlannerPolicy(guard_band_slots=guard)
 
+    @pytest.mark.parametrize("guard", [2.0, 1.0, True, "2"])
+    def test_a_guard_that_is_not_an_int_is_refused(self, busy_grid, guard):
+        message = rf"^guard_band_slots must be an integer, got {guard!r}$"
+        with pytest.raises(ValueError, match=message):
+            PlacementRequest(kind=OccupantKind.SUPERCHANNEL, id="aw", guard_band_slots=guard)
+        with pytest.raises(ValueError, match=message):
+            PlannerPolicy(guard_band_slots=guard)
+        for call in (
+            lambda: spectrum.blocked_starts(busy_grid.native_mask, 8, guard),
+            lambda: spectrum.window_neighbors(busy_grid, 60, 68, guard, 0),
+            lambda: grid_context_for(busy_grid, guard),
+        ):
+            with pytest.raises(SpectrumError, match=message):
+                call()
+
     @pytest.mark.parametrize("guard", TOO_WIDE)
     def test_mask_calls_reject(self, busy_grid, guard):
         grid = place_superchannel(busy_grid, superchannel("aw", 60))
@@ -467,6 +484,25 @@ class TestGuardBound:
         ):
             with pytest.raises(SpectrumError, match=rf"^guard_band_slots must be at most 1024, got {guard}$"):
                 call()
+
+
+class TestFreeStart:
+    """The one window search against the slot-by-slot walk of the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=slot_oracle.random_grids(), data=st.data())
+    def test_matches_the_slot_walk(self, grid, data):
+        working = spectrum.WorkingGrid.of(grid)
+        count, block = grid.band.slot_count, grid.band.superchannel_width_slots
+        blocks = grid.occupied_mask & ~grid.native_mask
+        windows = data.draw(st.integers(0, (1 << count) - 1), label="windows")
+        width = data.draw(st.sampled_from([2, 8, spectrum.carve_width(block)]), label="width")
+        guard = data.draw(st.integers(0, 4), label="guard")
+        # the masks the search is asked to keep clear of: none, the natives,
+        # the blocks, and the partitions (the carve search)
+        kept_from = data.draw(st.sampled_from([0, grid.native_mask, blocks, grid.partition_mask]), label="kept_from")
+        expected = slot_oracle.free_start(grid.occupied_mask, windows, width, guard, kept_from)
+        assert working.free_start(windows, width, guard, kept_from) == expected
 
 
 # (is_native, guard, partition_only, id) per request: ids that random_grids
