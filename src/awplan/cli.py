@@ -302,6 +302,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             reports.append(plan_link(demand, topology, grid, model, policy))
         except TopologyError as err:
             raise TopologyError(f"{args.demands}[{i}]: {err}") from None
+        except ValueError as err:  # finite spans whose length along the path, or Q there, overflows a float
+            raise TopologyError(f"{args.topology}: {args.demands}[{i}] runs along spans too long to plan: {err}") from None
     document = PlanDocument(ModelProvenance(_digest(calibration_text)), tuple(reports))
     _write_output(canonical_json(_stamped(document.to_dict(), args)), args.out)
     return 0 if all(report.chosen.feasible for report in reports) else 1

@@ -11,6 +11,7 @@ higher Q margin, then to mixed spectrum to avoid carving.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from operator import attrgetter
 
@@ -65,6 +66,8 @@ class Demand:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("demand path must be non-empty")
+        if not math.isfinite(self.required_capacity_gbps):
+            raise ValueError(f"required_capacity_gbps must be finite, got {self.required_capacity_gbps}")
         if self.required_capacity_gbps <= 0:
             raise ValueError(
                 f"required_capacity_gbps must be > 0, got {self.required_capacity_gbps}"
@@ -82,10 +85,11 @@ class PlannerPolicy:
 
     def __post_init__(self) -> None:
         check_guard_band(self.guard_band_slots, ValueError)
-        if not self.qpsk_mixed_reach_limit_km >= 0:  # refuses NaN; +inf is no limit
-            raise ValueError(
-                f"qpsk_mixed_reach_limit_km must be >= 0, got {self.qpsk_mixed_reach_limit_km}"
-            )
+        limit = self.qpsk_mixed_reach_limit_km
+        if math.isnan(limit):
+            raise ValueError(f"qpsk_mixed_reach_limit_km must be a number, got {limit}")
+        if limit < 0:  # +inf is no limit
+            raise ValueError(f"qpsk_mixed_reach_limit_km must be >= 0, got {limit}")
         if not 0 <= self.dedicated_edge_carrier_sacrifice <= 1:
             raise ValueError(
                 f"dedicated_edge_carrier_sacrifice must be 0 or 1, "
@@ -180,20 +184,12 @@ class GridContext:
     dedicated_start_slot: int | None
     dedicated_needs_carve: bool
 
-    @property
-    def mixed_available(self) -> bool:
-        return self.mixed_start_slot is not None
 
-    @property
-    def dedicated_available(self) -> bool:
-        return self.dedicated_start_slot is not None
-
-
-# each strategy's test for a window on a probed grid, and the phrase for its
-# absence, which _unfit quotes and validate_plan and apply_plan report
+# each strategy's window start on a probed grid, None when it has none, and the
+# phrase for its absence, which _unfit quotes and validate_plan and apply_plan report
 _WINDOWS = {
-    Strategy.MIXED_SPECTRUM: (attrgetter("mixed_available"), "no mixed-spectrum window available"),
-    Strategy.DEDICATED_PARTITION: (attrgetter("dedicated_available"), "no dedicated partition available or carvable"),
+    Strategy.MIXED_SPECTRUM: (attrgetter("mixed_start_slot"), "no mixed-spectrum window available"),
+    Strategy.DEDICATED_PARTITION: (attrgetter("dedicated_start_slot"), "no dedicated partition available or carvable"),
 }
 
 
@@ -285,8 +281,8 @@ def _unfit(
     feasibility test, whose text the rationale quotes."""
     if q.feasibility is Feasibility.INFEASIBLE:
         return f"Q {q.value_db:.2f} dB is at or below the {policy.thresholds.hard_min_db:g} dB floor"
-    available, missing = _WINDOWS[strategy]
-    if not available(context):
+    window, missing = _WINDOWS[strategy]
+    if window(context) is None:
         return missing
     mixed_qpsk = strategy is Strategy.MIXED_SPECTRUM and modulation is Modulation.QPSK
     if mixed_qpsk and metrics.distance_km > policy.qpsk_mixed_reach_limit_km:
@@ -425,8 +421,8 @@ def validate_plan(
             )
         )
 
-    available, missing = _WINDOWS[chosen.strategy]
-    if not available(grid_context_for(grid, policy.guard_band_slots)):
+    window, missing = _WINDOWS[chosen.strategy]
+    if window(grid_context_for(grid, policy.guard_band_slots)) is None:
         violations.append(Violation("PLACEMENT_INFEASIBLE", f"{missing} on this grid"))
     return violations
 
@@ -446,16 +442,14 @@ def apply_plan(
     )
     sc_id = unique_occupant_id(grid, "aw-block")
 
-    available, missing = _WINDOWS[chosen.strategy]
-    if not available(context):
+    window, missing = _WINDOWS[chosen.strategy]
+    start = window(context)
+    if start is None:
         raise PlanningError(missing)
     working = WorkingGrid.of(grid)
     width = working.width
-    start = context.mixed_start_slot
-    if chosen.strategy is Strategy.DEDICATED_PARTITION:
-        start = context.dedicated_start_slot
-        if context.dedicated_needs_carve:
-            working.carve((DedicatedPartition(start, carve_width(width)),))
+    if chosen.strategy is Strategy.DEDICATED_PARTITION and context.dedicated_needs_carve:
+        working.carve((DedicatedPartition(start, carve_width(width)),))
 
     block = SuperChannel(
         id=sc_id,

@@ -14,16 +14,19 @@ grid's masks and id set and the occupants added to it; its ``carve`` and
 ``SpectrumGrid.from_dict`` all run through them: a grid document is loaded
 by carving its partitions and placing its occupants, in order, on an empty
 state, so an error names the first placement that breaks a rule. The
-working state also answers where an occupant can go: ``search_starts``
-gives the starts of a native and of a block inside and outside partitions,
-and ``free_start``, the one window search, which first fit and the
-planner's probe ask, gives the lowest start in a set of windows that meets
-no occupant and lies a guard band clear of one mask, testing every start
-at once by ORing shifted masks (``blocked_starts``). A guard band is an
-``int``, checked where it enters. First fit adds each placement unchecked,
-since the search is exact. A result grid is built once, its masks and id
-set seeded from the working state, so no mask is rebuilt from every
-occupant. A super-channel holds its pairs in index order.
+working state also answers where an occupant can go. ``search_starts``
+gives the starts of a native and of a block inside and outside partitions;
+it is the one statement of which starts lie wholly inside a partition, so
+``place`` refuses a block that meets a partition at any other start, and a
+placed block that meets a partition lies inside one. ``free_start``, the
+one window search, which first fit and the planner's probe ask, gives the
+lowest start in a set of windows that meets no occupant and lies a guard
+band clear of one mask, testing every start at once by ORing shifted masks
+(``blocked_starts``). A guard band is an ``int``, checked where it enters.
+First fit adds each placement unchecked, since the search is exact. A
+result grid is built once, its masks and id set seeded from the working
+state, so no mask is rebuilt from every occupant. A super-channel holds
+its pairs in index order.
 
 All operations are pure: they take a grid and return an updated copy.
 """
@@ -191,9 +194,6 @@ class DedicatedPartition:
     def end_slot(self) -> int:
         return self.start_slot + self.width_slots
 
-    def contains(self, start: int, end: int) -> bool:
-        return self.start_slot <= start and end <= self.end_slot
-
     def overlaps(self, start: int, end: int) -> bool:
         return start < self.end_slot and self.start_slot < end
 
@@ -281,18 +281,6 @@ class SpectrumGrid:
 
     def occupant_ids(self) -> frozenset[str]:
         return self._occupant_ids
-
-    def find_superchannel(self, sc_id: str) -> SuperChannel | None:
-        for sc in self.superchannels:
-            if sc.id == sc_id:
-                return sc
-        return None
-
-    def partition_containing(self, start: int, end: int) -> DedicatedPartition | None:
-        for partition in self.partitions:
-            if partition.contains(start, end):
-                return partition
-        return None
 
     # hand-written: a grid's placement rules span its occupants, not one field
     @classmethod
@@ -413,7 +401,8 @@ class WorkingGrid:
             if not 0 <= start <= count - width:
                 raise _outside_band(f"super-channel {name!r}", start, start + width, count)
             span = block_fill << start
-            if partitions & span and not any(p.contains(start, start + width) for p in self._partitions()):
+            # a block that meets a partition must start where one holds it whole
+            if partitions & span and not (self.starts or self.search_starts())[1] >> start & 1:
                 partition = self._meeting(start, start + width)
                 raise SpectrumError(
                     f"super-channel {name!r}: straddles the partition boundary at "
@@ -426,9 +415,6 @@ class WorkingGrid:
             added.append(sc)
         self.occupied_mask = occupied
         return self
-
-    def _partitions(self):
-        return itertools.chain(self.base.partitions, self.partitions)
 
     # errors are worded from the occupants so far, built as a grid whose masks go unread
     def _meeting(self, start: int, end: int) -> DedicatedPartition:
@@ -447,12 +433,12 @@ class WorkingGrid:
         """The starts the searches try before occupancy is applied, as three
         masks: those of a native, which lies outside every partition; of a
         block wholly inside one partition; and of a block wholly outside every
-        partition. Each lies in the band. They are kept in ``starts`` until a
-        carve."""
+        partition. Each lies in the band. ``place`` reads the second of a block
+        that meets a partition. They are kept in ``starts`` until a carve."""
         count, width, partitions = self.band.slot_count, self.width, self.partition_mask
         native = fitting_starts(count, NATIVE_WIDTH_SLOTS, even=True) & ~blocked_starts(partitions, NATIVE_WIDTH_SLOTS)
         fits, inside = fitting_starts(count, width), 0
-        for partition in self._partitions():
+        for partition in itertools.chain(self.base.partitions, self.partitions):
             if partition.width_slots >= width:
                 inside |= slot_span(partition.start_slot, partition.end_slot - width + 1)
         self.starts = native, fits & inside, fits & ~blocked_starts(partitions, width)
@@ -566,17 +552,17 @@ def window_neighbors(
 def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> NeighborConfig:
     """Classify the native channels adjacent to a placed super-channel."""
     check_guard_band(guard_band_slots)
-    sc = grid.find_superchannel(sc_id)
+    sc = next((sc for sc in grid.superchannels if sc.id == sc_id), None)
     if sc is None:
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
-    if sc.start_slot < 0 or sc.end_slot > grid.band.slot_count:
-        raise _outside_band(f"occupant {sc_id!r}", sc.start_slot, sc.end_slot, grid.band.slot_count)
-    if grid.partition_containing(sc.start_slot, sc.end_slot) is not None:
+    start, end, count = sc.start_slot, sc.end_slot, grid.band.slot_count
+    if start < 0 or end > count:
+        raise _outside_band(f"occupant {sc_id!r}", start, end, count)
+    # a placed block that meets a partition lies wholly inside one
+    if grid.partition_mask & slot_span(start, end):
         return NeighborConfig(in_dedicated_partition=True)
-    others = _spans(
-        (other for other in grid.superchannels if other.id != sc_id), grid.band.slot_count
-    )
-    return window_neighbors(grid, sc.start_slot, sc.end_slot, guard_band_slots, others)
+    others = _spans((other for other in grid.superchannels if other.id != sc_id), count)
+    return window_neighbors(grid, start, end, guard_band_slots, others)
 
 
 @_schema.document(

@@ -515,7 +515,7 @@ class TestPlan:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: qpsk_mixed_reach_limit_km must be >= 0, got nan\n"
+        assert err == "error: qpsk_mixed_reach_limit_km must be a number, got nan\n"
 
     def test_infinite_reach_limit_rejects_nothing_for_reach(self, capsys, fx):
         code, out, _ = run(

@@ -141,8 +141,10 @@ class TestPlannerPolicy:
             PlannerPolicy(guard_band_slots=-1)
 
     def test_nan_reach_limit_rejected(self):
-        with pytest.raises(ValueError, match="^qpsk_mixed_reach_limit_km must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^qpsk_mixed_reach_limit_km must be a number, got nan$"):
             PlannerPolicy(qpsk_mixed_reach_limit_km=float("nan"))
+        with pytest.raises(ValueError, match=r"^qpsk_mixed_reach_limit_km must be >= 0, got -1\.0$"):
+            PlannerPolicy(qpsk_mixed_reach_limit_km=-1.0)
 
     def test_infinite_reach_limit_is_no_limit(self):
         assert PlannerPolicy(qpsk_mixed_reach_limit_km=float("inf")).qpsk_mixed_reach_limit_km == float("inf")
@@ -187,8 +189,8 @@ class TestGridContext:
         band = BandConfig(slot_count=8)
         grid = place_superchannel(empty_grid(band), SuperChannel(id="aw", start_slot=0))
         context = grid_context_for(grid, guard_band_slots=2)
-        assert not context.mixed_available
-        assert not context.dedicated_available
+        assert context.mixed_start_slot is None
+        assert context.dedicated_start_slot is None
 
     def test_negative_guard_rejected_before_the_search(self):
         # no mixed window exists, so only the window search itself can object
@@ -428,7 +430,7 @@ class TestApplyPlan:
         demand = demand_fixture(fixture_dir, "rm-mi2.demands.json")
         report = plan_link(demand, garr, empty_grid(), model)
         grid, sc_id = apply_plan(empty_grid(), report)
-        block = grid.find_superchannel(sc_id)
+        block = next(sc for sc in grid.superchannels if sc.id == sc_id)
         assert block.active_carriers == 9
         context = neighbor_context(grid, sc_id, guard_band_slots=2)
         assert context.in_dedicated_partition
@@ -438,7 +440,7 @@ class TestApplyPlan:
         report = plan_link(demand, garr, empty_grid(), model)
         grid, sc_id = apply_plan(empty_grid(), report)
         assert grid.partitions == ()
-        assert grid.find_superchannel(sc_id).start_slot == 0
+        assert next(sc for sc in grid.superchannels if sc.id == sc_id).start_slot == 0
 
     def test_ids_stay_unique_across_applications(self, garr, model, fixture_dir):
         demand = demand_fixture(fixture_dir, "bo1-mi1.demands.json")

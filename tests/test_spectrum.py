@@ -185,9 +185,6 @@ class TestDedicatedPartition:
 
     def test_contains_and_overlaps(self):
         part = DedicatedPartition(start_slot=10, width_slots=10)
-        assert part.contains(10, 20)
-        assert part.contains(12, 18)
-        assert not part.contains(8, 12)
         assert part.overlaps(8, 12)
         assert not part.overlaps(20, 24)
 
@@ -236,7 +233,7 @@ class TestPlacement:
 
     def test_superchannel_any_parity_start(self):
         grid = place_superchannel(empty_grid(), superchannel("aw", 13))
-        assert grid.find_superchannel("aw").start_slot == 13
+        assert next(sc for sc in grid.superchannels if sc.id == "aw").start_slot == 13
 
     def test_superchannel_width_must_match_band(self):
         sc = SuperChannel(id="aw", start_slot=0, width_slots=6)
@@ -258,7 +255,7 @@ class TestPlacement:
     def test_superchannel_fits_fully_inside_partition(self):
         grid = carve_dedicated_partition(empty_grid(), 10, 10)
         grid = place_superchannel(grid, superchannel("aw", 11))
-        assert grid.find_superchannel("aw").start_slot == 11
+        assert next(sc for sc in grid.superchannels if sc.id == "aw").start_slot == 11
 
     def test_placement_is_persistent_style(self):
         base = empty_grid()
@@ -275,7 +272,7 @@ class TestCarvePartition:
     def test_existing_superchannel_is_absorbed(self):
         grid = place_superchannel(empty_grid(), superchannel("aw", 11))
         grid = carve_dedicated_partition(grid, 10, 10)
-        assert grid.partition_containing(11, 19) is not None
+        assert any(p.start_slot <= 11 and 19 <= p.end_slot for p in grid.partitions)
 
     def test_region_may_not_cut_a_superchannel(self):
         grid = place_superchannel(empty_grid(), superchannel("aw", 3))
@@ -420,6 +417,23 @@ class TestNeighborContext:
         grid = place_native(grid, native("n", 20))
         ctx = neighbor_context(grid, "aw", guard_band_slots=2)
         assert ctx == NeighborConfig(in_dedicated_partition=True)
+
+    def test_block_in_the_second_of_abutting_partitions_reports_dedicated(self):
+        grid = carve_dedicated_partition(empty_grid(BandConfig(slot_count=32)), 0, 8)
+        grid = carve_dedicated_partition(grid, 8, 8)
+        grid = place_superchannel(grid, superchannel("aw", 8))
+        grid = place_native(grid, native("n", 16))
+        assert neighbor_context(grid, "aw", guard_band_slots=2) == NeighborConfig(in_dedicated_partition=True)
+
+    def test_block_just_outside_a_partition_reports_its_natives(self):
+        # the block abuts the partition [0, 8), so it meets none of its slots
+        grid = carve_dedicated_partition(empty_grid(BandConfig(slot_count=32)), 0, 8)
+        grid = place_superchannel(grid, superchannel("aw", 8))
+        grid = place_native(grid, native("near", 16))
+        grid = place_native(grid, native("far", 22))
+        expected = NeighborConfig(guarded_native_count=0, unguarded_native_count=1)
+        assert neighbor_context(grid, "aw", guard_band_slots=2) == expected
+        assert slot_oracle.neighbor_context(grid, "aw", 2) == expected
 
     def test_unknown_superchannel_rejected(self, busy_grid):
         with pytest.raises(SpectrumError, match="unknown"):
@@ -841,7 +855,7 @@ def _add_fault(draw, grid: SpectrumGrid, doc: dict, fault: str) -> None:
             start for start in range(count - width + 1)
             if all(owners[slot] is None for slot in range(start, start + width))
             and any(reserved[slot] for slot in range(start, start + width))
-            and grid.partition_containing(start, start + width) is None
+            and not any(p.start_slot <= start and start + width <= p.end_slot for p in grid.partitions)
         ]
         if starts:
             blocks.append(dict(block, start_slot=draw(st.sampled_from(starts))))
@@ -1009,6 +1023,22 @@ class TestPlacementRules:
             grid, state = placed, expected
             assert slot_oracle.slot_state(grid) == state
             assert _state(grid) == slot_oracle.state_masks(*state)
+
+    @pytest.mark.parametrize("width", [3, 8, 9])
+    def test_every_start_beside_abutting_partitions(self, width):
+        # [0, 8) and [8, 16) together cover [0, 16); a block must lie in one of them
+        band = BandConfig(slot_count=32, superchannel_width_slots=width)
+        grid = carve_dedicated_partition(carve_dedicated_partition(empty_grid(band), 0, 8), 8, 8)
+        state = slot_oracle.slot_state(grid)
+        for start in range(-1, band.slot_count - width + 2):
+            sc = SuperChannel("aw", start, width_slots=width)
+            expected = slot_oracle.place(band, *state, sc)
+            try:
+                placed = place_superchannel(grid, sc)
+            except SpectrumError as err:
+                assert str(err) == expected
+                continue
+            assert slot_oracle.slot_state(placed) == expected
 
     def test_a_carve_drops_the_search_starts(self):
         band = BandConfig(slot_count=32)
