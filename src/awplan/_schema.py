@@ -14,10 +14,11 @@ document type ``to_dict()`` and the straight-line reader ``from_dict(data,
 path)``. Every record shares one ``__eq__``, ``__hash__``, ``__repr__``,
 ``__setattr__`` and ``__delattr__``. A document type is a record decorated
 with :func:`document`; its field annotations are the schema, each one
-mapping to a :class:`Kind`. Importing the package compiles only the
-constructors of the records it builds. Keys follow the field order. A codec
-method the class defines itself is kept; a class that writes its own
-``from_dict`` gets the compiled reader as ``_read_fields``.
+mapping to a :class:`Kind`. It holds only finite reals, and its reader
+refuses an integer that no float holds. Importing the package compiles
+only the constructors of the records it builds. Keys follow the field
+order. A codec method the class defines itself is kept; a class that
+writes its own ``from_dict`` gets the compiled reader as ``_read_fields``.
 
 The compiled reader inlines only the common case, a value of exactly the
 declared type. Any other value goes to its kind's generic ``decode``, so
@@ -34,6 +35,7 @@ text ``awplan._writer`` writes; reading a document loads no writer.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from enum import Enum
@@ -134,17 +136,24 @@ def _expected(name: str, value: Any, path: str, key: str) -> SchemaError:
 def _scalar(name: str, exact: type, accepts: Callable[[Any], bool], convert: Callable | None = None) -> Kind:
     def decode(value: Any, path: str, key: str) -> Any:
         if accepts(value):
-            return value if convert is None else convert(value)
+            return value if convert is None else convert(value, path, key)
         raise _expected(name, value, path, key)
 
     return Kind(decode, name=name, accepts=accepts, form="scalar", arg=exact)
+
+
+def _float(value: int | float, path: str, key: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # RFC 7493 section 2.2: no number beyond a double
+        raise SchemaError(f"{path}.{key}: number too large for a float ({len(str(abs(value)))} digits)") from None
 
 
 STR = _scalar("string", str, lambda v: isinstance(v, str))
 BOOL = _scalar("boolean", bool, lambda v: isinstance(v, bool))
 INT = _scalar("integer", int, lambda v: isinstance(v, int) and not isinstance(v, bool))
 # an integer is a valid real; reals are read as float
-REAL = _scalar("number", float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float)
+REAL = _scalar("number", float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), _float)
 _SCALARS = {str: STR, bool: BOOL, int: INT, float: REAL}
 
 
@@ -355,11 +364,13 @@ def _compile(cls: type, name: str, lines: list[str], namespace: dict[str, Any]) 
 def _init(cls: type) -> Callable:
     """``__init__`` compiled from the record's fields: each argument is
     stored through its slot's member descriptor (or by
-    ``object.__setattr__``, into an instance dict), and ``__post_init__``
-    runs last."""
+    ``object.__setattr__``, into an instance dict), then a document refuses
+    a non-finite real, and ``__post_init__`` runs last."""
     fields, slotted = cls._record_fields, "__slots__" in vars(cls)
-    namespace: dict[str, Any] = {"_setattr": object.__setattr__}
+    namespace: dict[str, Any] = {"_setattr": object.__setattr__, "_isfinite": math.isfinite}
     params, body = ["self"], []
+    # found from the annotations, so that no codec function is built
+    hints = typing.get_type_hints(cls) if "_codec" in vars(cls) else {}
     for i, (name, _, default) in enumerate(fields):
         if default is not _REQUIRED:
             namespace[f"_default{i}"] = default
@@ -371,6 +382,12 @@ def _init(cls: type) -> Callable:
             body.append(f"    _set{i}(self, {name})")
         else:
             body.append(f"    _setattr(self, {name!r}, {name})")
+        hint = hints.get(name)
+        if hint is float:
+            body.append(f"    if not _isfinite({name}): raise ValueError(f'{name} must be finite, got {{{name}}}')")
+        elif typing.get_origin(hint) is dict and typing.get_args(hint)[1] is float:  # keyed by an enum
+            body.append(f"    for _k, _v in {name}.items():")
+            body.append(f"        if not _isfinite(_v): raise ValueError(f'{name}[{{_k.value}}] must be finite, got {{_v}}')")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     function = _compile(cls, "__init__", [f"def __init__({', '.join(params)}):", *body], namespace)
@@ -416,8 +433,9 @@ def document(
     ``from_dict(data, path=<path>)`` from its field annotations.
 
     ``keys`` renames fields in the document. A field in ``optional`` may be
-    absent and then takes its default. A ``ValueError`` from the
-    constructor becomes ``SchemaError("<path>: ...")``.
+    absent and then takes its default. The constructor refuses a
+    non-finite ``float`` field or ``dict[<enum>, float]`` value, and a
+    ``ValueError`` from it becomes ``SchemaError("<path>: ...")``.
     The field-by-field reader stays available as ``_read_fields`` to a class
     that writes its own ``from_dict``. Nothing is compiled until first use.
     """

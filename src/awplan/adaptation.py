@@ -25,8 +25,6 @@ class PowerReading:
     def __post_init__(self) -> None:
         if not self.channel_ref:
             raise ValueError("channel_ref must be non-empty")
-        if not math.isfinite(self.power_dbm):
-            raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
 
 
 @_schema.document("setting")

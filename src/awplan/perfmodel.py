@@ -70,10 +70,6 @@ class Thresholds:
     design_min_db: float = DESIGN_MIN_DB
 
     def __post_init__(self) -> None:
-        for name in ("hard_min_db", "design_min_db"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if not self.hard_min_db < self.design_min_db:
             raise ValueError(
                 f"hard_min_db must be below design_min_db, "
@@ -133,8 +129,6 @@ class CalibrationPoint:
     def __post_init__(self) -> None:
         for name, bound in (("distance_km", MAX_POINT_DISTANCE_KM), ("measured_q_db", MAX_MEASURED_Q_DB)):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
             if value > bound:
                 raise ValueError(f"{name} must be at most {bound:g}, got {value}")
         if self.distance_km < 0:

@@ -66,8 +66,6 @@ class Demand:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("demand path must be non-empty")
-        if not math.isfinite(self.required_capacity_gbps):
-            raise ValueError(f"required_capacity_gbps must be finite, got {self.required_capacity_gbps}")
         if self.required_capacity_gbps <= 0:
             raise ValueError(
                 f"required_capacity_gbps must be > 0, got {self.required_capacity_gbps}"

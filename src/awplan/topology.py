@@ -9,7 +9,6 @@ endpoint pair. Spans are bidirectional.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import cached_property
 
@@ -63,12 +62,6 @@ class Span:
     dcm_present: bool
     has_inline_ola: bool
 
-    def __post_init__(self) -> None:
-        for field_name in ("length_km", "attenuation_db"):
-            value = getattr(self, field_name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field_name} must be finite, got {value}")
-
 
 @_schema.document("topology")
 class NetworkTopology:
@@ -113,8 +106,6 @@ class PathMetrics:
     def __post_init__(self) -> None:
         for field_name in ("distance_km", "attenuation_db"):
             value = getattr(self, field_name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field_name} must be finite, got {value}")
             if value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
         for field_name in ("ola_count", "roadm_count", "raman_span_count"):

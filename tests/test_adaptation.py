@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -124,8 +126,17 @@ class TestVoaSettingsOracle:
     def test_matches_the_reading_by_reading_loop(self, case):
         powers, target = case
         readings = [reading(f"c{i}", p) for i, p in enumerate(powers)]
-        result = compute_voa_settings(readings, target)
         settings, residual, clipped = loop_voa_settings(readings, target)
+        # a result holds only finite reals: the first attenuation, else the
+        # residual, that overflows is refused
+        overflow = [("attenuation_db", value) for _, value in settings] + [("max_residual_db", residual)]
+        refused = next(((name, value) for name, value in overflow if not math.isfinite(value)), None)
+        if refused is not None:
+            with pytest.raises(ValueError) as raised:
+                compute_voa_settings(readings, target)
+            assert str(raised.value) == "{} must be finite, got {}".format(*refused)
+            return
+        result = compute_voa_settings(readings, target)
         # float.hex tells -0.0 from 0.0, so the values match bit for bit
         assert [(s.channel_ref, s.attenuation_db.hex()) for s in result.settings] == [
             (ref, value.hex()) for ref, value in settings

@@ -1,7 +1,7 @@
 """A fuzzer of the command line: bad input exits 2 and names its file.
 
-Hypothesis mutates each bundled fixture and the ``plan`` and ``allocate``
-outputs, and ``cli.main`` reads the result in-process, in every subcommand
+Hypothesis mutates each bundled fixture and the JSON output of each
+command, and ``cli.main`` reads the result in-process, in every subcommand
 that reads that kind of file. Whatever the input, ``main`` must return 0, 1
 or 2 with no exception escaping, and on 2 its error must start by naming
 the mutated file.
@@ -9,10 +9,13 @@ the mutated file.
 A mutation drops a key, swaps a value for one of another type, or puts in
 NaN, an infinity, a huge or negative number (in one field, or in the same
 field of every record of a list), a copy of a list item (and so a duplicate
-id), deep nesting, or bytes that are not UTF-8. Every number
-fed is either in bound or refused before any slot mask is built: a start,
-width or band size past the band, and a guard band past 1024 slots, are
-refused as they are read, so no mutation can make a mask of 2**62 bits.
+id), deep nesting, or bytes that are not UTF-8; or it breaks a real: a
+field the source writes as a real gets ``1e999`` or a 400-digit integer.
+A document whose real holds a non-finite number, or one no float holds,
+must be refused: exit 2. Every number fed is either in bound or refused
+before any slot mask is built: a start, width or band size past the band,
+and a guard band past 1024 slots, are refused as they are read, so no
+mutation can make a mask of 2**62 bits.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ def fx(name: str) -> str:
     return str(FIXTURE_DIR / name)
 
 
-GRID = fx("busy.grid.json")
+CALIB, GRID = fx("reference.calib.json"), fx("busy.grid.json")
 PLAN_ARGS = (
-    "plan", "--calib", fx("reference.calib.json"), "--topology", fx("garr.topo.json"),
+    "plan", "--calib", CALIB, "--topology", fx("garr.topo.json"),
     "--demands", fx("rm-mi2.demands.json"), "--grid", GRID,
 )
 ALLOCATE_ARGS = ("allocate", "--grid", GRID, "--requests", fx("trial.requests.json"))
@@ -87,8 +90,17 @@ SOURCES = {
     },
     "<plan>": [("validate", FILE, "--grid", GRID)],
     "<allocation>": [("validate", FILE, "--grid", GRID)],
+    **{name: [] for name in ("<model>", "<estimate>", "<series>")},  # only validate reads them
 }
-OUTPUTS = {"<plan>": PLAN_ARGS, "<allocation>": ALLOCATE_ARGS}
+OUTPUTS = {
+    "<plan>": PLAN_ARGS,
+    "<allocation>": ALLOCATE_ARGS,
+    "<model>": ("calibrate", "--points", CALIB),
+    "<estimate>": ("estimate", "--calib", CALIB, "--distance", "1131", "--modulation", "qpsk", "--json"),
+    "<series>": (
+        "export-plot", "--calib", CALIB, "--modulation", "qpsk", "--distances", "345,1131", "--format", "json",
+    ),
+}
 
 
 def _source_text(name: str) -> str:
@@ -102,12 +114,16 @@ _TOKENS = {
     "<-inf>": "-Infinity",
     "<overflow>": "1e999",  # read as an infinity
     "<-overflow>": "-1e999",
+    "<huge>": "9" * 400,  # an integer no float holds
+    "<-huge>": "-" + "9" * 400,
     "<digits>": "9" * 5000,  # past the interpreter's digit limit
     "<deep>": "[" * 100_000 + "]" * 100_000,
 }
 _NUMBERS = [0, -1, -2, 1, 2**62, -(2**62), 10**30, 1e308, -1e308, 0.5, -0.0, 1024, 1025]
 _SWAPS = [None, True, False, "", "x", [], {}, [1], {"id": "x"}]
 _VALUES = st.sampled_from(_NUMBERS + _SWAPS + list(_TOKENS)).map(copy.deepcopy)
+_BREAKS = ["<overflow>", "<-overflow>", "<huge>", "<-huge>"]  # what the parser takes
+_NOT_REAL = ("<nan>", "<inf>", "<-inf>", *_BREAKS)  # what no real may hold
 
 
 def _places(value, path=()):
@@ -127,13 +143,30 @@ def _at(root, path):
     return root
 
 
+def _get(root, path):
+    """The value at *path*, or None where the mutations left no value there."""
+    try:
+        return _at(root, path)
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
 @st.composite
-def mutated(draw, text: str) -> bytes:
-    """The bytes of the document *text* after one to three mutations."""
+def mutated(draw, text: str) -> tuple[bytes, bool]:
+    """The bytes of the document *text* after one to three mutations, and
+    whether a real of it then holds a value no real may hold. The reals are
+    the fields the source writes as reals, wherever they still are."""
     root = json.loads(text)
+    reals = [path for path in _places(root) if type(_at(root, path)) is float]
     for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["drop", "set", "set all", "copy", "wrap", "break a real"]))
+        if action == "break a real":
+            path = draw(st.sampled_from(reals)) if reals else None
+            parent = path and _get(root, path[:-1])
+            if isinstance(parent, dict) and path[-1] in parent:
+                parent[path[-1]] = draw(st.sampled_from(_BREAKS))
+            continue
         path = draw(st.sampled_from(list(_places(root))))
-        action = draw(st.sampled_from(["drop", "set", "set all", "copy", "wrap"]))
         if not path:  # the whole document
             root = draw(_VALUES) if action.startswith("set") else [root] if action == "wrap" else root
             continue
@@ -153,6 +186,7 @@ def mutated(draw, text: str) -> bytes:
             parent.insert(draw(st.integers(0, len(parent))), copy.deepcopy(parent[step]))
         else:  # a copy of the value under a second key
             parent[f"{step}2"] = copy.deepcopy(parent[step])
+    refused = any(_get(root, path) in _NOT_REAL for path in reals)
     text = json.dumps(root, indent=1)
     for marker, token in _TOKENS.items():
         text = text.replace(json.dumps(marker), token)
@@ -160,7 +194,7 @@ def mutated(draw, text: str) -> bytes:
     if draw(st.integers(0, 9)) == 0:  # bytes that are not UTF-8
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80"])) + data[at:]
-    return data
+    return data, refused
 
 
 @pytest.fixture(scope="module")
@@ -172,26 +206,27 @@ def workdir(tmp_path_factory):
     return path
 
 
-def _assert_handled(argv, path: str) -> None:
+def _assert_handled(argv, path: str, refused: bool) -> None:
     code, _, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
+    assert code == 2 or not refused, (argv, code, err)
     if code == 2:
         assert err.startswith(f"error: {path}"), (argv, err)
 
 
-def _check(workdir, source: str, data: bytes) -> None:
+def _check(workdir, source: str, data: bytes, refused: bool) -> None:
     path = workdir / "mutated.json"
     path.write_bytes(data)
     files = {FILE: str(path), **{name: str(workdir / f"{name.strip('<>')}.json") for name in OUTPUTS}}
     for command in [("validate", FILE)] + SOURCES[source]:
-        _assert_handled([files.get(arg, arg) for arg in command], str(path))
+        _assert_handled([files.get(arg, arg) for arg in command], str(path), refused)
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_documents_exit_cleanly(workdir, source, data):
-    _check(workdir, source, data.draw(mutated(_source_text(source)), label="document"))
+    _check(workdir, source, *data.draw(mutated(_source_text(source)), label="document"))
 
 
 # the fuzzer's shrunk finds, kept as tests
@@ -219,3 +254,34 @@ def test_an_infinite_demand_is_refused_as_it_is_read(workdir, command):
     argv = ("validate", str(path)) if command == "validate" else _with(PLAN_ARGS, "--demands")
     argv = [str(path) if arg == FILE else arg for arg in argv]
     assert _run(argv) == (2, "", f"error: {path}[0]: required_capacity_gbps must be finite, got inf\n")
+
+
+# a real that each reader once let through: 1e999 read as an infinity, and an
+# integer no float holds, which raised OverflowError; the message follows the file name
+_BROKEN_REALS = [
+    ("<estimate>", ("value_db",), "1e999", ": value_db must be finite, got inf"),
+    ("<model>", ("q_ref_db", "BPSK"), "1e999", ": q_ref_db[BPSK] must be finite, got inf"),
+    ("<plan>", ("reports", 0, "chosen", "q", "value_db"), "1e999",
+     ".reports[0].chosen.q: value_db must be finite, got inf"),
+    ("<plan>", ("reports", 0, "native_impact_db"), "-1e999", ".reports[0]: native_impact_db must be finite, got -inf"),
+    ("<plan>", ("reports", 0, "alternatives", 1, "capacity_gbps"), "1e999",
+     ".reports[0].alternatives[1]: capacity_gbps must be finite, got inf"),
+    ("reference.calib.json", (0, "distance_km"), "9" * 400,
+     "[0].distance_km: number too large for a float (400 digits)"),
+    ("rm-mi2.demands.json", (0, "required_capacity_gbps"), "1" + "0" * 400,
+     "[0].required_capacity_gbps: number too large for a float (401 digits)"),
+]
+
+
+@pytest.mark.parametrize(
+    ("source", "where", "token", "message"), _BROKEN_REALS,
+    ids=[f"{source.strip('<>')}:{where[-1]}" for source, where, _, _ in _BROKEN_REALS],
+)
+def test_a_broken_real_is_refused_as_it_is_read(workdir, source, where, token, message):
+    document = json.loads(_source_text(source))
+    _at(document, where[:-1])[where[-1]] = "<token>"
+    path = workdir / "broken.json"
+    path.write_text(json.dumps(document).replace('"<token>"', token), encoding="utf-8")
+    for command in [("validate", FILE)] + SOURCES[source]:
+        argv = [str(path) if arg == FILE else arg for arg in command]
+        assert _run(argv) == (2, "", f"error: {path}{message}\n"), command

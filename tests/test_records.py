@@ -1,12 +1,15 @@
 """The compiled records against plain ``@dataclass(frozen=True)`` twins.
 
 Every record gets a twin built by ``dataclasses`` from its field table
-``_record_fields`` and its ``__post_init__``. On Hypothesis values the
-two must build or refuse alike, and then agree on ``==``, ``hash``,
-``repr``, a copy with one field changed and frozen assignment and deletion;
-the record must also survive ``copy.deepcopy`` and ``pickle``. Values hold
-no NaN there: records compare the tuples of their fields on every Python
-version, which ``test_a_record_holding_a_nan_equals_itself`` pins down.
+``_record_fields`` and its ``__post_init__``, before which the twin of a
+document restates the rule that a document holds only finite reals. On
+Hypothesis values the two must build or refuse alike, and then agree on
+``==``, ``hash``, ``repr``, a copy with one field changed and frozen
+assignment and deletion; the record must also survive ``copy.deepcopy``
+and ``pickle``. Values hold no NaN there: records compare the tuples of
+their fields on every Python version, which
+``test_a_record_holding_a_nan_equals_itself`` pins down on a record that is
+no document.
 Records are not dataclasses, and the ``dataclasses`` functions refuse them.
 """
 
@@ -31,9 +34,8 @@ from hypothesis import given, settings, strategies as st
 from record_tools import replace
 
 import awplan
-from awplan import adaptation, iofmt, perfmodel, planner, spectrum, topology
+from awplan import _schema, adaptation, iofmt, perfmodel, planner, spectrum, topology
 from awplan._schema import _REQUIRED
-from awplan.perfmodel import Feasibility, QEstimate
 from awplan.spectrum import DEFAULT_PAIRS, CarrierPair, Modulation, OccupantKind
 
 MODULES = (topology, spectrum, perfmodel, planner, adaptation, iofmt)
@@ -48,15 +50,39 @@ WITH_DICT = {"SpectrumGrid", "NetworkTopology"}  # their cached_property needs a
 
 
 def twin_of(cls: type) -> type:
-    """A plain frozen dataclass with the fields and ``__post_init__`` of *cls*."""
+    """A plain frozen dataclass with the fields and ``__post_init__`` of *cls*;
+    the twin of a document refuses a non-finite real first, as a document does."""
     specs = [
         (name, annotation) if default is _REQUIRED else (name, annotation, dataclasses.field(default=default))
         for name, annotation, default in cls._record_fields
     ]
     namespace = {"__module__": cls.__module__}
-    if "__post_init__" in vars(cls):
-        namespace["__post_init__"] = vars(cls)["__post_init__"]
+    post_init = vars(cls).get("__post_init__")
+    if "_codec" in vars(cls):
+        post_init = _finite_first(cls, post_init)
+    if post_init is not None:
+        namespace["__post_init__"] = post_init
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+
+
+def _finite_first(cls: type, post_init):
+    """A ``__post_init__`` that checks each real field, and each value of a map
+    of reals, in field order, and then runs *post_init*, if any."""
+    hints = typing.get_type_hints(cls)
+
+    def checked(self) -> None:
+        for name in cls.__match_args__:
+            hint, value = hints[name], getattr(self, name)
+            if hint is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if typing.get_origin(hint) is dict and typing.get_args(hint)[1] is float:
+                for member, item in value.items():
+                    if not math.isfinite(item):
+                        raise ValueError(f"{name}[{member.value}] must be finite, got {item}")
+        if post_init is not None:
+            post_init(self)
+
+    return checked
 
 
 TWINS = {cls: twin_of(cls) for cls in RECORDS}
@@ -220,14 +246,22 @@ def test_record_behaves_as_its_dataclass_twin(cls, data):
         assert type(copied) is cls and copied == ours and repr(copied) == repr(ours)
 
 
+@_schema.record
+class _Reading:
+    """A record that is no document, and so may hold a NaN."""
+
+    value: float
+    label: str
+
+
 def test_a_record_holding_a_nan_equals_itself():
     # fields compare as tuples, as on Python 3.10-3.12: the same NaN object
     # on both sides is equal, two NaN objects are not
     nan = float("nan")
-    estimate = QEstimate(nan, Feasibility.OK)
-    assert estimate == estimate
-    assert estimate == QEstimate(nan, Feasibility.OK)
-    assert estimate != QEstimate(float("nan"), Feasibility.OK)
+    reading = _Reading(nan, "a")
+    assert reading == reading
+    assert reading == _Reading(nan, "a")
+    assert reading != _Reading(float("nan"), "a")
 
 
 def test_a_record_default_is_one_shared_frozen_record():
