@@ -332,7 +332,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     kind = _identify(data, args.file)
     document = _decode(kind, data, args.file)
     if args.grid is not None and kind not in (_KINDS["plan"], _KINDS["allocation"]):
-        raise SchemaError("--grid applies only to a plan or an allocation document")
+        raise SchemaError(f"{args.file}: --grid applies only to a plan or an allocation document")
     findings = kind.check(document, args) if kind.check else []
     if findings:
         for code, message in findings:

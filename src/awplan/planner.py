@@ -204,7 +204,6 @@ def grid_context_for(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
 
 
 def _probe(grid: SpectrumGrid, guard_band_slots: int) -> GridContext:
-    # WorkingGrid.of raises on a double-booked grid, naming both owners
     working = WorkingGrid.of(grid)
     # a mixed block lies outside every partition, a dedicated one inside one
     _, inside, outside = working.search_starts()

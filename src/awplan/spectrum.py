@@ -13,8 +13,11 @@ grid's masks and id set and the occupants added to it; its ``carve`` and
 ``place_superchannel``, ``carve_dedicated_partition`` and
 ``SpectrumGrid.from_dict`` all run through them: a grid document is loaded
 by carving its partitions and placing its occupants, in order, on an empty
-state, so an error names the first placement that breaks a rule. The
-working state also answers where an occupant can go. ``search_starts``
+state, so an error names the first placement that breaks a rule. Every
+grid, however built, gets its masks and id set from that replay, run at
+the first read of any of them: once its occupancy is read, any grid holds
+to the load's rules, and one that breaks a rule raises the load's error.
+The working state also answers where an occupant can go. ``search_starts``
 gives the starts of a native and of a block inside and outside partitions;
 it is the one statement of which starts lie wholly inside a partition, so
 ``place`` refuses a block that meets a partition at any other start, and a
@@ -218,50 +221,38 @@ def _outside_band(name: str, start: int, end: int, slot_count: int) -> SpectrumE
     return SpectrumError(f"{name}: slots [{start}, {end}) fall outside the {slot_count}-slot band")
 
 
-def _spans(blocks, slot_count: int) -> int:
-    """Bitmask of the slots the blocks cover; each must lie inside the band."""
-    mask = 0
-    for block in blocks:
-        start, end = block.start_slot, block.end_slot
-        if start < 0 or end > slot_count:
-            name = "partition" if isinstance(block, DedicatedPartition) else f"occupant {block.id!r}"
-            raise _outside_band(name, start, end, slot_count)
-        mask |= slot_span(start, end)
-    return mask
+class _Replayed:
+    """A grid's slot mask or id set, held in its instance dict. The first
+    read of any of them replays the grid's placements on an empty working
+    state, as a load does, and seeds all four; a grid that breaks a
+    placement rule raises the load's error, and stays unseeded."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, grid: SpectrumGrid | None, owner: type | None = None):
+        if grid is None:
+            return self
+        WorkingGrid.empty(grid.band).carve(grid.partitions).place(grid.natives, grid.superchannels).seed(grid)
+        return grid.__dict__[self.name]
 
 
 @_schema.document("grid")
 class SpectrumGrid:
-    """The band and its occupants. The slot masks and the id set are cached
-    on first use, or seeded by the working state that built the grid, and so
-    are the planner's probes; they are not fields, so equality, repr and
-    serialization ignore them."""
+    """The band and its occupants. The slot masks and the id set come from
+    the replay of its placements, or are seeded by the working state that
+    built the grid, and the planner's probes are cached; they are not
+    fields, so equality, repr and serialization ignore them."""
 
     band: BandConfig = BandConfig()
     natives: tuple[NativeChannel, ...] = ()
     superchannels: tuple[SuperChannel, ...] = ()
     partitions: tuple[DedicatedPartition, ...] = ()
 
-    @cached_property
-    def native_mask(self) -> int:
-        return _spans(self.natives, self.band.slot_count)
-
-    @cached_property
-    def occupied_mask(self) -> int:
-        """Slots held by any occupant; raises if two occupants share a slot."""
-        blocks = self.natives + self.superchannels
-        mask = _spans(blocks, self.band.slot_count)
-        if mask.bit_count() < sum(block.end_slot - block.start_slot for block in blocks):
-            self.occupant_map()  # raises, naming both owners
-        return mask
-
-    @cached_property
-    def partition_mask(self) -> int:
-        return _spans(self.partitions, self.band.slot_count)
-
-    @cached_property
-    def _occupant_ids(self) -> frozenset[str]:
-        return frozenset(n.id for n in self.natives) | {sc.id for sc in self.superchannels}
+    native_mask = _Replayed()
+    occupied_mask = _Replayed()
+    partition_mask = _Replayed()
+    _occupant_ids = _Replayed()
 
     @cached_property
     def _contexts(self) -> dict:
@@ -285,16 +276,16 @@ class SpectrumGrid:
     # hand-written: a grid's placement rules span its occupants, not one field
     @classmethod
     def from_dict(cls, data: dict, path: str = "grid") -> "SpectrumGrid":
-        """Load a grid: its partitions are carved, then its natives and blocks
-        placed, in order, on an empty working state, so an error names the
-        first placement that breaks a rule, worded as that placement words
-        it. The grid read from *data* is returned with its state seeded."""
+        """Load a grid: reading a mask replays its placements, so an error
+        names the first placement that breaks a rule, worded as that
+        placement words it. The grid read from *data* is returned with its
+        state seeded."""
         grid = cls._read_fields(data, path)
         try:
-            working = WorkingGrid.empty(grid.band).carve(grid.partitions).place(grid.natives, grid.superchannels)
+            grid.occupied_mask
         except SpectrumError as err:
             raise SchemaError(f"{path}: {err}") from None
-        return working.seed(grid)
+        return grid
 
 
 def empty_grid(band: BandConfig | None = None) -> SpectrumGrid:
@@ -321,9 +312,7 @@ class WorkingGrid:
 
     @classmethod
     def of(cls, grid: SpectrumGrid) -> WorkingGrid:
-        # occupied_mask first: it raises on a double-booked grid, naming both owners
-        occupied = grid.occupied_mask
-        return cls(grid, grid.native_mask, occupied, grid.partition_mask, grid.occupant_ids())
+        return cls(grid, grid.native_mask, grid.occupied_mask, grid.partition_mask, grid.occupant_ids())
 
     @classmethod
     def empty(cls, band: BandConfig) -> WorkingGrid:
@@ -555,14 +544,13 @@ def neighbor_context(grid: SpectrumGrid, sc_id: str, guard_band_slots: int) -> N
     sc = next((sc for sc in grid.superchannels if sc.id == sc_id), None)
     if sc is None:
         raise SpectrumError(f"unknown super-channel id {sc_id!r}")
-    start, end, count = sc.start_slot, sc.end_slot, grid.band.slot_count
-    if start < 0 or end > count:
-        raise _outside_band(f"occupant {sc_id!r}", start, end, count)
+    partitions = grid.partition_mask  # read before the span: the replay refuses a block outside the band
+    span = slot_span(sc.start_slot, sc.end_slot)
     # a placed block that meets a partition lies wholly inside one
-    if grid.partition_mask & slot_span(start, end):
+    if partitions & span:
         return NeighborConfig(in_dedicated_partition=True)
-    others = _spans((other for other in grid.superchannels if other.id != sc_id), count)
-    return window_neighbors(grid, start, end, guard_band_slots, others)
+    others = grid.occupied_mask & ~grid.native_mask & ~span
+    return window_neighbors(grid, sc.start_slot, sc.end_slot, guard_band_slots, others)
 
 
 @_schema.document(

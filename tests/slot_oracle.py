@@ -9,15 +9,12 @@ rules slot by slot: each returns the message of the first rule a placement
 breaks, or the new slot owners and partition flags, and ``load`` folds them
 over a grid's partitions, natives and blocks as a grid document is loaded.
 ``random_grids`` draws grids built through the public placement calls: odd
-block widths, abutting partitions, and now and then a second block that
-reuses an existing block id, placed before the natives.
+block widths and abutting partitions, the blocks placed before the natives.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
-
-from record_tools import replace
 
 from awplan import (
     BandConfig,
@@ -222,23 +219,6 @@ def random_grids(draw) -> SpectrumGrid:
                 grid = place_superchannel(grid, SuperChannel(id=f"s{i}", start_slot=start, width_slots=width))
             except SpectrumError:
                 pass
-
-    # a second block under an existing id: the scan must not stop at it
-    if grid.superchannels and draw(st.booleans()):
-        owners = slot_owners(grid)
-        reserved = partition_slots(grid)
-        starts = [
-            s
-            for s in range(slot_count - width + 1)
-            if all(owners[t] is None and not reserved[t] for t in range(s, s + width))
-        ]
-        if starts:
-            twin = SuperChannel(
-                id=draw(st.sampled_from([sc.id for sc in grid.superchannels])),
-                start_slot=draw(st.sampled_from(starts)),
-                width_slots=width,
-            )
-            grid = replace(grid, superchannels=grid.superchannels + (twin,))
 
     for i, (is_native, start) in enumerate(placements):
         if is_native:

@@ -784,7 +784,7 @@ class TestValidate:
     def test_grid_is_refused_for_a_document_that_is_not_a_plan(self, capsys, fx, tmp_path, grid):
         grid_path = str(tmp_path / grid) if grid.startswith("missing") else fx(grid)
         assert run(capsys, "validate", fx(TOPO), "--grid", grid_path) == (
-            2, "", "error: --grid applies only to a plan or an allocation document\n"
+            2, "", f"error: {fx(TOPO)}: --grid applies only to a plan or an allocation document\n"
         )
 
     def test_a_bad_document_is_reported_before_a_refused_grid(self, capsys, fixture_dir, tmp_path):

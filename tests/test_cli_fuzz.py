@@ -256,6 +256,15 @@ def test_an_infinite_demand_is_refused_as_it_is_read(workdir, command):
     assert _run(argv) == (2, "", f"error: {path}[0]: required_capacity_gbps must be finite, got inf\n")
 
 
+def test_a_plan_emptied_to_a_list_is_refused_under_grid_naming_it(workdir):
+    # [] reads as an empty list of calibration points, which --grid does not apply to
+    path = workdir / "emptied.json"
+    path.write_text("[]", encoding="utf-8")
+    assert _run(["validate", str(path), "--grid", GRID]) == (
+        2, "", f"error: {path}: --grid applies only to a plan or an allocation document\n",
+    )
+
+
 # a real that each reader once let through: 1e999 read as an infinity, and an
 # integer no float holds, which raised OverflowError; the message follows the file name
 _BROKEN_REALS = [

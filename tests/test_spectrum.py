@@ -12,19 +12,27 @@ from record_tools import replace
 from awplan import spectrum
 from awplan import (
     AllocationResult,
+    AwplanError,
     BandConfig,
     CarrierPair,
     DedicatedPartition,
+    Demand,
+    Feasibility,
     Modulation,
     NativeChannel,
     NeighborConfig,
     OccupantKind,
     PlacementRequest,
     PlannerPolicy,
+    PlanOption,
+    PlanReport,
+    QEstimate,
     SchemaError,
     SpectrumError,
     SpectrumGrid,
+    Strategy,
     SuperChannel,
+    apply_plan,
     carve_dedicated_partition,
     default_pairs,
     empty_grid,
@@ -320,12 +328,12 @@ class TestOccupantMap:
             natives=(native("a", 0),),
             superchannels=(SuperChannel(id="b", start_slot=1),),
         )
-        with pytest.raises(SpectrumError, match="slot 1 owned by both 'a' and 'b'"):
+        with pytest.raises(SpectrumError, match="^'b' would overlap 'a' at slot 1$"):
             call(grid)
 
     def test_out_of_band_occupant_named(self):
         grid = SpectrumGrid(natives=(NativeChannel("a", -2),))
-        with pytest.raises(SpectrumError, match=r"occupant 'a': slots \[-2, 0\) fall outside the 160-slot band"):
+        with pytest.raises(SpectrumError, match=r"^native 'a': slots \[-2, 0\) fall outside the 160-slot band$"):
             place_native(grid, NativeChannel("b", 4))
 
     @pytest.mark.parametrize(
@@ -342,12 +350,12 @@ class TestOccupantMap:
             lambda: first_fit_allocate(grid, [PlacementRequest(kind=OccupantKind.NATIVE, id="c")]),
             lambda: neighbor_context(grid, "s", 2),
         ):
-            with pytest.raises(SpectrumError, match="occupant 's': slots .* fall outside the 160-slot band"):
+            with pytest.raises(SpectrumError, match="^super-channel 's': slots .* fall outside the 160-slot band$"):
                 call()
 
     def test_out_of_band_partition_rejected(self):
         grid = SpectrumGrid(partitions=(DedicatedPartition(start_slot=-2, width_slots=4),))
-        with pytest.raises(SpectrumError, match=r"partition: slots \[-2, 2\) fall outside"):
+        with pytest.raises(SpectrumError, match=r"^partition \[-2, 2\) falls outside the 160-slot band$"):
             place_native(grid, native("b", 4))
 
     def test_map_covers_all_occupied_slots(self, busy_grid):
@@ -395,12 +403,11 @@ class TestNeighborContext:
         ctx = neighbor_context(grid, "aw", guard_band_slots=2)
         assert ctx == NeighborConfig()
 
-    def test_scan_passes_a_block_that_shares_the_id(self):
-        # blocks are told apart by id, so a second "aw" does not end the scan
+    def test_a_block_that_shares_the_id_is_refused(self):
         grid = place_superchannel(empty_grid(BandConfig(slot_count=32)), superchannel("aw", 0))
         grid = replace(grid, superchannels=grid.superchannels + (superchannel("aw", 10),))
-        grid = place_native(grid, native("n", 20))
-        assert neighbor_context(grid, "aw", guard_band_slots=2) == NeighborConfig(guarded_native_count=1)
+        with pytest.raises(SpectrumError, match="^occupant id 'aw' already present in grid$"):
+            neighbor_context(grid, "aw", guard_band_slots=2)
 
     def test_beyond_chain_native_inside_guard_window_counts(self):
         # "far" does not abut "near", but its own gap still sits inside a
@@ -715,6 +722,10 @@ def _rebuilt(grid: SpectrumGrid) -> SpectrumGrid:
     return SpectrumGrid(grid.band, grid.natives, grid.superchannels, grid.partitions)
 
 
+# the values a grid's occupancy is held in, in _state's order
+_SEEDED = ("native_mask", "occupied_mask", "partition_mask", "_occupant_ids")
+
+
 def _state(grid: SpectrumGrid) -> tuple:
     return grid.native_mask, grid.occupied_mask, grid.partition_mask, grid.occupant_ids()
 
@@ -748,7 +759,8 @@ def _step(grid: SpectrumGrid, step: tuple) -> SpectrumGrid:
 
 class TestSeededState:
     """A placement's grid takes its masks and id set from its parent's plus
-    the one addition; they must equal a rebuild from the occupant tuples."""
+    the one addition, and a grid built any other way from the replay of its
+    placements; they must equal the slot oracle's."""
 
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 11), steps=st.lists(_STEPS, max_size=20))
@@ -759,37 +771,45 @@ class TestSeededState:
                 grid = _step(grid, step)
             except SpectrumError:
                 pass  # a rejected step leaves the grid as it was
-            assert _state(grid) == _state(_rebuilt(grid))
+            assert _state(grid) == slot_oracle.state_masks(*slot_oracle.slot_state(grid))
 
-    def test_replay_builds_a_constant_number_of_masks(self, monkeypatch):
-        builds = []
-        full_band_mask = spectrum._spans
+    @settings(max_examples=100, deadline=None)
+    @given(grid=slot_oracle.random_grids(), first=st.sampled_from(_SEEDED))
+    def test_any_value_read_first_seeds_them_all(self, grid, first):
+        fresh = _rebuilt(grid)
+        expected = slot_oracle.state_masks(*slot_oracle.slot_state(grid))
+        assert getattr(fresh, first) == expected[_SEEDED.index(first)]
+        assert all(name in vars(fresh) for name in _SEEDED)
+        assert _state(fresh) == expected
 
-        def counted(blocks, slot_count):
-            builds.append(slot_count)
-            return full_band_mask(blocks, slot_count)
+    def test_a_load_replays_once(self, monkeypatch):
+        replays = []
+        empty = spectrum.WorkingGrid.empty
 
-        monkeypatch.setattr(spectrum, "_spans", counted)
+        def counted(band):
+            replays.append(band)
+            return empty(band)
+
+        monkeypatch.setattr(spectrum.WorkingGrid, "empty", counted)
 
         def document(natives: int) -> dict:
             return SpectrumGrid(natives=tuple(native(f"n{i}", 2 * i) for i in range(natives))).to_dict()
 
-        counts = {}
         for natives in (1, 10, 40, 80):
             doc = document(natives)
-            builds.clear()
-            SpectrumGrid.from_dict(doc)
-            counts[natives] = len(builds)
-        assert len(set(counts.values())) == 1, counts
-        assert counts[80] <= 3
+            replays.clear()
+            grid = SpectrumGrid.from_dict(doc)
+            _state(grid)
+            assert len(replays) == 1, natives
 
-        # first fit on a loaded grid places every request without a rebuild
+        # first fit on a loaded grid places every request without a replay
         grid = SpectrumGrid.from_dict(document(40))
-        builds.clear()
+        replays.clear()
         requests = [PlacementRequest(kind=OccupantKind.NATIVE, id=f"r{i}") for i in range(30)]
         result = first_fit_allocate(grid, requests)
         assert all(a.placed for a in result.assignments)
-        assert builds == []
+        _state(result.grid)
+        assert replays == []
 
 
 def _valid_grid(draw) -> SpectrumGrid:
@@ -976,6 +996,138 @@ class TestOnePassLoad:
         monkeypatch.setattr(SpectrumGrid, "from_dict", wrapped)
         assert AllocationResult.from_dict(result.to_dict(), "doc") == result
         assert seen == ["doc.grid"]
+
+
+def _records_of(doc: dict) -> SpectrumGrid:
+    """The grid of *doc* built with the constructor from its records, so
+    that no mask is read and no placement rule checked."""
+    return SpectrumGrid(
+        BandConfig.from_dict(doc["band"]),
+        tuple(NativeChannel.from_dict(item) for item in doc["natives"]),
+        tuple(SuperChannel.from_dict(item) for item in doc["superchannels"]),
+        tuple(DedicatedPartition.from_dict(item) for item in doc["partitions"]),
+    )
+
+
+def _records_read(doc: dict) -> bool:
+    try:
+        _records_of(doc)
+    except SchemaError:
+        return False
+    return True
+
+
+_FRESH = [
+    PlacementRequest(kind=OccupantKind.NATIVE, id="fresh-n"),
+    PlacementRequest(kind=OccupantKind.SUPERCHANNEL, id="fresh-s"),
+]
+_DEDICATED_PLAN = PlanReport(
+    demand=Demand(path=("A", "B"), required_capacity_gbps=100.0),
+    chosen=PlanOption(
+        strategy=Strategy.DEDICATED_PARTITION, pair_modulations=(Modulation.QPSK,) * 5, active_carriers=9,
+        capacity_gbps=900.0, q=QEstimate(value_db=12.0, feasibility=Feasibility.OK), feasible=True,
+    ),
+    alternatives=(), warnings=(), rationale="", native_impact_db=0.0,
+)
+
+
+def _occupancy_calls(doc: dict, loaded: SpectrumGrid | None) -> dict:
+    """Each public call that reads a grid's occupancy, by name, as a function
+    of the grid. On a grid that loads, each start is one the slot oracle
+    finds room at, where there is room."""
+    native_start = block_start = carve_start = 0
+    if loaded is not None:
+        native_start, block_start = (start or 0 for start in slot_oracle.first_fit(loaded, _FRESH))
+        _, _, dedicated_start, needs_carve = slot_oracle.grid_context(loaded, 0)
+        carve_start = dedicated_start if needs_carve else 0
+    width = doc["band"]["superchannel_width_slots"]
+    calls = {
+        "grid_context_for": lambda grid: grid_context_for(grid, guard_band_slots=2),
+        "first_fit_allocate": lambda grid: first_fit_allocate(grid, _FRESH),
+        "place_native": lambda grid: place_native(grid, native("fresh-n", native_start)),
+        "place_superchannel": lambda grid: place_superchannel(
+            grid, SuperChannel(id="fresh-s", start_slot=block_start, width_slots=width)
+        ),
+        "carve_dedicated_partition": lambda grid: carve_dedicated_partition(grid, carve_start, width + width % 2),
+        "apply_plan": lambda grid: apply_plan(grid, _DEDICATED_PLAN),
+    }
+    if doc["superchannels"]:
+        block = doc["superchannels"][0]["id"]
+        calls["neighbor_context"] = lambda grid: neighbor_context(grid, block, guard_band_slots=2)
+    return calls
+
+
+def _returned(call) -> tuple:
+    """What *call* returns, or the type and message of what it raises."""
+    try:
+        return ("returned", call())
+    except AwplanError as err:
+        return type(err), str(err)
+
+
+def _assert_one_definition_of_valid(doc: dict) -> None:
+    """A grid built with the constructor from *doc*'s records holds to the
+    load's rules: each occupancy call raises the load's error, without its
+    ``grid: `` prefix, or, when the document loads, does what it does on
+    the loaded grid."""
+    try:
+        loaded, refusal = SpectrumGrid.from_dict(doc), None
+    except SchemaError as err:
+        loaded, refusal = None, str(err)
+        assert refusal.startswith("grid: ")
+    for name, call in _occupancy_calls(doc, loaded).items():
+        grid = _records_of(doc)  # fresh each time, so each call makes the first read
+        if loaded is None:
+            assert _returned(lambda: call(grid)) == (SpectrumError, refusal.removeprefix("grid: ")), name
+        else:
+            assert _returned(lambda: call(grid)) == _returned(lambda: call(loaded)), name
+
+
+class TestOneDefinitionOfValid:
+    """Every grid gets its masks from the replay that loads a grid document,
+    so a grid built with the constructor is refused where its document is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=grid_documents().filter(_records_read))
+    def test_a_built_grid_holds_to_the_load(self, doc):
+        _assert_one_definition_of_valid(doc)
+
+    @pytest.mark.parametrize("fault", sorted(fault for fault, doc in _SINGLE_FAULTS.items() if _records_read(doc)))
+    def test_a_built_grid_with_one_fault_is_refused(self, fault):
+        _assert_one_definition_of_valid(_SINGLE_FAULTS[fault])
+
+    @pytest.mark.parametrize(
+        "grid, refusal",
+        [
+            (SpectrumGrid(natives=(native("n", 4),), partitions=(DedicatedPartition(0, 8),)),
+             "native 'n': placement inside dedicated partition [0, 8)"),
+            (SpectrumGrid(natives=(native("n", 5),)),
+             "native 'n': start_slot 5 is not aligned to the 50GHz native grid"),
+            (SpectrumGrid(superchannels=(superchannel("s", 4),), partitions=(DedicatedPartition(0, 8),)),
+             "super-channel 's': straddles the partition boundary at [0, 8)"),
+            (SpectrumGrid(natives=(native("x", 0),), superchannels=(superchannel("x", 20),)),
+             "occupant id 'x' already present in grid"),
+            (SpectrumGrid(BandConfig(slot_count=8), superchannels=(SuperChannel(id="s", start_slot=0, width_slots=6),)),
+             "super-channel 's': width 6 does not match the configured block width 8"),
+            (SpectrumGrid(partitions=(DedicatedPartition(0, 8), DedicatedPartition(4, 8))),
+             "partition [4, 12) overlaps existing partition [0, 8)"),
+            (SpectrumGrid(natives=(native("a", 4), native("b", 4))), "'b' would overlap 'a' at slot 4"),
+        ],
+        ids=[
+            "native_in_partition", "odd_native", "straddle", "shared_id", "wrong_width", "partitions_overlap",
+            "double_booked",
+        ],
+    )
+    def test_grids_the_library_used_to_plan_on_are_refused(self, grid, refusal):
+        with pytest.raises(SchemaError) as loaded:
+            SpectrumGrid.from_dict(grid.to_dict())
+        assert str(loaded.value) == f"grid: {refusal}"
+        for call in (
+            lambda: grid_context_for(grid, guard_band_slots=2),
+            lambda: first_fit_allocate(grid, _FRESH),
+            lambda: place_native(grid, native("fresh-n", 40)),
+        ):
+            assert _returned(call) == (SpectrumError, refusal)
 
 
 # ids that random_grids may hold ("n<i>", "s<i>"), and fresh ones

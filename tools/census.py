@@ -14,9 +14,10 @@ one a line as ``file:line qualname``, in file order, after a count.
 Code compiled at run time (the codec's functions) is not in the source and
 is not listed. Standard library only, apart from pytest for the tests.
 
-It exits 1 when a function that is not in ``KEPT`` never ran, and names it
-after the list: code that no caller reaches goes, or joins ``KEPT`` with
-its reason.
+It exits 1 when a function that is not in ``KEPT`` never ran, and when a
+``KEPT`` entry names no function in ``src/awplan`` or names one that ran,
+and names each after the list: code that no caller reaches goes, or joins
+``KEPT`` with its reason, and an entry that no longer holds goes.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ def run_everything() -> set:
     return seen
 
 
+def complaints(defined: set[str], unreached: list[str], kept: dict[str, str]) -> list[str]:
+    """Why the census fails, one line each, from the names (``file:qualname``)
+    of the functions defined and of those that never ran, in file order, and
+    the ``KEPT`` entries: a function that never ran and is not kept, then a
+    kept entry that names no defined function or names one that ran."""
+    lines = [f"never ran and not in KEPT: {name}" for name in unreached if name not in kept]
+    for name in kept:
+        if name not in defined:
+            lines.append(f"in KEPT but no function in src/awplan: {name}")
+        elif name not in unreached:
+            lines.append(f"in KEPT but ran: {name}")
+    return lines
+
+
 def main() -> int:
     sys.dont_write_bytecode = True  # nothing is written next to the sources or the bench
     for path in (ROOT / "bench", ROOT / "tests", ROOT / "src"):
@@ -116,11 +131,11 @@ def main() -> int:
     print(f"# {len(unreached)} of {len(functions)} src functions never ran")
     for path, line in unreached:
         print(f"{Path(path).relative_to(ROOT)}:{line} {functions[(path, line)]}")
-    unkept = [f"{Path(path).name}:{functions[(path, line)]}" for path, line in unreached]
-    unkept = [name for name in unkept if name not in KEPT]
-    for name in unkept:
-        print(f"never ran and not in KEPT: {name}")
-    return 1 if unkept else 0
+    defined = {f"{Path(path).name}:{qualname}" for (path, _), qualname in functions.items()}
+    lines = complaints(defined, [f"{Path(path).name}:{functions[(path, line)]}" for path, line in unreached], KEPT)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
