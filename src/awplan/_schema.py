@@ -370,7 +370,7 @@ def _init(cls: type) -> Callable:
     namespace: dict[str, Any] = {"_setattr": object.__setattr__, "_isfinite": math.isfinite}
     params, body = ["self"], []
     # found from the annotations, so that no codec function is built
-    hints = typing.get_type_hints(cls) if "_codec" in vars(cls) else {}
+    hints = cls._codec.hints if "_codec" in vars(cls) else {}
     for i, (name, _, default) in enumerate(fields):
         if default is not _REQUIRED:
             namespace[f"_default{i}"] = default
@@ -400,8 +400,9 @@ def _init(cls: type) -> Callable:
 
 
 class _Codec:
-    """What :func:`document` records of a class. Its fields and their kinds
-    are resolved when the first codec function is built."""
+    """What :func:`document` records of a class. Its annotations are
+    resolved once, when the constructor or the first codec function is
+    built, and its fields and their kinds when the first codec function is."""
 
     def __init__(self, cls: type, path: str, keys: dict[str, str], optional: tuple[str, ...]) -> None:
         self.cls, self.path, self.keys, self.optional = cls, path, keys, optional
@@ -409,10 +410,14 @@ class _Codec:
         self.own = frozenset(name for name in ("to_dict", "from_dict") if name in cls.__dict__)
 
     @cached_property
+    def hints(self) -> dict[str, Any]:
+        """The resolved annotation of each field."""
+        return typing.get_type_hints(self.cls)
+
+    @cached_property
     def fields(self) -> list[tuple[str, str, Kind, Any]]:
         """(name, key, kind, default) of each field, in order."""
-        cls = self.cls
-        hints = typing.get_type_hints(cls)
+        cls, hints = self.cls, self.hints
         fields = []
         for name, _, default in cls._record_fields:
             if name not in self.optional:

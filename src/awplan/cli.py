@@ -386,7 +386,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="none",
         help="'none', 'dedicated', or '<guarded>,<unguarded>' (default none)",
     )
-    est.add_argument("--roadm-count", type=int, default=0)
+    est.add_argument(
+        "--roadm-count",
+        type=int,
+        default=0,
+        help="ROADMs along the path; each takes the calibrated roadm_penalty_db off Q (default %(default)s)",
+    )
     _add_calib_args(est)
     _add_threshold_args(est)
     est.add_argument("--json", action="store_true", help="emit the estimate as JSON")

@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import _schema
 from .errors import CalibrationError
-from .topology import PathMetrics
+from .topology import PathMetrics, check_path_count
 
 DEFAULT_L_REF_KM = 345.0
 HARD_MIN_DB = 6.5
@@ -117,14 +117,16 @@ class QEstimate:
     feasibility: Feasibility
 
 
-@_schema.document("point")
+@_schema.document("point", optional=("roadm_count",))
 class CalibrationPoint:
-    """One measured Q value at a known distance and neighbor configuration."""
+    """One measured Q value at a known distance, neighbor configuration and
+    count of ROADMs along the measured path."""
 
     distance_km: float
     modulation: Modulation
     neighbor_config: NeighborConfig
     measured_q_db: float
+    roadm_count: int = 0
 
     def __post_init__(self) -> None:
         for name, bound in (("distance_km", MAX_POINT_DISTANCE_KM), ("measured_q_db", MAX_MEASURED_Q_DB)):
@@ -135,6 +137,7 @@ class CalibrationPoint:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.measured_q_db <= 0:
             raise ValueError(f"measured_q_db must be > 0, got {self.measured_q_db}")
+        check_path_count("roadm_count", self.roadm_count)
 
 
 @_schema.document("model")
@@ -182,6 +185,22 @@ _REFERENCE_ROLES = (
     ("zero-neighbor baseline", _zero_neighbors),
     ("guarded-neighbor", lambda p: p.neighbor_config.guarded_native_count > 0),
     ("unguarded-neighbor", lambda p: p.neighbor_config.unguarded_native_count > 0),
+)
+
+# The model's terms, in the column order of a solve: each QModel field, its
+# coefficient in the Q of a point, given the reference distance, and the
+# test of a point that pins it. A modulation solves each term without a test,
+# and each other term that one of its points pins.
+_TERMS = (
+    ("q_ref_db", lambda p, l_ref_km: 1.0, None),
+    ("p_guard_db", lambda p, l_ref_km: -float(p.neighbor_config.guarded_native_count), None),
+    ("p_unguard_db", lambda p, l_ref_km: -float(p.neighbor_config.unguarded_native_count), None),
+    (
+        "slope_db_per_km",
+        lambda p, l_ref_km: -(p.distance_km - l_ref_km),
+        lambda p, l_ref_km: not _at_reference(p, l_ref_km) and _zero_neighbors(p),
+    ),
+    ("roadm_penalty_db", lambda p, l_ref_km: -float(p.roadm_count), lambda p, l_ref_km: p.roadm_count != 0),
 )
 
 
@@ -236,11 +255,15 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
 
     Per modulation the points must cover three roles at the reference
     distance: a clean (zero-neighbor) baseline, a guarded-neighbor
-    configuration, and one that includes unguarded neighbors. At least one
-    modulation additionally needs a clean point away from the reference
-    distance to pin the slope; a modulation without one inherits the other's
-    slope. Redundant points are tolerated only when consistent: the solve is
-    checked to a 1e-9 residual.
+    configuration, and one that includes unguarded neighbors. A modulation
+    also solves the slope when it has a clean point away from the reference
+    distance, and the ROADM penalty when one of its points has a nonzero
+    ROADM count. At least one modulation must solve the slope; a modulation
+    that does not inherits the other's. The ROADM penalty is one term of the
+    whole model: where both modulations solve it they must agree to the
+    1e-9 solve tolerance, and where neither does it is 0. Redundant points
+    are tolerated only when consistent: the solve is checked to a 1e-9
+    residual.
     """
     check_l_ref(l_ref_km)
     by_modulation: dict[Modulation, list[CalibrationPoint]] = {m: [] for m in Modulation}
@@ -253,35 +276,27 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
             if not any(test(p) for p in at_reference):
                 raise CalibrationError(f"{modulation.value}: missing {role} point at {l_ref_km} km")
 
-    has_long = {
-        m: any(not _at_reference(p, l_ref_km) and _zero_neighbors(p) for p in group)
+    # the coefficient of each term a modulation solves, by term
+    terms = {
+        m: {
+            name: coefficient
+            for name, coefficient, pins in _TERMS
+            if pins is None or any(pins(p, l_ref_km) for p in group)
+        }
         for m, group in by_modulation.items()
     }
-    if not any(has_long.values()):
+    if not any("slope_db_per_km" in columns for columns in terms.values()):
         raise CalibrationError(
             "missing long-distance zero-neighbor point: no modulation has a clean "
             f"measurement away from {l_ref_km} km, so no slope can be solved"
         )
 
-    q_ref: dict[Modulation, float] = {}
-    p_guard: dict[Modulation, float] = {}
-    p_unguard: dict[Modulation, float] = {}
-    slope: dict[Modulation, float] = {}
-
+    values: dict[str, dict[Modulation, float]] = {name: {} for name, _, _ in _TERMS}
     for modulation, group in by_modulation.items():
-        # Columns: q_ref, p_guard, p_unguard, and slope when this modulation
-        # has distance diversity. Every point of the modulation participates
-        # so inconsistent duplicates surface as residual.
-        with_slope = has_long[modulation]
-        rows = []
-        rhs = []
-        for point in group:
-            cfg = point.neighbor_config
-            row = [1.0, -float(cfg.guarded_native_count), -float(cfg.unguarded_native_count)]
-            if with_slope:
-                row.append(-(point.distance_km - l_ref_km))
-            rows.append(row)
-            rhs.append(point.measured_q_db)
+        # Every point of the modulation participates so inconsistent
+        # duplicates surface as residual.
+        rows = [[coefficient(point, l_ref_km) for coefficient in terms[modulation].values()] for point in group]
+        rhs = [point.measured_q_db for point in group]
         solution, rank = _least_squares(rows, rhs)
         if rank < len(rows[0]):
             raise CalibrationError(
@@ -296,25 +311,24 @@ def calibrate(points: list[CalibrationPoint], l_ref_km: float = DEFAULT_L_REF_KM
                 f"{modulation.value}: inconsistent duplicate points, "
                 f"residual {residual:.3e} exceeds {_SOLVE_TOLERANCE:.0e}"
             )
-        q_ref[modulation] = solution[0]
-        p_guard[modulation] = solution[1]
-        p_unguard[modulation] = solution[2]
-        if with_slope:
-            slope[modulation] = solution[3]
+        for name, value in zip(terms[modulation], solution):
+            values[name][modulation] = value
 
-    for modulation in Modulation:
-        if modulation not in slope:
-            other = next(m for m in slope)
-            slope[modulation] = slope[other]
+    roadm = values.pop("roadm_penalty_db")
+    if roadm and max(roadm.values()) - min(roadm.values()) > _SOLVE_TOLERANCE:
+        solved = " and ".join(f"{m.value} {value}" for m, value in roadm.items())
+        raise CalibrationError(
+            f"the modulations solve different roadm_penalty_db ({solved}), "
+            f"more than {_SOLVE_TOLERANCE:.0e} apart"
+        )
+    # a modulation inherits each per-modulation term its points do not pin
+    for by_term in values.values():
+        for modulation in Modulation:
+            if modulation not in by_term:
+                by_term[modulation] = next(iter(by_term.values()))
 
     try:
-        return QModel(
-            l_ref_km=l_ref_km,
-            q_ref_db=q_ref,
-            slope_db_per_km=slope,
-            p_guard_db=p_guard,
-            p_unguard_db=p_unguard,
-        )
+        return QModel(l_ref_km=l_ref_km, roadm_penalty_db=next(iter(roadm.values()), 0.0), **values)
     except ValueError as err:
         raise CalibrationError(str(err)) from None
 

@@ -39,6 +39,7 @@ from .spectrum import (
     SuperChannel,
     WorkingGrid,
     carve_width,
+    check_active_carriers,
     check_guard_band,
     fitting_starts,
     unique_occupant_id,
@@ -119,8 +120,9 @@ def superchannel_capacity(
 
 @_schema.document("option")
 class PlanOption:
-    """One candidate deployment. Construction is permissive so reports can be
-    loaded and validated; consistency checks live in validate_plan."""
+    """One candidate deployment of a block with every pair enabled. It holds
+    the carrier count that block may light; the checks of its numbers
+    against each other, the model and the grid live in validate_plan."""
 
     strategy: Strategy
     pair_modulations: tuple[Modulation, ...]
@@ -134,10 +136,7 @@ class PlanOption:
             raise ValueError(
                 f"expected {PAIR_COUNT} pair modulations, got {len(self.pair_modulations)}"
             )
-        if not 0 <= self.active_carriers <= MAX_CARRIERS:
-            raise ValueError(
-                f"active_carriers must be in 0..{MAX_CARRIERS}, got {self.active_carriers}"
-            )
+        check_active_carriers(self.active_carriers, PAIR_COUNT)
 
 
 @_schema.document("report")

@@ -132,6 +132,18 @@ def default_pairs(modulation: Modulation = Modulation.QPSK) -> tuple[CarrierPair
 DEFAULT_PAIRS = default_pairs()
 
 
+def check_active_carriers(active_carriers: int, enabled_pairs: int) -> None:
+    """Raise ValueError unless a block of *enabled_pairs* enabled pairs may
+    light *active_carriers* carriers: every carrier of its pairs, or one
+    fewer where a dedicated partition sacrifices an edge carrier."""
+    full = CARRIERS_PER_PAIR * enabled_pairs
+    if active_carriers not in (full, max(full - 1, 0)):
+        raise ValueError(
+            f"active_carriers must be {full} or {max(full - 1, 0)} "
+            f"for {enabled_pairs} enabled pairs, got {active_carriers}"
+        )
+
+
 @_schema.document("superchannel")
 class SuperChannel:
     """A coherent block of 10 carriers managed as one entity.
@@ -162,14 +174,8 @@ class SuperChannel:
             if tuple(p.index for p in pairs) != tuple(range(PAIR_COUNT)):
                 raise ValueError("pair indices must be 0..4 with no duplicates")
             object.__setattr__(self, "pairs", pairs)
-        if not 0 <= self.active_carriers <= MAX_CARRIERS:
-            raise ValueError(f"active_carriers must be in 0..{MAX_CARRIERS}, got {self.active_carriers}")
-        full = MAX_CARRIERS if default else CARRIERS_PER_PAIR * sum(1 for p in self.pairs if p.enabled)
-        if self.active_carriers not in (full, max(full - 1, 0)):
-            raise ValueError(
-                f"active_carriers must be {full} or {max(full - 1, 0)} "
-                f"for {full // 2} enabled pairs, got {self.active_carriers}"
-            )
+        enabled = PAIR_COUNT if default else sum(1 for p in self.pairs if p.enabled)
+        check_active_carriers(self.active_carriers, enabled)
 
     @property
     def end_slot(self) -> int:

@@ -109,11 +109,16 @@ class PathMetrics:
             if value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
         for field_name in ("ola_count", "roadm_count", "raman_span_count"):
-            value = getattr(self, field_name)
-            if value < 0:
-                raise ValueError(f"{field_name} must be >= 0, got {value}")
-            if value > MAX_PATH_COUNT:
-                raise ValueError(f"{field_name} must be at most {MAX_PATH_COUNT}")
+            check_path_count(field_name, getattr(self, field_name))
+
+
+def check_path_count(field_name: str, value: int) -> None:
+    """Raise ValueError unless *value* is a count of things along a path:
+    from 0 to ``MAX_PATH_COUNT``."""
+    if value < 0:
+        raise ValueError(f"{field_name} must be >= 0, got {value}")
+    if value > MAX_PATH_COUNT:
+        raise ValueError(f"{field_name} must be at most {MAX_PATH_COUNT}")
 
 
 def validate_topology(topology: NetworkTopology) -> list[Violation]:

@@ -181,6 +181,59 @@ def test_a_failed_fit_names_the_points_file(capsys, fixture_dir, tmp_path):
     )
 
 
+def _routed_points(fixture_dir: Path, tmp_path: Path, *routed: tuple[str, int, float]) -> Path:
+    """The bundled points and, per (modulation, ROADM count, loss in dB), its
+    clean reference point measured again across that many ROADMs."""
+    points = json.loads((fixture_dir / CALIB).read_text())
+    for modulation, roadms, loss in routed:
+        [clean] = [
+            p for p in points
+            if p["modulation"] == modulation and p["distance_km"] == 345.0 and not any(p["neighbor_config"].values())
+        ]
+        points.append({**clean, "roadm_count": roadms, "measured_q_db": clean["measured_q_db"] - loss})
+    path = tmp_path / "routed.calib.json"
+    path.write_text(json.dumps(points))
+    return path
+
+
+@pytest.mark.parametrize("roadms", [0, 5, 50])
+def test_the_bundled_points_price_no_roadm(capsys, fx, roadms):
+    # every bundled point is measured at 0 ROADMs, so no point pins the term
+    argv = ("estimate", "--calib", fx(CALIB), "--distance", "500", "--modulation", "qpsk", "--roadm-count", str(roadms))
+    assert run(capsys, *argv) == (0, "13.31 / Ok\n", "")
+
+
+@pytest.mark.parametrize("roadms", [0, 1, 5, 50])
+def test_points_at_differing_roadm_counts_price_each_roadm(capsys, fixture_dir, tmp_path, roadms):
+    path = _routed_points(fixture_dir, tmp_path, ("QPSK", 3, 0.3))
+    assert run(capsys, "validate", str(path)) == (0, "ok\n", "")
+    model = perfmodel.QModel.from_dict(json.loads(run(capsys, "calibrate", "--points", str(path))[1]))
+    assert model.roadm_penalty_db == pytest.approx(0.1, abs=1e-4)
+    metrics = dict(distance_km=500.0, attenuation_db=0.0, ola_count=0, raman_span_count=0)
+    exact = perfmodel.calibrate([perfmodel.CalibrationPoint.from_dict(p) for p in json.loads(path.read_text())])
+    unrouted = perfmodel.estimate_q(
+        exact, perfmodel.PathMetrics(**metrics, roadm_count=0), perfmodel.Modulation.QPSK, perfmodel.NeighborConfig()
+    )
+    value = unrouted.value_db - roadms * exact.roadm_penalty_db
+    argv = ("estimate", "--calib", str(path), "--distance", "500", "--modulation", "qpsk", "--roadm-count", str(roadms))
+    assert run(capsys, *argv) == (0, f"{value:.2f} / {perfmodel.classify_q(value).value}\n", "")
+
+
+def test_modulations_that_solve_different_roadm_terms_are_refused(capsys, fixture_dir, tmp_path):
+    path = _routed_points(fixture_dir, tmp_path, ("QPSK", 3, 0.3), ("BPSK", 2, 0.4))
+    code, out, err = run(capsys, "calibrate", "--points", str(path))
+    assert (code, out) == (2, "")
+    shown = re.fullmatch(
+        rf"error: {re.escape(str(path))}: the modulations solve different roadm_penalty_db "
+        r"\(BPSK (\S+) and QPSK (\S+)\), more than 1e-09 apart\n",
+        err,
+    )
+    assert shown is not None, err
+    assert [float(value) for value in shown.groups()] == pytest.approx([0.2, 0.1], abs=1e-9)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and out.startswith("CALIBRATION: the modulations solve different roadm_penalty_db")
+
+
 def test_cli_defaults_are_the_library_defaults():
     args = _build_parser().parse_args(["plan", "--topology", "t", "--demands", "d", "--calib", "c"])
     assert args.l_ref == perfmodel.DEFAULT_L_REF_KM
@@ -744,6 +797,23 @@ class TestValidate:
         assert code == 1
         assert "CAPACITY_MISMATCH" in out
 
+    def test_a_plan_that_lights_six_carriers_exits_two_naming_the_file(self, capsys, fx, tmp_path):
+        # the capacity matches the count, so only the carrier rule of a block of five pairs refuses it
+        plan_file = tmp_path / "plan.json"
+        run(
+            capsys,
+            "plan", "--topology", fx(TOPO), "--demands", fx("rm-mi2.demands.json"),
+            "--calib", fx(CALIB), "--out", str(plan_file),
+        )
+        document = json.loads(plan_file.read_text())
+        chosen = document["reports"][0]["chosen"]
+        rate = chosen["capacity_gbps"] / chosen["active_carriers"]
+        chosen["active_carriers"], chosen["capacity_gbps"] = 6, 6 * rate
+        plan_file.write_text(json.dumps(document))
+        assert run(capsys, "validate", str(plan_file)) == (
+            2, "", f"error: {plan_file}.reports[0].chosen: active_carriers must be 10 or 9 for 5 enabled pairs, got 6\n"
+        )
+
     @pytest.mark.parametrize(
         "provenance, message",
         [
@@ -899,11 +969,6 @@ def validate_document(document: dict) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _unique_ids(grid) -> bool:
-    ids = [n.id for n in grid.natives] + [sc.id for sc in grid.superchannels]
-    return len(set(ids)) == len(ids)
-
-
 def mismatch(i: int, request_id: str, ours: tuple, theirs: tuple) -> str:
     """validate's line for assignment *i*: its (start_slot, reason), then first fit's."""
     return (
@@ -988,7 +1053,7 @@ class TestValidateAllocation:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        grid=slot_oracle.random_grids().filter(_unique_ids),
+        grid=slot_oracle.random_grids(),
         shapes=st.lists(
             # ids the grid may hold, which first fit leaves unplaced, and fresh ones
             st.tuples(st.booleans(), st.integers(0, 3), st.booleans(), st.sampled_from(["n0", "s1", "r0", "r1", "r2"])),

@@ -4,7 +4,9 @@
 The hashes were taken from the canonical output before the serialization
 codec replaced the hand-written methods, before the calibration solve
 moved off numpy and before the topology was indexed; any drift in bytes,
-key order or number formatting fails here.
+key order or number formatting fails here. The ``plan`` digests were taken
+again when each point of the calibration fixture gained its
+``"roadm_count": 0`` key: only the ``calibration_sha256`` line moved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ GOLDEN = {
     ),
     "plan": (
         ("plan", "--calib", CALIB, "--topology", "garr.topo.json", "--demands", "rm-mi2.demands.json"),
-        "47fccac4eb2624a89b98ff292b62f5ccf1ed023ccdf4efcd99791a59af713b01",
+        "8730b13de0800eacce254564e106e89d06f7422b7875e13cca53ff6bc2e273df",
     ),
     **{
         f"plan-busy-{demands}": (
@@ -40,10 +42,10 @@ GOLDEN = {
             digest,
         )
         for demands, digest in (
-            ("ba1-bo1", "fb10e47ac6af39dbd1bff10f9863c2d5b24e89d0302058d660414fadb84dab39"),
-            ("bo1-mi1", "a737f5cb6caf5cd3a712c56c9ed827682da5eec6f2f5c44fec3897237839b661"),
-            ("rm2-bo1", "979b4db89390d46c7abda8a504d45ab873936fffc28700e9d87073037cc64652"),
-            ("rm-mi2", "75ad4434e461d8f0ceffd615ed9147bf3c8df0fb81cc4d26a58807c61d1516b9"),
+            ("ba1-bo1", "14bd7e29b72f7dbba887e4afd09af605a00951a33565c7879ba0e6557d32c91f"),
+            ("bo1-mi1", "459ebe774156962560ca0bb1b9882646187f6aa15012c7ca9a14c8954773e5ad"),
+            ("rm2-bo1", "5541b7946ec2c7db9705397c6741ef933787209fdd06e86aba428a4cedaa1816"),
+            ("rm-mi2", "acf7e70f500ef65bf42bb777be02b5feeda18318dbbbe7925aa447b028244a7e"),
         )
     },
     "validate-topology": (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import awplan
 from awplan.perfmodel import _least_squares
+from record_tools import replace
 
 from awplan import (
     NATIVE_IMPACT_DB,
@@ -50,13 +52,25 @@ def point(
     distance: float = 345.0,
     modulation: Modulation = Modulation.QPSK,
     neighbors: NeighborConfig = CLEAN,
+    roadm_count: int = 0,
 ) -> CalibrationPoint:
     return CalibrationPoint(
         distance_km=distance,
         modulation=modulation,
         neighbor_config=neighbors,
         measured_q_db=q_db,
+        roadm_count=roadm_count,
     )
+
+
+def _named_roadm_terms(err: CalibrationError) -> list[float]:
+    """The BPSK and QPSK ROADM terms that the agreement error names."""
+    shown = re.fullmatch(
+        r"the modulations solve different roadm_penalty_db \(BPSK (\S+) and QPSK (\S+)\), more than 1e-09 apart",
+        str(err),
+    )
+    assert shown is not None, str(err)
+    return [float(value) for value in shown.groups()]
 
 
 class TestThresholds:
@@ -148,8 +162,21 @@ class TestCalibrationPoint:
         assert all(math.isfinite(v) for v in model.slope_db_per_km.values())
 
     def test_round_trips_through_dict(self):
-        p = point(13.77, neighbors=NeighborConfig(guarded_native_count=2))
+        p = point(13.77, neighbors=NeighborConfig(guarded_native_count=2), roadm_count=3)
         assert CalibrationPoint.from_dict(p.to_dict()) == p
+
+    def test_a_point_without_a_roadm_count_is_measured_at_zero(self):
+        data = point(13.77).to_dict()
+        assert data.pop("roadm_count") == 0
+        assert CalibrationPoint.from_dict(data) == point(13.77)
+
+    def test_roadm_count_has_the_bound_of_a_path_count(self):
+        # the bound and the messages of PathMetrics.roadm_count
+        assert point(13.77, roadm_count=2**53).roadm_count == 2**53
+        with pytest.raises(ValueError, match="^roadm_count must be >= 0, got -1$"):
+            point(13.77, roadm_count=-1)
+        with pytest.raises(ValueError, match="^roadm_count must be at most 9007199254740992$"):
+            point(13.77, roadm_count=2**53 + 1)
 
 
 class TestCalibrate:
@@ -177,10 +204,10 @@ class TestCalibrate:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(3, 4).flatmap(
+        st.integers(3, 5).flatmap(
             lambda n: st.lists(
                 st.tuples(
-                    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+                    st.lists(st.integers(0, 5), min_size=3, max_size=3),
                     st.integers(-500, 800),
                     st.integers(0, 3000),
                 ),
@@ -190,9 +217,9 @@ class TestCalibrate:
         )
     )
     def test_least_squares_matches_exact_normal_equations(self, case):
-        # calibration-shaped systems: q_ref, neighbor counts, distance offset
+        # calibration-shaped systems: q_ref, neighbor counts, distance offset, ROADM count
         n, raw = case
-        rows = [[1.0, -float(g), -float(u), -float(d)][:n] for (g, u), d, _ in raw]
+        rows = [[1.0, -float(g), -float(u), -float(d), -float(k)][:n] for (g, u, k), d, _ in raw]
         rhs = [q / 100 for _, _, q in raw]
         expected, expected_rank = _exact_least_squares(rows, rhs)
         solution, rank = _least_squares(rows, rhs)
@@ -305,6 +332,37 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="q_ref_db"):
             calibrate(lowered)
 
+    def test_roadm_term_solved_from_points_at_differing_counts(self, calib_points, model):
+        # the clean QPSK baseline measured again across 3 ROADMs, 0.3 dB lower
+        refit = calibrate(calib_points + [point(13.77 - 0.3, roadm_count=3)])
+        assert refit.roadm_penalty_db == pytest.approx(0.1, abs=1e-9)
+        for name in ("q_ref_db", "slope_db_per_km", "p_guard_db", "p_unguard_db"):
+            for modulation in Modulation:
+                assert getattr(refit, name)[modulation] == pytest.approx(getattr(model, name)[modulation], abs=1e-9)
+
+    def test_points_that_share_one_nonzero_roadm_count_do_not_separate_it(self, calib_points):
+        shared = [p if p.modulation is Modulation.QPSK else replace(p, roadm_count=5) for p in calib_points]
+        with pytest.raises(
+            CalibrationError, match=r"^BPSK: calibration points do not separate all model terms \(rank 3 of 4\)$"
+        ):
+            calibrate(shared)
+
+    def test_modulations_that_solve_different_roadm_terms_are_named(self, calib_points):
+        routed = [
+            point(13.77 - 0.3, roadm_count=3),
+            point(16.37 - 0.4, modulation=Modulation.BPSK, roadm_count=2),
+        ]
+        with pytest.raises(CalibrationError) as raised:
+            calibrate(calib_points + routed)
+        assert _named_roadm_terms(raised.value) == pytest.approx([0.2, 0.1], abs=1e-9)
+
+    def test_modulations_that_agree_on_the_roadm_term_share_it(self, calib_points):
+        routed = [
+            point(13.77 - 0.3, roadm_count=3),
+            point(16.37 - 0.2, modulation=Modulation.BPSK, roadm_count=2),
+        ]
+        assert calibrate(calib_points + routed).roadm_penalty_db == pytest.approx(0.1, abs=1e-9)
+
     def test_runs_well_under_a_second(self, calib_points):
         import time
 
@@ -337,6 +395,100 @@ def _exact_least_squares(rows, rhs):
     if rank < n:
         return None, rank
     return [m[i][n] / m[i][i] for i in range(n)], rank
+
+
+# The linear model restated: a point's Q is its row times the model's terms,
+# each in this order.
+def _row(p: CalibrationPoint, l_ref_km: float) -> list[float]:
+    cfg = p.neighbor_config
+    return [1.0, -cfg.guarded_native_count, -cfg.unguarded_native_count, -(p.distance_km - l_ref_km), -p.roadm_count]
+
+
+def _terms(model: QModel, modulation: Modulation) -> list[float]:
+    return [
+        model.q_ref_db[modulation], model.p_guard_db[modulation], model.p_unguard_db[modulation],
+        model.slope_db_per_km[modulation], model.roadm_penalty_db,
+    ]
+
+
+_PENALTIES = st.floats(0.01, 0.5)
+_SLOPES = st.floats(1e-4, 3e-3)
+# the modulations whose points pin a term: one or both
+_SOME = st.sampled_from([(Modulation.BPSK,), (Modulation.QPSK,), tuple(Modulation)])
+
+
+@st.composite
+def _measured(draw):
+    """A model with a nonzero ROADM term, the points measured on it, and the
+    ROADM term each modulation's points were measured with. Each modulation
+    has its three reference points; those that pin the slope have a clean
+    point away from the reference distance, those that pin the ROADM term a
+    point at a nonzero count, and all may have more points of any
+    configuration that their terms cover. Where both modulations pin the
+    ROADM term, the draw decides whether their terms differ."""
+    l_ref = float(draw(st.integers(0, 1000)))
+    sloped, routed = draw(_SOME), draw(_SOME)
+    qpsk = draw(st.floats(20.0, 30.0))
+    q_ref = {Modulation.QPSK: qpsk, Modulation.BPSK: qpsk + draw(st.floats(0.5, 5.0))}
+    p_guard = {m: draw(_PENALTIES) for m in Modulation}
+    p_unguard = {m: draw(_PENALTIES) for m in Modulation}
+    slope = {m: draw(_SLOPES) for m in sloped}
+    for m in Modulation:  # inherited where no point pins it
+        slope.setdefault(m, slope[sloped[0]])
+    roadm = dict.fromkeys(Modulation, draw(_PENALTIES))
+    if len(routed) == 2 and draw(st.booleans()):
+        roadm[Modulation.QPSK] += draw(st.floats(0.01, 0.2))
+    away = st.integers(0, 2000).filter(lambda d: d != l_ref).map(float)
+    counts = st.integers(0, 5)
+
+    def measured(m: Modulation, distance: float, guarded: int, unguarded: int, roadms: int = 0) -> CalibrationPoint:
+        q = (
+            q_ref[m] - slope[m] * (distance - l_ref) - p_guard[m] * guarded
+            - p_unguard[m] * unguarded - roadm[m] * roadms
+        )
+        return point(q, distance, m, NeighborConfig(guarded, unguarded), roadms)
+
+    points = []
+    for m in Modulation:
+        distances = away if m in sloped else st.just(l_ref)
+        points += [
+            measured(m, l_ref, 0, 0),
+            measured(m, l_ref, draw(st.integers(1, 5)), 0),
+            measured(m, l_ref, draw(counts), draw(st.integers(1, 5))),
+        ]
+        if m in sloped:
+            points.append(measured(m, draw(away), 0, 0))
+        if m in routed:
+            points.append(measured(m, draw(distances), draw(counts), draw(counts), draw(st.integers(1, 5))))
+        for _ in range(draw(st.integers(0, 3))):
+            roadms = draw(counts) if m in routed else 0
+            points.append(measured(m, draw(distances), draw(counts), draw(counts), roadms))
+    model = QModel(l_ref, q_ref, slope, p_guard, p_unguard, roadm[routed[0]])
+    return model, draw(st.permutations(points)), {m: roadm[m] for m in routed}
+
+
+class TestCalibrationOracle:
+    """``calibrate`` on points measured on a known model recovers it, and
+    refuses the points exactly when the modulations imply different ROADM
+    terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_measured())
+    def test_recovers_the_model_or_names_the_disagreement(self, case):
+        drawn, points, roadm = case
+        if len(set(roadm.values())) > 1:
+            with pytest.raises(CalibrationError) as raised:
+                calibrate(points, drawn.l_ref_km)
+            assert _named_roadm_terms(raised.value) == pytest.approx(list(roadm.values()), abs=1e-9)
+            return
+        model = calibrate(points, drawn.l_ref_km)
+        for modulation in Modulation:
+            assert _terms(model, modulation) == pytest.approx(_terms(drawn, modulation), abs=1e-9)
+        for p in points:
+            metrics = PathMetrics(p.distance_km, 0.0, 0, p.roadm_count, 0)
+            q = math.fsum(a * x for a, x in zip(_row(p, model.l_ref_km), _terms(model, p.modulation)))
+            assert estimate_q(model, metrics, p.modulation, p.neighbor_config).value_db == pytest.approx(q, abs=1e-9)
+            assert q == pytest.approx(p.measured_q_db, abs=1e-9)
 
 
 class TestEstimateQ:

@@ -185,6 +185,8 @@ TABLE = [
         ("not a number", ("measured_q_db",), float("nan"), "doc: measured_q_db must be finite, got nan"),
         ("infinite", ("measured_q_db",), float("inf"), "doc: measured_q_db must be finite, got inf"),
         ("infinite distance", ("distance_km",), float("-inf"), "doc: distance_km must be finite, got -inf"),
+        ("wrong count type", ("roadm_count",), 1.5, "doc.roadm_count: expected integer"),
+        ("negative count", ("roadm_count",), -1, "doc: roadm_count must be >= 0, got -1"),
     ]),
     (QModel, QModel(345.0, {Modulation.BPSK: 17.0, Modulation.QPSK: 13.8}, _per_mod, _per_mod, _per_mod), [
         ("missing", ("q_ref_db", "BPSK"), DROP, "doc.q_ref_db.BPSK: missing required field"),
@@ -200,7 +202,7 @@ TABLE = [
         ("missing", ("q",), DROP, "doc.q: missing required field"),
         ("wrong type", ("feasible",), "yes", "doc.feasible: expected boolean"),
         ("bad enum", ("pair_modulations", 2), "8QAM", "doc.pair_modulations[2]: expected"),
-        ("invariant", ("active_carriers",), 11, "doc: active_carriers must be in 0..10"),
+        ("invariant", ("active_carriers",), 6, "doc: active_carriers must be 10 or 9 for 5 enabled pairs, got 6"),
     ]),
     (PlanReport, PlanReport(Demand(("RM", "MI2"), 400.0), _option, (_option,), ("w",), "r", 0.0), [
         ("missing", ("rationale",), DROP, "doc.rationale: missing required field"),

@@ -155,7 +155,7 @@ class TestSuperChannel:
         assert SuperChannel("x", 0, active_carriers=9).pairs is DEFAULT_PAIRS
         with pytest.raises(ValueError, match=r"^active_carriers must be 10 or 9 for 5 enabled pairs, got 8$"):
             SuperChannel("x", 0, active_carriers=8)
-        with pytest.raises(ValueError, match=r"^active_carriers must be in 0\.\.10, got 11$"):
+        with pytest.raises(ValueError, match=r"^active_carriers must be 10 or 9 for 5 enabled pairs, got 11$"):
             SuperChannel("x", 0, active_carriers=11)
 
     def test_pairs_equal_to_the_default_are_checked_in_full(self):
@@ -958,7 +958,8 @@ def _assert_loads_like_the_replay(doc: dict) -> None:
     expected = _outcome(lambda: codec_oracle.read(SpectrumGrid, doc, "grid"))
     assert _outcome(lambda: SpectrumGrid.from_dict(doc)) == expected
     if isinstance(expected[0], SpectrumGrid):
-        assert expected[1] == _state(_rebuilt(expected[0]))
+        # the replay's masks and id set are those the occupants imply, slot by slot
+        assert expected[1] == slot_oracle.state_masks(*slot_oracle.slot_state(expected[0]))
         # a valid document's grid comes with its masks and id set seeded
         seeded = vars(SpectrumGrid.from_dict(doc))
         keys = ("native_mask", "occupied_mask", "partition_mask", "_occupant_ids")
